@@ -25,7 +25,6 @@ from .analysis import (
 from .datamodel import Dataset, SpeedMatrix, load_matrix, save_matrix, split
 from .embedding import (
     EmbeddedMatrix,
-    Permutation,
     anti_circulant,
     apply_right_permutation,
     circshift,
@@ -59,7 +58,6 @@ from .sparsity import (
 )
 from .spectral import (
     DynamicSpectrum,
-    EvolutionMatrix,
     ReducedSvd,
     SpectrumMeta,
     amplitudes,

@@ -31,7 +31,7 @@ from .analysis import (
     residual_lag_correlation,
 )
 from .datamodel import load_matrix, save_matrix, split
-from .errors import ConfigError, ToolkitError, UsageError
+from .errors import ConfigError, DataError, ShapeError, ToolkitError, UsageError
 from .spectral import RANK_AUTO, DynamicSpectrum, SpectrumMeta
 from .synthgen import Component, SyntheticSpec, generate
 from .variants import VariantConfig, fit, fit_gamma_path, predict
@@ -155,14 +155,33 @@ def save_bundle(outdir, spectrum: DynamicSpectrum, digest: str, split_index=None
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     _write_complex_matrix(outdir / "eigenvalues.csv", spectrum.eigenvalues[None, :])
     _write_complex_matrix(outdir / "amplitudes.csv", spectrum.amplitudes[None, :])
-    _write_complex_matrix(outdir / "modes_exact.csv", spectrum.modes_exact)
-    _write_complex_matrix(outdir / "modes_projected.csv", spectrum.modes_projected)
-    _write_complex_matrix(outdir / "eigvecs_reduced.csv", spectrum.eigvecs_reduced)
+    _write_complex_matrix(outdir / "modes.csv", spectrum.modes)
+
+
+def _read_bundle_matrix(path, shape) -> np.ndarray:
+    """One complex array of a bundle, checked against the shape its manifest implies."""
+    try:
+        matrix = _read_complex_matrix(path)
+    except FileNotFoundError:
+        raise DataError(f"{path}: missing from the bundle") from None
+    except (ValueError, IndexError) as exc:
+        raise DataError(f"{path}: not a paired re/im CSV matrix ({exc})") from None
+    if matrix.shape != shape:
+        raise ShapeError(f"{path}: shape {matrix.shape}, manifest implies {shape}")
+    return matrix
 
 
 def load_bundle(bundle_dir) -> DynamicSpectrum:
+    """Read a bundle written by :func:`save_bundle`.
+
+    Raises DataError naming a file that is missing or unreadable, and
+    ShapeError naming an array whose shape disagrees with the manifest.
+    """
     bundle_dir = Path(bundle_dir)
-    manifest = json.loads((bundle_dir / "manifest.json").read_text())
+    manifest_path = bundle_dir / "manifest.json"
+    if not manifest_path.exists():
+        raise DataError(f"{manifest_path}: missing from the bundle")
+    manifest = json.loads(manifest_path.read_text())
     meta = SpectrumMeta(
         method=manifest["method"],
         tau=manifest["tau"],
@@ -173,12 +192,13 @@ def load_bundle(bundle_dir) -> DynamicSpectrum:
         n_time=manifest["n_time"],
         delta_t=manifest["delta_t"],
     )
+    rank = meta.rank
     return DynamicSpectrum(
-        eigenvalues=_read_complex_matrix(bundle_dir / "eigenvalues.csv").ravel(),
-        modes_exact=_read_complex_matrix(bundle_dir / "modes_exact.csv"),
-        modes_projected=_read_complex_matrix(bundle_dir / "modes_projected.csv"),
-        eigvecs_reduced=_read_complex_matrix(bundle_dir / "eigvecs_reduced.csv"),
-        amplitudes=_read_complex_matrix(bundle_dir / "amplitudes.csv").ravel(),
+        eigenvalues=_read_bundle_matrix(bundle_dir / "eigenvalues.csv", (1, rank)).ravel(),
+        modes=_read_bundle_matrix(
+            bundle_dir / "modes.csv", (meta.n_sensors * meta.tau, rank)
+        ),
+        amplitudes=_read_bundle_matrix(bundle_dir / "amplitudes.csv", (1, rank)).ravel(),
         meta=meta,
     )
 
@@ -253,18 +273,8 @@ def _load_train(args):
     return data, None
 
 
-_EMBEDDING_METHODS = {
-    "circ": ("circ", "circ-sp"),
-    "hankel": ("hankel", "fb-hankel", "tls-hankel"),
-}
-
-
 def cmd_fit(args) -> int:
     _require(args, "input", "out")
-    if args.embedding and args.method not in _EMBEDDING_METHODS[args.embedding]:
-        raise UsageError(
-            f"--embedding {args.embedding} conflicts with --method {args.method}"
-        )
     train, _ = _load_train(args)
     digest = input_digest(args.input)
     outdir = Path(args.out)
@@ -561,7 +571,7 @@ def cmd_metrics(args) -> int:
 # argument parsing
 # ----------------------------------------------------------------------
 
-def _add_io_args(sub, input_required=True):
+def _add_io_args(sub):
     sub.add_argument("--input", default="", help="input CSV path")
     sub.add_argument("--layout", choices=["rows", "cols"], default="rows",
                      help="sensors as rows or columns in the CSV")
@@ -600,8 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit_cmd.add_argument("--method", default="circ",
                          choices=["dmd", "hankel", "fb-hankel", "tls-hankel", "circ", "circ-sp"])
     fit_cmd.add_argument("--tau", type=int, default=None, help="delay embedding length")
-    fit_cmd.add_argument("--embedding", choices=["circ", "hankel"], default=None,
-                         help="consistency check against the chosen method")
     fit_cmd.add_argument("--rank", default="auto", help='"auto" or a fixed integer')
     fit_cmd.add_argument("--gamma", type=float, default=0.0)
     fit_cmd.add_argument("--gamma-grid", default="",
@@ -630,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     fcst.set_defaults(func=cmd_forecast)
 
     ana = subs.add_parser("analyze", help="emit diagnostic tables from a bundle")
-    _add_io_args(ana, input_required=False)
+    _add_io_args(ana)
     ana.add_argument("--bundle", required=True)
     ana.add_argument("--out", default="")
     ana.add_argument("--run", default="", help=f"comma list from {ANALYSES}")

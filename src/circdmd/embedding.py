@@ -31,9 +31,7 @@ class EmbeddedMatrix:
     """A stacked delay embedding of an N x T matrix.
 
     ``values`` has N*tau rows; anti-circulant embeddings keep all T
-    columns, Hankel embeddings keep T - tau + 1. ``permuted`` marks an
-    anti-circulant matrix whose columns were reordered to snapshot
-    order (c_1 first).
+    columns, Hankel embeddings keep T - tau + 1.
     """
 
     values: np.ndarray
@@ -41,7 +39,6 @@ class EmbeddedMatrix:
     tau: int
     source_n: int
     source_t: int
-    permuted: bool = False
 
     def block(self, i: int) -> np.ndarray:
         """Rows of shift block i (1-based, each block has N rows)."""
@@ -49,26 +46,6 @@ class EmbeddedMatrix:
             raise RangeError(f"block index {i} outside 1..{self.tau}")
         n = self.source_n
         return self.values[(i - 1) * n : i * n, :]
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """The T-by-T column permutation sending (c2, ..., cT, c1) to (c1, ..., cT)."""
-
-    order: int
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise RangeError(f"permutation order must be >= 1, got {self.order}")
-
-    @property
-    def indices(self) -> np.ndarray:
-        """0-based column sources: [T-1, 0, 1, ..., T-2]."""
-        t = self.order
-        return np.concatenate(([t - 1], np.arange(t - 1)))
-
-    def matrix(self) -> np.ndarray:
-        return np.eye(self.order)[:, self.indices]
 
 
 def circshift(x: np.ndarray, shift: int) -> np.ndarray:
@@ -97,18 +74,18 @@ def anti_circulant(x: SpeedMatrix, tau: int) -> EmbeddedMatrix:
 def apply_right_permutation(c: EmbeddedMatrix) -> EmbeddedMatrix:
     """Reorder columns to snapshot order: the last column of C becomes first.
 
-    The result's block i starts at x_i, so column t is the snapshot c_t.
+    The permutation (c2, ..., cT, c1) -> (c1, ..., cT) is a rotation of
+    the columns by one. The result's block i starts at x_i, so column t
+    is the snapshot c_t.
     """
     if c.kind != ANTI_CIRCULANT:
         raise KindError(f"right permutation applies to anti-circulant matrices, got {c.kind}")
-    perm = Permutation(c.values.shape[1])
     return EmbeddedMatrix(
-        values=c.values[:, perm.indices],
+        values=circshift(c.values, 1),
         kind=c.kind,
         tau=c.tau,
         source_n=c.source_n,
         source_t=c.source_t,
-        permuted=not c.permuted,
     )
 
 

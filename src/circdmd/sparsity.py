@@ -8,13 +8,13 @@ support is re-fit exactly through the equality-constrained KKT system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError, RangeError, ShapeError
-from .spectral import EvolutionMatrix, ReducedSvd
+from .spectral import ReducedSvd
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,13 @@ class QuadraticForm:
         return np.linalg.solve(self.p, self.q)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SparsitySolution:
-    """Outcome of one sparsity level: ADMM support plus polished refit."""
+    """Outcome of one sparsity level: ADMM support plus polished refit.
+
+    ``_state`` is the final ADMM iterate (b, beta, u), which warm-starts
+    the next level of a gamma path.
+    """
 
     gamma: float
     amplitudes_sparse: np.ndarray
@@ -53,37 +57,40 @@ class SparsitySolution:
     loss: float
     iterations: int
     converged: bool
+    _state: tuple = field(repr=False)
 
 
 def build_quadratic(
-    modes_projected: np.ndarray, psi: EvolutionMatrix, target_svd: ReducedSvd
+    modes_projected: np.ndarray, psi: np.ndarray, target_svd: ReducedSvd
 ) -> QuadraticForm:
     """Compress the Frobenius objective into POD coordinates.
 
-    With Phi_pod = U* modes (the reduced eigenvectors) and G = S V.T:
+    ``psi`` is the Vandermonde matrix of the eigenvalues over the
+    target's columns. With Phi_pod = U* modes (the reduced
+    eigenvectors) and G = S V.T:
     P = (Phi_pod* Phi_pod) o conj(Psi Psi*), q = conj(diag(Psi G* Phi_pod)),
     s = trace(G* G), where o is the elementwise product.
     """
     modes_projected = np.asarray(modes_projected)
-    psi_values = psi.values
+    psi = np.asarray(psi)
     if modes_projected.shape[0] != target_svd.left.shape[0]:
         raise ShapeError(
             f"modes have {modes_projected.shape[0]} rows, "
             f"left factor {target_svd.left.shape[0]}"
         )
-    if modes_projected.shape[1] != psi_values.shape[0]:
+    if modes_projected.shape[1] != psi.shape[0]:
         raise ShapeError(
-            f"{modes_projected.shape[1]} modes but {psi_values.shape[0]} evolution rows"
+            f"{modes_projected.shape[1]} modes but {psi.shape[0]} evolution rows"
         )
     g = target_svd.singular[:, None] * target_svd.right.conj().T
-    if g.shape[1] != psi_values.shape[1]:
+    if g.shape[1] != psi.shape[1]:
         raise ShapeError(
-            f"target spans {g.shape[1]} columns, evolution {psi_values.shape[1]}"
+            f"target spans {g.shape[1]} columns, evolution {psi.shape[1]}"
         )
     phi_pod = target_svd.left.conj().T @ modes_projected
-    p = (phi_pod.conj().T @ phi_pod) * np.conj(psi_values @ psi_values.conj().T)
+    p = (phi_pod.conj().T @ phi_pod) * np.conj(psi @ psi.conj().T)
     p = 0.5 * (p + p.conj().T)
-    q = np.conj(np.diag(psi_values @ g.conj().T @ phi_pod))
+    q = np.conj(np.diag(psi @ g.conj().T @ phi_pod))
     s = float(np.real(np.trace(g.conj().T @ g)))
     return QuadraticForm(p=p, q=q, s=s)
 
@@ -156,7 +163,7 @@ def admm_sparsify(
         polished = polish(form, support)
     else:
         polished = np.zeros_like(beta)
-    solution = SparsitySolution(
+    return SparsitySolution(
         gamma=float(gamma),
         amplitudes_sparse=beta,
         support=support,
@@ -165,9 +172,8 @@ def admm_sparsify(
         loss=form.loss(polished),
         iterations=iterations,
         converged=converged,
+        _state=(b, beta, u),
     )
-    solution._state = (b, beta, u)
-    return solution
 
 
 def polish(form: QuadraticForm, support: np.ndarray) -> np.ndarray:

@@ -10,13 +10,13 @@ round-off directions into the spectrum.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     NumericalError,
     RangeError,
     RankDeficiencyError,
@@ -50,14 +50,6 @@ class ReducedSvd:
 
 
 @dataclass(frozen=True)
-class EvolutionMatrix:
-    """Vandermonde matrix of eigenvalue powers; row i is (1, l_i, l_i^2, ...)."""
-
-    values: np.ndarray
-    horizon: int
-
-
-@dataclass
 class SpectrumMeta:
     method: str
     tau: int
@@ -69,24 +61,32 @@ class SpectrumMeta:
     delta_t: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class DynamicSpectrum:
-    """Eigenvalues, modes and amplitudes of one fitted decomposition."""
+    """Eigenvalues, modes and amplitudes of one fitted decomposition.
+
+    ``modes`` holds the one mode flavour the amplitudes were fit with,
+    named by ``meta.mode_flavor``: "projected" (U W) for circ-sp,
+    "exact" (target V inv(S) W) for every other method. ``_source_svd``
+    is the source factorisation of a fresh fit, which the sparsity
+    stage compresses its objective with; a loaded bundle has none.
+    """
 
     eigenvalues: np.ndarray
-    modes_exact: np.ndarray
-    modes_projected: np.ndarray
-    eigvecs_reduced: np.ndarray
+    modes: np.ndarray
     amplitudes: np.ndarray
     meta: SpectrumMeta
     sparsity: Optional[object] = field(default=None, repr=False)
+    _source_svd: Optional[ReducedSvd] = field(default=None, repr=False)
 
     @property
-    def modes(self) -> np.ndarray:
-        """The mode matrix matching the flavor the amplitudes were fit with."""
-        if self.meta.mode_flavor == "exact":
-            return self.modes_exact
-        return self.modes_projected
+    def modes_projected(self) -> np.ndarray:
+        """``modes``, for spectra whose flavour is "projected"."""
+        if self.meta.mode_flavor != "projected":
+            raise ConfigError(
+                f"spectrum holds {self.meta.mode_flavor!r} modes, not 'projected'"
+            )
+        return self.modes
 
     def dominance_order(self) -> np.ndarray:
         """Mode indices sorted by decreasing |b_i| * ||phi_i||."""
@@ -102,24 +102,16 @@ def hard_threshold_factor(beta: float) -> float:
 def optimal_rank(singular_values: np.ndarray, m: int, n: int) -> int:
     """Count singular values above the median-scaled hard threshold.
 
-    ``m`` is the row count and ``n`` the column count of the matrix the
-    values came from. The aspect ratio is beta = n/m (time over
-    embedded-space); if n > m the ratio is flipped to stay in (0, 1]
-    and a warning is emitted. Never returns less than 1.
+    ``m`` and ``n`` are the dimensions of the matrix the values came
+    from, in either order: the aspect ratio is beta = min(m, n) /
+    max(m, n), as in Gavish & Donoho (2014). Never returns less than 1.
     """
     s = np.asarray(singular_values, dtype=float)
     if s.size == 0:
         raise RangeError("empty singular value vector")
     if m <= 0 or n <= 0:
         raise RangeError(f"matrix dimensions must be positive, got {m} x {n}")
-    if n <= m:
-        beta = n / m
-    else:
-        warnings.warn(
-            f"aspect ratio n/m = {n}/{m} exceeds 1; using min/max instead",
-            stacklevel=2,
-        )
-        beta = m / n
+    beta = min(m, n) / max(m, n)
     delta = hard_threshold_factor(beta) * float(np.median(s))
     return max(int(np.sum(s > delta)), 1)
 
@@ -235,13 +227,15 @@ def amplitudes(modes: np.ndarray, initial: np.ndarray) -> np.ndarray:
     return b
 
 
-def vandermonde(eigenvalues: np.ndarray, horizon: int) -> EvolutionMatrix:
-    """Geometric progressions of each eigenvalue over ``horizon`` steps."""
+def vandermonde(eigenvalues: np.ndarray, horizon: int) -> np.ndarray:
+    """Geometric progressions of each eigenvalue over ``horizon`` steps.
+
+    Row i is (1, l_i, l_i^2, ..., l_i^(horizon-1)).
+    """
     if horizon < 1:
         raise RangeError(f"horizon must be >= 1, got {horizon}")
     eigenvalues = np.asarray(eigenvalues, dtype=complex)
-    values = np.vander(eigenvalues, N=horizon, increasing=True)
-    return EvolutionMatrix(values=values, horizon=horizon)
+    return np.vander(eigenvalues, N=horizon, increasing=True)
 
 
 def reconstruct(spectrum: DynamicSpectrum, horizon: int) -> np.ndarray:
@@ -251,7 +245,7 @@ def reconstruct(spectrum: DynamicSpectrum, horizon: int) -> np.ndarray:
     the training length reproduces history, larger values extend the
     evolution into the future.
     """
-    psi = vandermonde(spectrum.eigenvalues, horizon).values
+    psi = vandermonde(spectrum.eigenvalues, horizon)
     return np.real((spectrum.modes * spectrum.amplitudes) @ psi)
 
 

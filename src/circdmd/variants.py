@@ -11,7 +11,7 @@ follow the plain convention and anchor on the first data column.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -31,10 +31,11 @@ from .errors import (
     ShapeError,
     SingularBackwardError,
 )
-from .sparsity import admm_sparsify, build_quadratic, gamma_path
+from .sparsity import build_quadratic, gamma_path
 from .spectral import (
     RANK_AUTO,
     DynamicSpectrum,
+    ReducedSvd,
     SpectrumMeta,
     amplitudes,
     dynamic_modes,
@@ -56,21 +57,16 @@ class VariantConfig:
 
     ``rank`` is "auto" (hard threshold) or a fixed integer. ``gamma``
     applies to circ-sp only; gamma = 0 collapses it to circ. ``tau`` is
-    forced to 1 for plain dmd. circ-sp always reconstructs from
-    projected modes because those are what the amplitude selection
-    optimizes over.
+    forced to 1 for plain dmd.
     """
 
     method: str
     tau: Optional[int] = None
     rank: Union[int, str] = RANK_AUTO
     gamma: float = 0.0
-    mode_flavor: Optional[str] = None
     tls_rank: Optional[int] = None
     admm_rho: float = 1.0
     admm_max_iter: int = 10000
-    admm_eps_abs: float = 1e-6
-    admm_eps_rel: float = 1e-4
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -87,50 +83,50 @@ class VariantConfig:
             raise RangeError(f"gamma must be >= 0, got {self.gamma}")
         if self.gamma > 0 and self.method != "circ-sp":
             raise ConfigError("gamma applies to method 'circ-sp' only")
-        if self.mode_flavor is None:
-            self.mode_flavor = "projected" if self.method == "circ-sp" else "exact"
-        if self.mode_flavor not in ("exact", "projected"):
-            raise ConfigError(
-                f"mode_flavor must be exact|projected, got {self.mode_flavor!r}"
-            )
-        if self.method == "circ-sp" and self.mode_flavor != "projected":
-            warnings.warn("circ-sp reconstructs from projected modes; overriding")
-            self.mode_flavor = "projected"
         self.gamma = float(self.gamma)
 
 
-def _assemble(source, target, initial, rank, flavor, meta) -> DynamicSpectrum:
-    svd = snapshot_svd(source, rank)
-    a_tilde = projected_dynamics(target, svd)
+def _spectrum(
+    data: SpeedMatrix,
+    config: VariantConfig,
+    svd: ReducedSvd,
+    a_tilde: np.ndarray,
+    target: np.ndarray,
+    initial: np.ndarray,
+) -> DynamicSpectrum:
+    """The stage every fit shares once it has a reduced propagator.
+
+    Eigendecomposes ``a_tilde``, lifts the eigenvectors to the one mode
+    flavour the method reads (projected for circ-sp, whose amplitude
+    selection optimizes over them; exact otherwise) and fits their
+    amplitudes to ``initial``.
+    """
+    flavor = "projected" if config.method == "circ-sp" else "exact"
     eigs, w = eigendecompose(a_tilde)
-    exact = dynamic_modes(target, svd, w, "exact")
-    projected = dynamic_modes(target, svd, w, "projected")
-    meta.rank = svd.rank
-    spectrum = DynamicSpectrum(
-        eigenvalues=eigs,
-        modes_exact=exact,
-        modes_projected=projected,
-        eigvecs_reduced=w,
-        amplitudes=np.zeros(svd.rank, dtype=complex),
-        meta=meta,
-    )
-    phi = exact if flavor == "exact" else projected
-    spectrum.amplitudes = amplitudes(phi, initial)
-    spectrum._source_svd = svd
-    return spectrum
-
-
-def _meta(config: VariantConfig, data: SpeedMatrix) -> SpectrumMeta:
-    return SpectrumMeta(
+    modes = dynamic_modes(target, svd, w, flavor)
+    meta = SpectrumMeta(
         method=config.method,
         tau=config.tau,
-        rank=0,
+        rank=svd.rank,
         gamma=config.gamma,
-        mode_flavor=config.mode_flavor,
+        mode_flavor=flavor,
         n_sensors=data.n_sensors,
         n_time=data.n_time,
         delta_t=data.delta_t,
     )
+    return DynamicSpectrum(
+        eigenvalues=eigs,
+        modes=modes,
+        amplitudes=amplitudes(modes, initial),
+        meta=meta,
+        _source_svd=svd,
+    )
+
+
+def _regress(data, config, source, target, initial) -> DynamicSpectrum:
+    """Regress ``target`` on ``source`` in the source's POD basis."""
+    svd = snapshot_svd(source, config.rank)
+    return _spectrum(data, config, svd, projected_dynamics(target, svd), target, initial)
 
 
 def _hankel_pair(data: SpeedMatrix, tau: int):
@@ -142,6 +138,41 @@ def _hankel_pair(data: SpeedMatrix, tau: int):
     return h[:, :-1], h[:, 1:], h[:, 0]
 
 
+def _snapshot_pair(data: SpeedMatrix, config: VariantConfig):
+    """(source, target, initial) of the plain, Hankel and circular regressions."""
+    if config.method == "dmd":
+        x = data.values
+        return x[:, :-1], x[:, 1:], x[:, 0]
+    if config.method in _HANKEL_METHODS:
+        return _hankel_pair(data, config.tau)
+    # circ methods pair every snapshot with its successor, wrap included
+    c = anti_circulant(data, config.tau)
+    cp = apply_right_permutation(c)
+    return cp.values, c.values, cp.values[:, 0]
+
+
+def _sparsify(base: DynamicSpectrum, config: VariantConfig, gammas) -> list:
+    """Select ``base``'s amplitudes at each penalty over its n_time columns."""
+    psi = vandermonde(base.eigenvalues, base.meta.n_time)
+    form = build_quadratic(base.modes_projected, psi, base._source_svd)
+    solutions = gamma_path(
+        form, gammas, rho=config.admm_rho, max_iter=config.admm_max_iter
+    )
+    return [
+        (
+            solution.gamma,
+            replace(
+                base,
+                amplitudes=solution.amplitudes_polished,
+                meta=replace(base.meta, gamma=solution.gamma),
+                sparsity=solution,
+            ),
+            solution,
+        )
+        for solution in solutions
+    ]
+
+
 def fit(data: SpeedMatrix, config: VariantConfig) -> DynamicSpectrum:
     """Fit the configured decomposition and return its spectrum."""
     method = config.method
@@ -149,38 +180,10 @@ def fit(data: SpeedMatrix, config: VariantConfig) -> DynamicSpectrum:
         return fit_forward_backward(data, config)
     if method == "tls-hankel":
         return fit_total_least_squares(data, config)
-
-    if method == "dmd":
-        x = data.values
-        source, target, initial = x[:, :-1], x[:, 1:], x[:, 0]
-    elif method == "hankel":
-        source, target, initial = _hankel_pair(data, config.tau)
-    else:  # circ methods pair every snapshot with its successor, wrap included
-        c = anti_circulant(data, config.tau)
-        cp = apply_right_permutation(c)
-        source, target, initial = cp.values, c.values, cp.values[:, 0]
-
-    spectrum = _assemble(
-        source, target, initial, config.rank, config.mode_flavor, _meta(config, data)
-    )
+    spectrum = _regress(data, config, *_snapshot_pair(data, config))
     if method == "circ-sp":
-        _apply_sparsity(spectrum, config, n_columns=source.shape[1])
+        [(_, spectrum, _)] = _sparsify(spectrum, config, [config.gamma])
     return spectrum
-
-
-def _apply_sparsity(spectrum: DynamicSpectrum, config: VariantConfig, n_columns: int):
-    psi = vandermonde(spectrum.eigenvalues, n_columns)
-    form = build_quadratic(spectrum.modes_projected, psi, spectrum._source_svd)
-    solution = admm_sparsify(
-        form,
-        config.gamma,
-        rho=config.admm_rho,
-        max_iter=config.admm_max_iter,
-        eps_abs=config.admm_eps_abs,
-        eps_rel=config.admm_eps_rel,
-    )
-    spectrum.amplitudes = solution.amplitudes_polished
-    spectrum.sparsity = solution
 
 
 def fit_gamma_path(data: SpeedMatrix, config: VariantConfig, gammas):
@@ -190,48 +193,9 @@ def fit_gamma_path(data: SpeedMatrix, config: VariantConfig, gammas):
     spectrum shares the eigenstructure of the base fit but carries the
     polished amplitudes of its own penalty level.
     """
-    base_config = VariantConfig(
-        method="circ",
-        tau=config.tau,
-        rank=config.rank,
-        mode_flavor="projected",
-    )
-    base = fit(data, base_config)
-    n_columns = base.meta.n_time
-    psi = vandermonde(base.eigenvalues, n_columns)
-    form = build_quadratic(base.modes_projected, psi, base._source_svd)
-    solutions = gamma_path(
-        form,
-        gammas,
-        rho=config.admm_rho,
-        max_iter=config.admm_max_iter,
-        eps_abs=config.admm_eps_abs,
-        eps_rel=config.admm_eps_rel,
-    )
-    results = []
-    for solution in solutions:
-        meta = SpectrumMeta(
-            method="circ-sp",
-            tau=base.meta.tau,
-            rank=base.meta.rank,
-            gamma=solution.gamma,
-            mode_flavor="projected",
-            n_sensors=base.meta.n_sensors,
-            n_time=base.meta.n_time,
-            delta_t=base.meta.delta_t,
-        )
-        spectrum = DynamicSpectrum(
-            eigenvalues=base.eigenvalues,
-            modes_exact=base.modes_exact,
-            modes_projected=base.modes_projected,
-            eigvecs_reduced=base.eigvecs_reduced,
-            amplitudes=solution.amplitudes_polished,
-            meta=meta,
-            sparsity=solution,
-        )
-        spectrum._source_svd = base._source_svd
-        results.append((solution.gamma, spectrum, solution))
-    return results
+    base_config = replace(config, method="circ-sp", gamma=0.0)
+    base = _regress(data, base_config, *_snapshot_pair(data, base_config))
+    return _sparsify(base, config, gammas)
 
 
 def forward_backward_combine(a_forward: np.ndarray, a_backward: np.ndarray) -> np.ndarray:
@@ -278,24 +242,7 @@ def fit_forward_backward(data: SpeedMatrix, config: VariantConfig) -> DynamicSpe
     a_forward = projected_dynamics(target, svd1)
     a_backward = projected_dynamics(source, svd2)
     a_tilde = forward_backward_combine(a_forward, a_backward)
-
-    eigs, w = eigendecompose(a_tilde)
-    exact = dynamic_modes(target, svd1, w, "exact")
-    projected = dynamic_modes(target, svd1, w, "projected")
-    meta = _meta(config, data)
-    meta.rank = r
-    spectrum = DynamicSpectrum(
-        eigenvalues=eigs,
-        modes_exact=exact,
-        modes_projected=projected,
-        eigvecs_reduced=w,
-        amplitudes=np.zeros(r, dtype=complex),
-        meta=meta,
-    )
-    phi = exact if config.mode_flavor == "exact" else projected
-    spectrum.amplitudes = amplitudes(phi, initial)
-    spectrum._source_svd = svd1
-    return spectrum
+    return _spectrum(data, config, svd1, a_tilde, target, initial)
 
 
 def fit_total_least_squares(data: SpeedMatrix, config: VariantConfig) -> DynamicSpectrum:
@@ -313,14 +260,7 @@ def fit_total_least_squares(data: SpeedMatrix, config: VariantConfig) -> Dynamic
     projector = svd_z.right @ svd_z.right.conj().T
     source_bar = source @ projector
     target_bar = target @ projector
-    return _assemble(
-        source_bar,
-        target_bar,
-        source_bar[:, 0],
-        config.rank,
-        config.mode_flavor,
-        _meta(config, data),
-    )
+    return _regress(data, config, source_bar, target_bar, source_bar[:, 0])
 
 
 def predict(

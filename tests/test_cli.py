@@ -58,7 +58,10 @@ def test_fit_writes_bundle(tmp_path, fixture_csv):
     assert manifest["software_version"]
     spectrum = load_bundle(bundle)
     assert spectrum.eigenvalues.shape[0] == manifest["rank"]
-    assert spectrum.modes_exact.shape == (4 * 48, manifest["rank"])
+    assert spectrum.modes.shape == (4 * 48, manifest["rank"])
+    assert sorted(p.name for p in bundle.iterdir()) == [
+        "amplitudes.csv", "eigenvalues.csv", "manifest.json", "modes.csv",
+    ]
 
 
 def test_fit_digest_guard(tmp_path, fixture_csv):
@@ -90,7 +93,7 @@ def test_bundle_round_trip_preserves_spectrum(tmp_path, fixture_csv):
     direct = fit_api(data, VariantConfig(method="circ", tau=48))
     assert np.max(np.abs(loaded.eigenvalues - direct.eigenvalues)) <= 1e-12
     assert np.max(np.abs(loaded.amplitudes - direct.amplitudes)) <= 1e-12
-    assert np.max(np.abs(loaded.modes_exact - direct.modes_exact)) <= 1e-12
+    assert np.max(np.abs(loaded.modes - direct.modes)) <= 1e-12
 
 
 def test_reconstruct_command(tmp_path, fixture_csv):
@@ -253,3 +256,55 @@ def test_gamma_grid_fit(tmp_path, fixture_csv):
     assert [r[0] for r in rows[1:]] == ["0.0", "10.0", "100.0"]
     for gamma in ("0", "10", "100"):
         assert (outdir / f"gamma_{gamma}" / "manifest.json").exists()
+
+
+def _parent_layout(bundle):
+    """The layout of earlier releases: both mode flavours, no modes.csv."""
+    modes = bundle / "modes.csv"
+    (bundle / "modes_projected.csv").write_text(modes.read_text())
+    (bundle / "eigvecs_reduced.csv").write_text("c0_re,c0_im\n1,0\n")
+    modes.rename(bundle / "modes_exact.csv")
+
+
+def _truncate_rows(bundle):
+    lines = (bundle / "modes.csv").read_text().splitlines(keepends=True)
+    (bundle / "modes.csv").write_text("".join(lines[: len(lines) // 2]))
+
+
+def _truncate_mid_line(bundle):
+    text = (bundle / "modes.csv").read_text()
+    (bundle / "modes.csv").write_text(text[: len(text) // 2 + 3])
+
+
+def _no_manifest(bundle):
+    (bundle / "manifest.json").unlink()
+
+
+def _rank_mismatch(bundle):
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    manifest["rank"] += 1
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize(
+    "corrupt, named",
+    [
+        (_parent_layout, "modes.csv"),
+        (_truncate_rows, "modes.csv"),
+        (_truncate_mid_line, "modes.csv"),
+        (_rank_mismatch, "eigenvalues.csv"),
+        (_no_manifest, "manifest.json"),
+    ],
+)
+def test_unusable_bundle_is_an_error(tmp_path, fixture_csv, capsys, corrupt, named):
+    bundle = _fit(tmp_path, fixture_csv)
+    corrupt(bundle)
+    capsys.readouterr()
+    code = main([
+        "forecast", "--input", str(fixture_csv), "--dt", str(1 / 12),
+        "--bundle", str(bundle), "--horizon", "12", "--out", str(tmp_path / "fc"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(bundle / named) in err

@@ -3,7 +3,6 @@ import pytest
 
 from circdmd import (
     KindError,
-    Permutation,
     RangeError,
     ShapeError,
     SpeedMatrix,
@@ -125,12 +124,6 @@ def test_permutation_requires_anti_circulant():
     m = _matrix(2, 5)
     with pytest.raises(KindError):
         apply_right_permutation(hankel(m, 2))
-
-
-def test_permutation_orthogonal():
-    p = Permutation(7).matrix()
-    assert np.allclose(p @ p.T, np.eye(7))
-    assert np.allclose(p.T @ p, np.eye(7))
 
 
 # ----------------------------------------------------------------------

@@ -65,7 +65,7 @@ def test_build_quadratic_matches_direct_frobenius():
     rng = np.random.default_rng(2)
     for _ in range(10):
         b = rng.normal(size=4) + 1j * rng.normal(size=4)
-        direct = _direct_loss(g, w, psi.values, b)
+        direct = _direct_loss(g, w, psi, b)
         assert abs(form.loss(b) - direct) <= 1e-8 * max(direct, 1.0)
 
 

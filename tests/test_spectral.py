@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
@@ -30,9 +32,7 @@ def _spectrum(eigs, modes, amps, flavor="exact", delta_t=1.0):
     )
     return DynamicSpectrum(
         eigenvalues=eigs,
-        modes_exact=modes,
-        modes_projected=modes,
-        eigvecs_reduced=np.eye(eigs.size, dtype=complex),
+        modes=modes,
         amplitudes=np.asarray(amps, dtype=complex),
         meta=meta,
     )
@@ -81,9 +81,12 @@ def test_optimal_rank_empty_or_bad_dims():
         optimal_rank(np.ones(3), 0, 3)
 
 
-def test_optimal_rank_wide_matrix_warns():
-    with pytest.warns(UserWarning):
-        optimal_rank(np.array([5.0, 1.0]), 2, 10)
+def test_optimal_rank_symmetric_in_dimensions():
+    s = np.array([9.0, 6.0, 2.0, 1.5, 1.0, 0.8, 0.5, 0.2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m, n in ((2, 10), (8, 40), (30, 31)):
+            assert optimal_rank(s, m, n) == optimal_rank(s, n, m)
 
 
 # ----------------------------------------------------------------------
@@ -298,9 +301,9 @@ def test_amplitudes_empty_modes():
 # ----------------------------------------------------------------------
 
 def test_vandermonde_rows():
-    assert np.allclose(vandermonde(np.array([1.0]), 4).values, [[1, 1, 1, 1]])
-    assert np.allclose(vandermonde(np.array([1j]), 4).values, [[1, 1j, -1, -1j]])
-    assert np.allclose(vandermonde(np.array([2.0]), 3).values, [[1, 2, 4]])
+    assert np.allclose(vandermonde(np.array([1.0]), 4), [[1, 1, 1, 1]])
+    assert np.allclose(vandermonde(np.array([1j]), 4), [[1, 1j, -1, -1j]])
+    assert np.allclose(vandermonde(np.array([2.0]), 3), [[1, 2, 4]])
 
 
 def test_vandermonde_horizon_range():
@@ -406,6 +409,6 @@ def test_conjugate_closure_and_real_reconstruction():
     for ev in eigs:
         assert np.min(np.abs(eigs - np.conj(ev))) <= 1e-9
     # imaginary part of the complex reconstruction is negligible
-    psi = vmd(eigs, t).values
+    psi = vmd(eigs, t)
     product = (spec.modes * spec.amplitudes) @ psi
     assert np.max(np.abs(product.imag)) <= 1e-9 * max(np.max(np.abs(product.real)), 1.0)

@@ -51,8 +51,6 @@ def test_config_validation():
     with pytest.warns(UserWarning):
         cfg = VariantConfig(method="dmd", tau=7)
     assert cfg.tau == 1
-    assert VariantConfig(method="circ", tau=3).mode_flavor == "exact"
-    assert VariantConfig(method="circ-sp", tau=3).mode_flavor == "projected"
 
 
 # ----------------------------------------------------------------------
@@ -82,6 +80,12 @@ def test_circ_sp_gamma_zero_equals_circ_spectrum():
     base = fit(data, VariantConfig(method="circ", tau=8))
     sparse = fit(data, VariantConfig(method="circ-sp", tau=8, gamma=0.0))
     assert np.array_equal(sparse.eigenvalues, base.eigenvalues)
+    # circ-sp keeps the projected modes its amplitude selection optimizes over
+    assert base.meta.mode_flavor == "exact"
+    assert sparse.meta.mode_flavor == "projected"
+    assert sparse.modes_projected is sparse.modes
+    with pytest.raises(ConfigError):
+        base.modes_projected
     rec_base = predict(base, (3, 48), 0)
     rec_sparse = predict(sparse, (3, 48), 0)
     assert np.max(np.abs(rec_base - rec_sparse)) <= 1e-6
@@ -225,7 +229,7 @@ def test_hankel_tau_one_equals_dmd():
     dmd = fit(data, VariantConfig(method="dmd", rank=3))
     hank = fit(data, VariantConfig(method="hankel", tau=1, rank=3))
     assert np.max(np.abs(dmd.eigenvalues - hank.eigenvalues)) <= 1e-9
-    assert np.max(np.abs(dmd.modes_exact - hank.modes_exact)) <= 1e-9
+    assert np.max(np.abs(dmd.modes - hank.modes)) <= 1e-9
     assert np.max(np.abs(dmd.amplitudes - hank.amplitudes)) <= 1e-9
 
 
@@ -254,4 +258,27 @@ def test_fit_gamma_path_spectra_share_base():
     for _, spectrum, solution in results:
         assert np.array_equal(spectrum.eigenvalues, base_eigs)
         assert spectrum.meta.gamma == solution.gamma
+        assert spectrum.meta.mode_flavor == "projected"
         assert solution.nonzero_count == int(np.sum(np.abs(spectrum.amplitudes) > 0))
+
+
+def test_each_fit_lifts_modes_once(monkeypatch):
+    from circdmd import variants
+
+    flavors = []
+    lift = variants.dynamic_modes
+
+    def counting(target, svd, w, flavor):
+        flavors.append(flavor)
+        return lift(target, svd, w, flavor)
+
+    monkeypatch.setattr(variants, "dynamic_modes", counting)
+    data = periodic_data(n=3, t=48, seed=16)
+    for method, tau in (("dmd", None), ("hankel", 6), ("fb-hankel", 6),
+                        ("tls-hankel", 6), ("circ", 6), ("circ-sp", 6)):
+        flavors.clear()
+        fit(data, VariantConfig(method=method, tau=tau))
+        assert flavors == ["projected" if method == "circ-sp" else "exact"]
+    flavors.clear()
+    fit_gamma_path(data, VariantConfig(method="circ-sp", tau=6), [0.0, 1.0])
+    assert flavors == ["projected"]
