@@ -3,9 +3,11 @@
 The reduced SVD goes through the method of snapshots: the Gram matrix
 of the smaller dimension is eigendecomposed and the long-side factor is
 recovered by one projection, so the (N*tau) x (N*tau) product is never
-formed. Rank selection combines the aspect-ratio hard threshold with a
-numerical-rank guard so that exactly low-rank inputs do not drag
-round-off directions into the spectrum.
+formed. The eigensolve yields every eigenvalue, which the rank rule
+needs, but eigenvectors only for the rank kept. Rank selection
+combines the aspect-ratio hard threshold with a numerical-rank guard
+so that exactly low-rank inputs do not drag round-off directions into
+the spectrum.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import blas, lapack
 
 from .errors import (
     ConfigError,
+    DataError,
     NumericalError,
     RangeError,
     RankDeficiencyError,
@@ -25,6 +29,7 @@ from .errors import (
 )
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 RANK_AUTO = "auto"
 
@@ -116,26 +121,101 @@ def optimal_rank(singular_values: np.ndarray, m: int, n: int) -> int:
     return max(int(np.sum(s > delta)), 1)
 
 
-def snapshot_svd(matrix: np.ndarray, rank=RANK_AUTO) -> ReducedSvd:
+def _check(routine: str, info: int) -> None:
+    if info != 0:
+        raise NumericalError(f"LAPACK {routine} failed (info = {info})")
+
+
+class _SymmetricEigen:
+    """Every eigenvalue of a symmetric matrix, and eigenvectors on request.
+
+    One Householder reduction to tridiagonal form (``dsytrd``) is shared:
+    ``dsterf`` gives all eigenvalues, and the eigenvectors of the top
+    ``r`` come from the MRRR tridiagonal solver (``dstemr``; Dhillon &
+    Parlett 2004) followed by the back-transform (``dormqr``). The
+    matrix is reduced in place, so the caller must not reuse it.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        self.n = n = matrix.shape[0]
+        # LAPACK reads the lower triangle of a Fortran-ordered array; a
+        # C-ordered symmetric matrix is its own Fortran-ordered transpose.
+        lower = matrix if matrix.flags.f_contiguous else matrix.T
+        work, info = lapack.dsytrd_lwork(n, lower=1)
+        _check("dsytrd", info)
+        self._reflectors, self._diag, self._off, self._tau, info = lapack.dsytrd(
+            lower, lower=1, lwork=int(work), overwrite_a=1
+        )
+        _check("dsytrd", info)
+
+    def values(self) -> np.ndarray:
+        """All eigenvalues, in decreasing order."""
+        if self.n == 1:
+            return self._diag.copy()
+        values, info = lapack.dsterf(self._diag, self._off)
+        _check("dsterf", info)
+        return values[::-1]
+
+    def top_vectors(self, r: int) -> np.ndarray:
+        """Orthonormal eigenvectors of the r largest eigenvalues, largest first."""
+        n = self.n
+        # range 2 selects eigenvalues n-r+1 .. n (1-based, ascending)
+        m, _, z, info = lapack.dstemr(
+            self._diag, np.append(self._off, 0.0), 2, 0.0, 0.0, n - r + 1, n
+        )
+        _check("dstemr", info)
+        if m != r:
+            raise NumericalError(f"LAPACK dstemr returned {m} of {r} eigenvectors")
+        z = np.asfortranarray(z[:, r - 1 :: -1])
+        if n > 1:
+            # Q = H(1) ... H(n-1) leaves row 1 alone and acts on rows 2..n
+            # through the reflectors below the subdiagonal (as dormtr does).
+            reflectors = np.asfortranarray(self._reflectors[1:, :-1])
+            _, work, info = lapack.dormqr("L", "N", reflectors, self._tau, z[1:], -1)
+            _check("dormqr", info)
+            z[1:], _, info = lapack.dormqr(
+                "L", "N", reflectors, self._tau, z[1:], int(work[0])
+            )
+            _check("dormqr", info)
+        return z
+
+
+def _finite_matrix(matrix) -> np.ndarray:
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2:
+        raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
+    if not np.isfinite(a).all():
+        bad = [(int(i), int(j)) for i, j in zip(*np.nonzero(~np.isfinite(a)))]
+        raise DataError("non-finite matrix entries", coordinates=bad[:10])
+    return a
+
+
+def snapshot_svd(matrix, rank=RANK_AUTO) -> ReducedSvd:
     """Reduced SVD via eigendecomposition of the smaller Gram matrix.
 
+    ``matrix`` is an ndarray or a structured stack such as
+    :class:`circdmd.embedding.CircularStack`: anything with ``shape``,
+    ``gram()`` and the products ``matrix @ y`` and ``z @ matrix``.
     ``rank`` is either ``"auto"`` (hard threshold capped at the
     numerical rank) or a fixed positive integer. A fixed rank that
     reaches into numerically zero singular values raises
     RankDeficiencyError, because the snapshot path cannot produce
-    meaningful vectors for them.
+    meaningful vectors for them. Every eigenvalue is computed, for the
+    rank rule, but eigenvectors only for the ``rank`` kept.
     """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
+    a = matrix if hasattr(matrix, "gram") else _finite_matrix(matrix)
     rows, cols = a.shape
     gram_on_cols = cols <= rows
+    if isinstance(a, np.ndarray):
+        # Fortran-ordered, lower triangle only: what the eigensolve reads.
+        # scipy's BLAS (not numpy's) forms it, so the two libraries'
+        # thread pools do not contend between the product and the solve.
+        gram = blas.dsyrk(1.0, a.T, trans=0 if gram_on_cols else 1, lower=1)
+    else:
+        gram = a.gram()
 
-    gram = a.T @ a if gram_on_cols else a @ a.T
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = np.clip(eigvals[order], 0.0, None)
-    eigvecs = eigvecs[:, order]
+    eigen = _SymmetricEigen(gram)
+    eigvals = np.clip(eigen.values(), 0.0, None)
     sing_all = np.sqrt(eigvals)
 
     if eigvals[0] <= 0.0:
@@ -155,25 +235,29 @@ def snapshot_svd(matrix: np.ndarray, rank=RANK_AUTO) -> ReducedSvd:
             )
 
     sing = sing_all[:r]
+    vectors = eigen.top_vectors(r)
     if gram_on_cols:
-        right = eigvecs[:, :r]
+        right = vectors
         left = (a @ right) / sing
     else:
-        left = eigvecs[:, :r]
-        right = (a.T @ left) / sing
+        left = vectors
+        right = (left.T @ a).T / sing
     return ReducedSvd(left=left, singular=sing, right=right, rank=r)
 
 
-def projected_dynamics(target: np.ndarray, svd_of_source: ReducedSvd) -> np.ndarray:
-    """Project the regression onto the source's POD basis: U* target V inv(S)."""
-    target = np.asarray(target)
+def projected_dynamics(target, svd_of_source: ReducedSvd) -> np.ndarray:
+    """Project the regression onto the source's POD basis: U* target V inv(S).
+
+    ``target`` is an ndarray or a structured stack; only ``target @ y``
+    is formed.
+    """
     u, s, v = svd_of_source.left, svd_of_source.singular, svd_of_source.right
     if target.shape != (u.shape[0], v.shape[0]):
         raise ShapeError(
             f"target shape {target.shape} does not match factors "
             f"{u.shape[0]} x {v.shape[0]}"
         )
-    return u.conj().T @ target @ (v / s)
+    return u.conj().T @ (target @ (v / s))
 
 
 def eigendecompose(a_tilde: np.ndarray):
@@ -193,19 +277,19 @@ def eigendecompose(a_tilde: np.ndarray):
     return eigvals[order], eigvecs[:, order]
 
 
-def dynamic_modes(
-    target: np.ndarray, svd: ReducedSvd, w: np.ndarray, flavor: str = "exact"
-) -> np.ndarray:
+def dynamic_modes(target, svd: ReducedSvd, w: np.ndarray, flavor: str = "exact") -> np.ndarray:
     """Lift reduced eigenvectors to full-space modes.
 
     exact:     Phi = target @ V @ inv(S) @ W
     projected: Phi = U @ W
+
+    ``target`` is an ndarray or a structured stack; only ``target @ y``
+    is formed.
     """
     if flavor == "projected":
         return svd.left @ w
     if flavor != "exact":
         raise RangeError(f"flavor must be 'exact' or 'projected', got {flavor!r}")
-    target = np.asarray(target)
     if target.shape[1] != svd.right.shape[0]:
         raise ShapeError(
             f"target has {target.shape[1]} columns, right factor {svd.right.shape[0]} rows"
@@ -230,12 +314,18 @@ def amplitudes(modes: np.ndarray, initial: np.ndarray) -> np.ndarray:
 def vandermonde(eigenvalues: np.ndarray, horizon: int) -> np.ndarray:
     """Geometric progressions of each eigenvalue over ``horizon`` steps.
 
-    Row i is (1, l_i, l_i^2, ..., l_i^(horizon-1)).
+    Row i is (1, l_i, l_i^2, ..., l_i^(horizon-1)). Powers whose
+    magnitude falls below the smallest normal float are set to exactly
+    0: they lie far below the rounding of any reconstruction of ordinary
+    scale, and subnormal operands make products with this matrix
+    several times slower.
     """
     if horizon < 1:
         raise RangeError(f"horizon must be >= 1, got {horizon}")
     eigenvalues = np.asarray(eigenvalues, dtype=complex)
-    return np.vander(eigenvalues, N=horizon, increasing=True)
+    psi = np.vander(eigenvalues, N=horizon, increasing=True)
+    psi[np.abs(psi) < _TINY] = 0.0
+    return psi
 
 
 def reconstruct(spectrum: DynamicSpectrum, horizon: int) -> np.ndarray:

@@ -17,13 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .datamodel import SpeedMatrix
-from .embedding import (
-    anti_circulant,
-    apply_right_permutation,
-    collapse_snapshot_reconstruction,
-    hankel,
-    inverse_hankel,
-)
+from .embedding import CircularStack, hankel, inverse_hankel
 from .errors import (
     ConfigError,
     NumericalError,
@@ -146,9 +140,9 @@ def _snapshot_pair(data: SpeedMatrix, config: VariantConfig):
     if config.method in _HANKEL_METHODS:
         return _hankel_pair(data, config.tau)
     # circ methods pair every snapshot with its successor, wrap included
-    c = anti_circulant(data, config.tau)
-    cp = apply_right_permutation(c)
-    return cp.values, c.values, cp.values[:, 0]
+    source = CircularStack(data.values, config.tau, offset=0)
+    target = CircularStack(data.values, config.tau, offset=1)
+    return source, target, source.first_column()
 
 
 def _sparsify(base: DynamicSpectrum, config: VariantConfig, gammas) -> list:
@@ -231,7 +225,10 @@ def fit_forward_backward(data: SpeedMatrix, config: VariantConfig) -> DynamicSpe
     """Debias by averaging forward and inverse-backward dynamics.
 
     Both legs are truncated to a common rank (the smaller of the two
-    auto/fixed ranks) so the propagators conform before combining.
+    auto/fixed ranks) so the propagators conform before combining. The
+    sign of a singular pair is arbitrary, so each backward POD vector is
+    flipped to point the way of its forward counterpart: the two
+    propagators then act in the same coordinates.
     """
     source, target, initial = _hankel_pair(data, config.tau)
     svd1 = snapshot_svd(source, config.rank)
@@ -239,6 +236,8 @@ def fit_forward_backward(data: SpeedMatrix, config: VariantConfig) -> DynamicSpe
     r = min(svd1.rank, svd2.rank)
     svd1 = svd1.truncate(r)
     svd2 = svd2.truncate(r)
+    flip = np.where(np.sum(svd1.left * svd2.left, axis=0) < 0, -1.0, 1.0)
+    svd2 = replace(svd2, left=svd2.left * flip, right=svd2.right * flip)
     a_forward = projected_dynamics(target, svd1)
     a_backward = projected_dynamics(source, svd2)
     a_tilde = forward_backward_combine(a_forward, a_backward)
@@ -270,7 +269,8 @@ def predict(
     original N-row space.
 
     Circular variants collapse the snapshot-ordered reconstruction by
-    circular-shift averaging over the whole window; Hankel variants
+    circular-shift averaging over the whole window, block by block, so
+    the (N*tau)-row reconstruction is never formed; Hankel variants
     average all delayed copies of each timestamp; plain dmd returns its
     rows directly.
     """
@@ -291,5 +291,18 @@ def predict(
         return inverse_hankel(rec, n, tau)
     if meta.method not in _CIRC_METHODS:
         raise ConfigError(f"unknown method {meta.method!r} in spectrum metadata")
-    rec = reconstruct(spectrum, t + horizon_columns)
-    return collapse_snapshot_reconstruction(rec, n, tau)
+    return _collapse_circular(spectrum, n, tau, t + horizon_columns)
+
+
+def _collapse_circular(spectrum: DynamicSpectrum, n: int, tau: int, width: int) -> np.ndarray:
+    """``collapse_snapshot_reconstruction(reconstruct(spectrum, width), n, tau)``,
+    one N-row block at a time: block i's real reconstruction, rotated
+    right by i - 1 over the window, summed and averaged."""
+    psi = vandermonde(spectrum.eigenvalues, width)
+    weighted = spectrum.modes * spectrum.amplitudes
+    acc = np.zeros((n, width))
+    for i in range(tau):
+        block = np.real(weighted[i * n : (i + 1) * n] @ psi)
+        acc[:, i:] += block[:, : width - i]
+        acc[:, :i] += block[:, width - i :]
+    return acc / tau

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from circdmd import (
+    DataError,
     KindError,
     RangeError,
     ShapeError,
@@ -14,6 +15,7 @@ from circdmd import (
     inverse_anti_circulant,
     inverse_hankel,
 )
+from circdmd.embedding import CircularStack
 
 
 def _matrix(n, t, seed=0):
@@ -229,3 +231,72 @@ def test_full_anti_circulant_diagonalized_by_dft():
     theta = f_inv @ cp.values @ f_inv
     oracle = np.diag(np.fft.ifft(x[0]))
     assert np.max(np.abs(theta - oracle)) <= 1e-9
+
+
+# ----------------------------------------------------------------------
+# structured circular stack against the dense stacks
+# ----------------------------------------------------------------------
+
+# (n, t, tau): tau = 1, tau = T, N*tau < T (Gram on the stack side) and
+# N*tau > T (Gram on the time side)
+STACK_CASES = [(3, 10, 1), (2, 7, 7), (2, 20, 3), (4, 9, 5), (1, 16, 16), (5, 6, 3)]
+
+
+def _relative(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def _dense_pair(n, t, tau, seed):
+    m = _matrix(n, t, seed=seed)
+    c = anti_circulant(m, tau)
+    return m.values, {0: apply_right_permutation(c).values, 1: c.values}
+
+
+@pytest.mark.parametrize("n,t,tau", STACK_CASES)
+@pytest.mark.parametrize("offset", [0, 1])
+def test_circular_stack_matches_dense_stack(n, t, tau, offset):
+    x, dense = _dense_pair(n, t, tau, seed=n + t + tau)
+    dense = dense[offset]
+    stack = CircularStack(x, tau, offset)
+    rng = np.random.default_rng(tau)
+    y = rng.normal(size=(t, 3))
+    z = rng.normal(size=(2, n * tau))
+    assert stack.shape == dense.shape
+    assert _relative(stack @ y, dense @ y) <= 1e-10
+    assert _relative(stack @ y[:, 0], dense @ y[:, 0]) <= 1e-10
+    assert _relative(z @ stack, z @ dense) <= 1e-10
+    assert _relative(z[0] @ stack, z[0] @ dense) <= 1e-10
+    assert np.array_equal(stack.first_column(), dense[:, 0])
+
+
+@pytest.mark.parametrize("n,t,tau", STACK_CASES)
+@pytest.mark.parametrize("offset", [0, 1])
+def test_circular_stack_gram_on_the_smaller_side(n, t, tau, offset):
+    x, dense = _dense_pair(n, t, tau, seed=2 * n + t)
+    dense = dense[offset]
+    gram = CircularStack(x, tau, offset).gram()
+    if t <= n * tau:
+        assert _relative(gram, dense.T @ dense) <= 1e-10
+    else:
+        assert _relative(gram, dense @ dense.T) <= 1e-10
+
+
+def test_circular_stack_offsets_are_the_regression_pair():
+    # source is the snapshot-ordered stack, target the unpermuted one:
+    # target column t is the successor of source column t
+    x = _matrix(3, 8, seed=13).values
+    source, target = CircularStack(x, 4, 0), CircularStack(x, 4, 1)
+    eye = np.eye(8)
+    assert np.array_equal((source @ eye)[:, 1:], (target @ eye)[:, :-1])
+    assert np.array_equal(source.first_column(), x[:, :4].T.ravel())
+
+
+def test_circular_stack_validates():
+    with pytest.raises(RangeError):
+        CircularStack(np.ones((2, 5)), 6)
+    with pytest.raises(RangeError):
+        CircularStack(np.ones((2, 5)), 0)
+    with pytest.raises(ShapeError):
+        CircularStack(np.ones(5), 1)
+    with pytest.raises(DataError):
+        CircularStack(np.array([[1.0, np.nan, 2.0]]), 2)

@@ -5,6 +5,8 @@ import pytest
 from scipy.linalg import subspace_angles
 
 from circdmd import (
+    DataError,
+    NumericalError,
     RangeError,
     RankDeficiencyError,
     SingularEigenvalueError,
@@ -21,6 +23,7 @@ from circdmd import (
     snapshot_svd,
     vandermonde,
 )
+from circdmd import spectral
 
 
 def _spectrum(eigs, modes, amps, flavor="exact", delta_t=1.0):
@@ -155,6 +158,30 @@ def test_snapshot_svd_auto_caps_at_numerical_rank():
     coeffs = rng.normal(size=(4, 100))
     svd = snapshot_svd(basis @ coeffs)  # exactly rank 4
     assert svd.rank == 4
+
+
+def test_snapshot_svd_rejects_non_finite_entries():
+    a = np.random.default_rng(11).normal(size=(8, 5))
+    a[3, 2] = np.nan
+    with pytest.raises(DataError, match=r"\(3, 2\)"):
+        snapshot_svd(a)
+    a[3, 2] = np.inf
+    with pytest.raises(DataError):
+        snapshot_svd(a, rank=2)
+
+
+@pytest.mark.parametrize("routine", ["dsytrd", "dsterf", "dstemr", "dormqr"])
+def test_snapshot_svd_names_a_failing_lapack_routine(monkeypatch, routine):
+    real = getattr(spectral.lapack, routine)
+
+    def failing(*args, **kwargs):
+        *outputs, _ = real(*args, **kwargs)
+        return (*outputs, 7)
+
+    monkeypatch.setattr(spectral.lapack, routine, failing)
+    a = np.random.default_rng(12).normal(size=(9, 6))
+    with pytest.raises(NumericalError, match=f"LAPACK {routine} failed"):
+        snapshot_svd(a, rank=2)
 
 
 # ----------------------------------------------------------------------
@@ -304,6 +331,20 @@ def test_vandermonde_rows():
     assert np.allclose(vandermonde(np.array([1.0]), 4), [[1, 1, 1, 1]])
     assert np.allclose(vandermonde(np.array([1j]), 4), [[1, 1j, -1, -1j]])
     assert np.allclose(vandermonde(np.array([2.0]), 3), [[1, 2, 4]])
+
+
+def test_vandermonde_flushes_subnormal_powers():
+    # 0.5^k is subnormal for 1022 < k < 1075: flushed to exactly zero
+    eigs = np.array([1.0, 0.5])
+    psi = vandermonde(eigs, 2000)
+    magnitude = np.abs(psi)
+    assert not np.any((magnitude > 0) & (magnitude < np.finfo(float).tiny))
+    assert psi[1, 1022] == 0.5**1022 and np.all(psi[1, 1023:] == 0)
+    rng = np.random.default_rng(20)
+    modes = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+    spec = _spectrum(eigs, modes, [1.0 - 0.5j, 2.0 + 1j])
+    unflushed = np.real((modes * spec.amplitudes) @ np.vander(eigs, 2000, increasing=True))
+    assert np.array_equal(reconstruct(spec, 2000), unflushed)
 
 
 def test_vandermonde_horizon_range():

@@ -117,6 +117,32 @@ def test_fb_matches_plain_on_clean_data():
     assert eig_match_distance(fb.eigenvalues, plain.eigenvalues) <= 1e-6
 
 
+def test_fb_is_independent_of_singular_vector_signs(monkeypatch):
+    # each singular pair's sign is arbitrary; flipping the even pairs of
+    # the backward leg alone must not change the combined propagator
+    from dataclasses import replace
+
+    from circdmd import variants
+
+    data = periodic_data(n=4, t=60, seed=21)
+    config = VariantConfig(method="fb-hankel", tau=6, rank=4)
+    base = fit(data, config)
+    svd = variants.snapshot_svd
+    legs = []
+
+    def flipped(matrix, rank):
+        out = svd(matrix, rank)
+        legs.append(out)
+        signs = np.where(np.arange(out.rank) % 2 < len(legs) - 1, -1.0, 1.0)
+        return replace(out, left=out.left * signs, right=out.right * signs)
+
+    monkeypatch.setattr(variants, "snapshot_svd", flipped)
+    again = fit(data, config)
+    assert len(legs) == 2
+    assert eig_match_distance(base.eigenvalues, again.eigenvalues) <= 1e-10
+    assert np.max(np.abs(predict(again, (4, 60), 10) - predict(base, (4, 60), 10))) <= 1e-9
+
+
 def test_fb_reachable_through_fit():
     data = periodic_data(n=2, t=40, seed=4)
     spec = fit(data, VariantConfig(method="fb-hankel", tau=4))
@@ -282,3 +308,57 @@ def test_each_fit_lifts_modes_once(monkeypatch):
     flavors.clear()
     fit_gamma_path(data, VariantConfig(method="circ-sp", tau=6), [0.0, 1.0])
     assert flavors == ["projected"]
+
+
+# ----------------------------------------------------------------------
+# structured circular path
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("method,tau", [("circ", 1), ("circ", 6), ("circ-sp", 6), ("circ", 48)])
+def test_circular_predict_matches_dense_collapse(method, tau):
+    from circdmd import collapse_snapshot_reconstruction, reconstruct
+
+    data = periodic_data(n=3, t=48, seed=17)
+    spec = fit(data, VariantConfig(method=method, tau=tau, gamma=1.0 if method == "circ-sp" else 0.0))
+    for horizon in (0, 5, 60):
+        dense = collapse_snapshot_reconstruction(reconstruct(spec, 48 + horizon), 3, tau)
+        got = predict(spec, (3, 48), horizon)
+        assert np.max(np.abs(got - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+
+def test_circular_fit_matches_dense_stack_regression():
+    # the structured fit against the same regression on the dense stacks
+    from circdmd import anti_circulant, apply_right_permutation, snapshot_svd
+    from circdmd.spectral import eigendecompose, projected_dynamics
+
+    data = periodic_data(n=4, t=30, seed=18)
+    spec = fit(data, VariantConfig(method="circ", tau=5, rank=4))
+    c = anti_circulant(data, 5).values
+    cp = apply_right_permutation(anti_circulant(data, 5)).values
+    svd = snapshot_svd(cp, rank=4)
+    eigs, _ = eigendecompose(projected_dynamics(c, svd))
+    assert eig_match_distance(spec.eigenvalues, eigs) <= 1e-10
+
+
+def test_circular_fit_and_predict_never_form_the_stack(monkeypatch):
+    import sys
+
+    from circdmd import embedding, spectral
+
+    def dense(*args, **kwargs):
+        raise AssertionError("dense stack formed on the circular path")
+
+    originals = [getattr(embedding, name) for name in (
+        "anti_circulant", "apply_right_permutation", "collapse_snapshot_reconstruction")]
+    originals.append(spectral.reconstruct)
+    # replace every binding, wherever a circdmd module imported one
+    for name, module in list(sys.modules.items()):
+        if name == "circdmd" or name.startswith("circdmd."):
+            for attr, value in list(vars(module).items()):
+                if any(value is original for original in originals):
+                    monkeypatch.setattr(module, attr, dense)
+    data = periodic_data(n=3, t=48, seed=19)
+    for method in ("circ", "circ-sp"):
+        spec = fit(data, VariantConfig(method=method, tau=6))
+        assert predict(spec, (3, 48), 12).shape == (3, 60)
+    fit_gamma_path(data, VariantConfig(method="circ-sp", tau=6), [0.0, 1.0])
