@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -34,7 +35,7 @@ from .datamodel import load_matrix, save_matrix, split
 from .errors import ConfigError, DataError, ShapeError, ToolkitError, UsageError
 from .spectral import RANK_AUTO, DynamicSpectrum, SpectrumMeta
 from .synthgen import Component, SyntheticSpec, generate
-from .variants import VariantConfig, fit, fit_gamma_path, predict
+from .variants import METHODS, VariantConfig, fit, fit_gamma_path, predict
 
 ANALYSES = ("stability", "periods", "modes", "acf", "residual-corr", "per-sensor-mape")
 
@@ -152,10 +153,13 @@ def save_bundle(outdir, spectrum: DynamicSpectrum, digest: str, split_index=None
     if spectrum.sparsity is not None:
         manifest["nonzero_count"] = spectrum.sparsity.nonzero_count
         manifest["admm_converged"] = bool(spectrum.sparsity.converged)
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    # The manifest goes last, so a bundle whose writing stopped part-way
+    # has none (not an old one over new arrays) and does not load.
+    (outdir / "manifest.json").unlink(missing_ok=True)
     _write_complex_matrix(outdir / "eigenvalues.csv", spectrum.eigenvalues[None, :])
     _write_complex_matrix(outdir / "amplitudes.csv", spectrum.amplitudes[None, :])
     _write_complex_matrix(outdir / "modes.csv", spectrum.modes)
+    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _read_bundle_matrix(path, shape) -> np.ndarray:
@@ -174,24 +178,19 @@ def _read_bundle_matrix(path, shape) -> np.ndarray:
 def load_bundle(bundle_dir) -> DynamicSpectrum:
     """Read a bundle written by :func:`save_bundle`.
 
-    Raises DataError naming a file that is missing or unreadable, and
+    Raises DataError naming a file that is missing or unreadable, or a
+    manifest that lacks a field or names an unknown method, and
     ShapeError naming an array whose shape disagrees with the manifest.
     """
     bundle_dir = Path(bundle_dir)
-    manifest_path = bundle_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise DataError(f"{manifest_path}: missing from the bundle")
-    manifest = json.loads(manifest_path.read_text())
-    meta = SpectrumMeta(
-        method=manifest["method"],
-        tau=manifest["tau"],
-        rank=manifest["rank"],
-        gamma=manifest["gamma"],
-        mode_flavor=manifest["mode_flavor"],
-        n_sensors=manifest["n_sensors"],
-        n_time=manifest["n_time"],
-        delta_t=manifest["delta_t"],
-    )
+    manifest = load_manifest(bundle_dir)
+    fields = [f.name for f in dataclasses.fields(SpectrumMeta)]
+    missing = [name for name in fields if name not in manifest]
+    if missing or manifest["method"] not in METHODS:
+        problem = (f"lacks {', '.join(missing)}" if missing
+                   else f"unknown method {manifest['method']!r}")
+        raise DataError(f"{bundle_dir / 'manifest.json'}: {problem}")
+    meta = SpectrumMeta(**{name: manifest[name] for name in fields})
     rank = meta.rank
     return DynamicSpectrum(
         eigenvalues=_read_bundle_matrix(bundle_dir / "eigenvalues.csv", (1, rank)).ravel(),
@@ -204,7 +203,17 @@ def load_bundle(bundle_dir) -> DynamicSpectrum:
 
 
 def load_manifest(bundle_dir) -> dict:
-    return json.loads((Path(bundle_dir) / "manifest.json").read_text())
+    """A bundle's manifest; DataError naming the file if it is missing or not a JSON object."""
+    path = Path(bundle_dir) / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text())
+    except FileNotFoundError:
+        raise DataError(f"{path}: missing from the bundle") from None
+    except ValueError as exc:  # JSON and UTF-8 decoding errors alike
+        raise DataError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: not a JSON object")
+    return manifest
 
 
 def _write_real_matrix(path, matrix: np.ndarray, sensor_ids=None) -> None:
@@ -278,10 +287,8 @@ def cmd_fit(args) -> int:
     train, _ = _load_train(args)
     digest = input_digest(args.input)
     outdir = Path(args.out)
-    manifest_path = outdir / "manifest.json"
-    if manifest_path.exists() and not args.force:
-        previous = json.loads(manifest_path.read_text())
-        if previous.get("input_digest") != digest:
+    if (outdir / "manifest.json").exists() and not args.force:
+        if load_manifest(outdir).get("input_digest") != digest:
             print(
                 f"error: {outdir} was fit from different input "
                 "(digest mismatch); use --force to overwrite",

@@ -11,10 +11,10 @@ Conventions, fixed once for the whole package:
   permuted matrix is the snapshot sequence (c_1, ..., c_T).
 * The inverse embedding averages the tau shifted copies back; composed
   with the forward embedding it is exact (not just approximate).
-* :class:`CircularStack` is the same stack as an operator: every block
-  is a column rotation of X, so its products and Gram matrix reduce to
-  N x T work and the (N*tau)-row matrix is never formed. The dense
-  functions above are its oracles.
+* :class:`DelayStack` is either stack as an operator: every block is a
+  rotated (anti-circulant) or sliced (Hankel) copy of X, so its products
+  and time-side Gram matrix reduce to N x T work and the (N*tau)-row
+  matrix is never formed. The dense functions are its oracles.
 """
 
 from __future__ import annotations
@@ -93,102 +93,106 @@ def apply_right_permutation(c: EmbeddedMatrix) -> EmbeddedMatrix:
     )
 
 
-class CircularStack:
-    """The (N*tau) x T anti-circulant stack of ``x``, kept as ``x`` alone.
+class DelayStack:
+    """A delay stack of ``x`` with tau blocks, kept as ``x`` alone.
 
-    Block i (1-based) is ``circshift(x, -(i - 1 + offset))``. Offset 0
-    is the snapshot-ordered source ``apply_right_permutation(
-    anti_circulant(X, tau))``; offset 1 is the target ``anti_circulant(
-    X, tau)``. ``stack @ y`` and ``z @ stack`` return what the dense
-    stack would; ``gram()`` returns its Gram matrix on the smaller side.
+    Block i (0-based) is the ``width`` columns of ``x`` that start at
+    column ``i + offset``. With ``wrap`` the columns are read modulo T
+    and ``width = T``: offset 0 is the snapshot-ordered source
+    ``apply_right_permutation(anti_circulant(X, tau))`` and offset 1 the
+    target ``anti_circulant(X, tau)``. Without ``wrap``, ``width = T -
+    tau``: offsets 0 and 1 are the Hankel stack ``hankel(X, tau)``
+    without its last and without its first column, and tau = 1 is plain
+    DMD's pair. ``stack @ y`` and ``z @ stack`` return what the dense
+    stack would; ``gram()`` returns its time-side Gram matrix.
     """
 
     # ``ndarray @ stack`` defers to __rmatmul__ instead of converting.
     __array_ufunc__ = None
 
-    def __init__(self, x: np.ndarray, tau: int, offset: int = 0):
+    def __init__(self, x: np.ndarray, tau: int, offset: int, wrap: bool):
         x = np.asarray(x, dtype=float)
         if x.ndim != 2:
             raise ShapeError(f"expected a 2-D matrix, got ndim={x.ndim}")
-        if not 1 <= tau <= x.shape[1]:
-            raise RangeError(f"tau must satisfy 1 <= tau <= {x.shape[1]}, got {tau}")
+        t = x.shape[1]
+        max_tau = t if wrap else t - 1
+        if not 1 <= tau <= max_tau:
+            raise RangeError(f"tau must satisfy 1 <= tau <= {max_tau}, got {tau}")
+        if offset not in (0, 1):
+            raise RangeError(f"offset must be 0 or 1, got {offset}")
         if not np.isfinite(x).all():
             raise DataError("non-finite entries in the stacked matrix")
         self.x = x
         self.tau = tau
-        self.offset = offset
+        self.width = t if wrap else t - tau
+        self.starts = np.arange(offset, offset + tau) % t  # each block's first column
 
     @property
     def shape(self):
-        n, t = self.x.shape
-        return (n * self.tau, t)
+        return (self.x.shape[0] * self.tau, self.width)
 
-    def _shifts(self):
-        """Left rotation of each block, in block order."""
-        return range(self.offset, self.offset + self.tau)
+    def _pieces(self, start):
+        """(x columns, block columns) slices tiling the block that starts
+        at column ``start``: one run of x, and for a circular block that
+        passes column T - 1, its continuation from column 0."""
+        head = min(self.width, self.x.shape[1] - start)
+        yield slice(start, start + head), slice(0, head)
+        if head < self.width:
+            yield slice(0, self.width - head), slice(head, self.width)
 
     def __matmul__(self, y):
-        # circshift(X, -s) @ y == X @ roll(y, s) along the rows of y
         y = np.asarray(y)
-        return np.concatenate([self.x @ np.roll(y, s, axis=0) for s in self._shifts()])
+        return np.concatenate([
+            sum(self.x[:, cols] @ y[rows] for cols, rows in self._pieces(start))
+            for start in self.starts
+        ])
 
     def __rmatmul__(self, z):
-        # z_i @ circshift(X, -s) == circshift(z_i @ X, -s), summed over blocks i
         z = np.asarray(z)
         n = self.x.shape[0]
-        out = 0
-        for i, s in enumerate(self._shifts()):
-            out = out + np.roll(z[..., i * n : (i + 1) * n] @ self.x, -s, axis=-1)
+        out = np.zeros(z.shape[:-1] + (self.width,), dtype=np.result_type(z, self.x))
+        for i, start in enumerate(self.starts):
+            for cols, rows in self._pieces(start):
+                out[..., rows] += z[..., i * n : (i + 1) * n] @ self.x[:, cols]
         return out
 
     def first_column(self) -> np.ndarray:
-        """Column 0: block i holds x_{i+offset}, 1-based and wrapped."""
-        t = self.x.shape[1]
-        return self.x[:, np.remainder(self._shifts(), t)].ravel(order="F")
+        """Column 0: block i holds x_{i+offset}, 0-based and wrapped."""
+        return self.x[:, self.starts].ravel(order="F")
+
+    def dense(self) -> np.ndarray:
+        """The (N*tau) x width stack as an array."""
+        return np.concatenate([
+            self.x.take(range(start, start + self.width), axis=1, mode="wrap")
+            for start in self.starts
+        ])
 
     def gram(self) -> np.ndarray:
-        """``S.T @ S`` if T <= N*tau, else ``S @ S.T`` (the rule of snapshot_svd)."""
-        n, t = self.x.shape
-        return self._time_gram() if t <= n * self.tau else self._block_gram()
+        """width x width ``S.T @ S``: G[j, l] = sum over shifts s of K[j+s, l+s].
 
-    def _time_gram(self) -> np.ndarray:
-        """T x T Gram: G[j, l] = sum over shifts s of K[j+s, l+s], indices mod T.
-
-        The sum runs along the wrapped diagonals of K = X.T X. With
-        D[j, d] = K[j, j+d], row j of G is the window sum
+        The sum runs along the diagonals of K = X.T X, wrapped modulo T
+        for a circular stack; a Hankel stack's indices never pass T - 1.
+        With D[j, d] = K[j, j+d], row j of G is the window sum
         w_j = sum_s D[j+s] rotated right by j, and w_{j+1} differs from
         w_j by one row of D entering and one leaving. The window is
         summed afresh every tau rows, so rounding cannot build up over
         more updates than the window has terms.
         """
         t = self.x.shape[1]
+        w = self.width
         d = self.x.T @ self.x
         for j in range(t):
             d[j] = np.roll(d[j], -j)  # K becomes D in place
-        g = np.empty((t, t))
-        for j in range(t):
-            first = j + self.offset
+        g = np.empty((w, w))
+        for j in range(w):
+            first = j + self.starts[0]
             if j % self.tau == 0:
                 window = d.take(range(first, first + self.tau), axis=0, mode="wrap").sum(axis=0)
             else:
                 window += d[(first + self.tau - 1) % t]
                 window -= d[(first - 1) % t]
-            g[j, j:] = window[: t - j]
+            g[j, j:] = window[: w - j]
             g[j, :j] = window[t - j :]
-        return g
-
-    def _block_gram(self) -> np.ndarray:
-        """(N*tau)-square Gram: block-Toeplitz with blocks R(l) = X circshift(X, -l).T.
-
-        Block (i, j) is R(j - i), and R(-l) = R(l).T.
-        """
-        n = self.x.shape[0]
-        lags = [self.x @ np.roll(self.x, -lag, axis=1).T for lag in range(self.tau)]
-        g = np.empty(self.shape[:1] * 2)
-        for i in range(self.tau):
-            for j in range(self.tau):
-                block = lags[j - i] if j >= i else lags[i - j].T
-                g[i * n : (i + 1) * n, j * n : (j + 1) * n] = block
         return g
 
 

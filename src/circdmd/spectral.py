@@ -194,8 +194,10 @@ def snapshot_svd(matrix, rank=RANK_AUTO) -> ReducedSvd:
     """Reduced SVD via eigendecomposition of the smaller Gram matrix.
 
     ``matrix`` is an ndarray or a structured stack such as
-    :class:`circdmd.embedding.CircularStack`: anything with ``shape``,
-    ``gram()`` and the products ``matrix @ y`` and ``z @ matrix``.
+    :class:`circdmd.embedding.DelayStack`: anything with ``shape``,
+    ``gram()`` (the column-side Gram), ``dense()`` and the products
+    ``matrix @ y`` and ``z @ matrix``. A stack with more columns than
+    rows is smaller than its column-side Gram, so it is materialised.
     ``rank`` is either ``"auto"`` (hard threshold capped at the
     numerical rank) or a fixed positive integer. A fixed rank that
     reaches into numerically zero singular values raises
@@ -203,6 +205,8 @@ def snapshot_svd(matrix, rank=RANK_AUTO) -> ReducedSvd:
     meaningful vectors for them. Every eigenvalue is computed, for the
     rank rule, but eigenvectors only for the ``rank`` kept.
     """
+    if hasattr(matrix, "gram") and matrix.shape[1] > matrix.shape[0]:
+        matrix = matrix.dense()
     a = matrix if hasattr(matrix, "gram") else _finite_matrix(matrix)
     rows, cols = a.shape
     gram_on_cols = cols <= rows

@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .datamodel import SpeedMatrix
-from .embedding import CircularStack, hankel, inverse_hankel
+from .embedding import DelayStack
 from .errors import (
     ConfigError,
     NumericalError,
@@ -35,13 +35,11 @@ from .spectral import (
     dynamic_modes,
     eigendecompose,
     projected_dynamics,
-    reconstruct,
     snapshot_svd,
     vandermonde,
 )
 
 METHODS = ("dmd", "hankel", "fb-hankel", "tls-hankel", "circ", "circ-sp")
-_HANKEL_METHODS = ("hankel", "fb-hankel", "tls-hankel")
 _CIRC_METHODS = ("circ", "circ-sp")
 
 
@@ -123,25 +121,13 @@ def _regress(data, config, source, target, initial) -> DynamicSpectrum:
     return _spectrum(data, config, svd, projected_dynamics(target, svd), target, initial)
 
 
-def _hankel_pair(data: SpeedMatrix, tau: int):
-    if tau > data.n_time - 1:
-        raise RangeError(
-            f"hankel methods need tau <= T - 1, got tau={tau}, T={data.n_time}"
-        )
-    h = hankel(data, tau).values
-    return h[:, :-1], h[:, 1:], h[:, 0]
-
-
 def _snapshot_pair(data: SpeedMatrix, config: VariantConfig):
-    """(source, target, initial) of the plain, Hankel and circular regressions."""
-    if config.method == "dmd":
-        x = data.values
-        return x[:, :-1], x[:, 1:], x[:, 0]
-    if config.method in _HANKEL_METHODS:
-        return _hankel_pair(data, config.tau)
-    # circ methods pair every snapshot with its successor, wrap included
-    source = CircularStack(data.values, config.tau, offset=0)
-    target = CircularStack(data.values, config.tau, offset=1)
+    """(source, target, initial): each snapshot of the delay stack and its
+    successor. Circular methods pair the last snapshot with the first
+    too; dmd is the Hankel stack with tau = 1."""
+    wrap = config.method in _CIRC_METHODS
+    source = DelayStack(data.values, config.tau, 0, wrap)
+    target = DelayStack(data.values, config.tau, 1, wrap)
     return source, target, source.first_column()
 
 
@@ -185,8 +171,13 @@ def fit_gamma_path(data: SpeedMatrix, config: VariantConfig, gammas):
 
     Returns one (gamma, spectrum, solution) triple per penalty; each
     spectrum shares the eigenstructure of the base fit but carries the
-    polished amplitudes of its own penalty level.
+    polished amplitudes of its own penalty level. Only the circular
+    methods have a sparsity stage; any other method raises ConfigError.
     """
+    if config.method not in _CIRC_METHODS:
+        raise ConfigError(
+            f"a gamma path needs method {' or '.join(_CIRC_METHODS)}, got {config.method!r}"
+        )
     base_config = replace(config, method="circ-sp", gamma=0.0)
     base = _regress(data, base_config, *_snapshot_pair(data, base_config))
     return _sparsify(base, config, gammas)
@@ -230,7 +221,7 @@ def fit_forward_backward(data: SpeedMatrix, config: VariantConfig) -> DynamicSpe
     flipped to point the way of its forward counterpart: the two
     propagators then act in the same coordinates.
     """
-    source, target, initial = _hankel_pair(data, config.tau)
+    source, target, initial = _snapshot_pair(data, config)
     svd1 = snapshot_svd(source, config.rank)
     svd2 = snapshot_svd(target, config.rank)
     r = min(svd1.rank, svd2.rank)
@@ -248,17 +239,17 @@ def fit_total_least_squares(data: SpeedMatrix, config: VariantConfig) -> Dynamic
     """Debias by projecting both snapshot matrices onto the POD modes of
     their vertical stack, then running the plain pipeline on the
     projected pair."""
-    source, target, _ = _hankel_pair(data, config.tau)
-    stacked = np.vstack([source, target])
+    source, target, _ = _snapshot_pair(data, config)
+    stacked = np.concatenate([source.dense(), target.dense()])
+    source, target = np.split(stacked, 2)
     z_rank = config.tls_rank if config.tls_rank is not None else RANK_AUTO
     if z_rank != RANK_AUTO and z_rank > stacked.shape[1]:
         raise RangeError(
             f"tls rank {z_rank} exceeds column count {stacked.shape[1]}"
         )
-    svd_z = snapshot_svd(stacked, z_rank)
-    projector = svd_z.right @ svd_z.right.conj().T
-    source_bar = source @ projector
-    target_bar = target @ projector
+    v = snapshot_svd(stacked, z_rank).right
+    source_bar = (source @ v) @ v.T
+    target_bar = (target @ v) @ v.T
     return _regress(data, config, source_bar, target_bar, source_bar[:, 0])
 
 
@@ -268,11 +259,11 @@ def predict(
     """Reconstruct history plus ``horizon_columns`` future steps in the
     original N-row space.
 
-    Circular variants collapse the snapshot-ordered reconstruction by
-    circular-shift averaging over the whole window, block by block, so
-    the (N*tau)-row reconstruction is never formed; Hankel variants
-    average all delayed copies of each timestamp; plain dmd returns its
-    rows directly.
+    Block i of reconstructed snapshot j estimates column i + j; adding
+    one N-row block at a time at its shift, then dividing each column
+    by its copy count, never forms the (N*tau)-row reconstruction.
+    Circular stacks wrap the shifted part to the front (tau copies per
+    column); Hankel stacks have tau - 1 fewer snapshots (1 to tau).
     """
     n, t = data_shape
     meta = spectrum.meta
@@ -282,27 +273,20 @@ def predict(
         )
     if horizon_columns < 0:
         raise RangeError(f"horizon must be >= 0, got {horizon_columns}")
-    tau = meta.tau
-    if meta.method == "dmd":
-        return reconstruct(spectrum, t + horizon_columns)
-    if meta.method in _HANKEL_METHODS:
-        width = (t - tau + 1) + horizon_columns
-        rec = reconstruct(spectrum, width)
-        return inverse_hankel(rec, n, tau)
-    if meta.method not in _CIRC_METHODS:
+    if meta.method not in METHODS:
         raise ConfigError(f"unknown method {meta.method!r} in spectrum metadata")
-    return _collapse_circular(spectrum, n, tau, t + horizon_columns)
-
-
-def _collapse_circular(spectrum: DynamicSpectrum, n: int, tau: int, width: int) -> np.ndarray:
-    """``collapse_snapshot_reconstruction(reconstruct(spectrum, width), n, tau)``,
-    one N-row block at a time: block i's real reconstruction, rotated
-    right by i - 1 over the window, summed and averaged."""
+    tau = meta.tau
+    out = t + horizon_columns
+    width = out if meta.method in _CIRC_METHODS else out - tau + 1
     psi = vandermonde(spectrum.eigenvalues, width)
     weighted = spectrum.modes * spectrum.amplitudes
-    acc = np.zeros((n, width))
+    acc = np.zeros((n, out))
+    count = np.zeros(out)
     for i in range(tau):
         block = np.real(weighted[i * n : (i + 1) * n] @ psi)
-        acc[:, i:] += block[:, : width - i]
-        acc[:, :i] += block[:, width - i :]
-    return acc / tau
+        tail = block[:, out - i :]  # past the last column: empty unless circular
+        acc[:, i : i + width] += block[:, : out - i]
+        acc[:, : tail.shape[1]] += tail
+        count[i : i + width] += 1
+        count[: tail.shape[1]] += 1
+    return acc / count

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from circdmd import load_matrix
+from circdmd import DataError, load_matrix
 from circdmd.cli import load_bundle, load_manifest, main, read_config_file
 
 
@@ -258,6 +258,40 @@ def test_gamma_grid_fit(tmp_path, fixture_csv):
         assert (outdir / f"gamma_{gamma}" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("method, tau", [("dmd", []), ("hankel", ["--tau", "48"])])
+def test_gamma_grid_refuses_non_circular_methods(tmp_path, fixture_csv, capsys, method, tau):
+    outdir = tmp_path / "grid"
+    code = main([
+        "fit", "--input", str(fixture_csv), "--dt", str(1 / 12),
+        "--method", method, *tau, "--gamma-grid", "0,10", "--out", str(outdir),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(method) in err
+    assert not outdir.exists()
+
+
+def test_interrupted_resave_leaves_an_unloadable_bundle(tmp_path, fixture_csv, monkeypatch):
+    # re-saving over a bundle of the same shape, the modes write fails:
+    # the old manifest must not vouch for the mix of old and new arrays
+    from circdmd import cli
+
+    bundle = _fit(tmp_path, fixture_csv)
+    spectrum = load_bundle(bundle)
+    write = cli._write_complex_matrix
+
+    def failing(path, matrix):
+        if path.name == "modes.csv":
+            raise OSError("disk full")
+        write(path, matrix)
+
+    monkeypatch.setattr(cli, "_write_complex_matrix", failing)
+    with pytest.raises(OSError):
+        cli.save_bundle(bundle, spectrum, "digest")
+    with pytest.raises(DataError, match="manifest.json"):
+        load_bundle(bundle)
+
+
 def _parent_layout(bundle):
     """The layout of earlier releases: both mode flavours, no modes.csv."""
     modes = bundle / "modes.csv"
@@ -280,6 +314,22 @@ def _no_manifest(bundle):
     (bundle / "manifest.json").unlink()
 
 
+def _manifest_not_json(bundle):
+    (bundle / "manifest.json").write_text('{"method": "circ", "tau": ')
+
+
+def _manifest_lacks_a_key(bundle):
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    del manifest["n_time"]
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _manifest_unknown_method(bundle):
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    manifest["method"] = "nope"
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+
+
 def _rank_mismatch(bundle):
     manifest = json.loads((bundle / "manifest.json").read_text())
     manifest["rank"] += 1
@@ -294,6 +344,9 @@ def _rank_mismatch(bundle):
         (_truncate_mid_line, "modes.csv"),
         (_rank_mismatch, "eigenvalues.csv"),
         (_no_manifest, "manifest.json"),
+        (_manifest_not_json, "manifest.json"),
+        (_manifest_lacks_a_key, "manifest.json"),
+        (_manifest_unknown_method, "manifest.json"),
     ],
 )
 def test_unusable_bundle_is_an_error(tmp_path, fixture_csv, capsys, corrupt, named):

@@ -14,8 +14,9 @@ from circdmd import (
     hankel,
     inverse_anti_circulant,
     inverse_hankel,
+    snapshot_svd,
 )
-from circdmd.embedding import CircularStack
+from circdmd.embedding import DelayStack
 
 
 def _matrix(n, t, seed=0):
@@ -234,32 +235,48 @@ def test_full_anti_circulant_diagonalized_by_dft():
 
 
 # ----------------------------------------------------------------------
-# structured circular stack against the dense stacks
+# structured delay stack against the dense stacks
 # ----------------------------------------------------------------------
 
 # (n, t, tau): tau = 1, tau = T, N*tau < T (Gram on the stack side) and
 # N*tau > T (Gram on the time side)
 STACK_CASES = [(3, 10, 1), (2, 7, 7), (2, 20, 3), (4, 9, 5), (1, 16, 16), (5, 6, 3)]
+# the same rule without wrap, where each block is T - tau columns wide:
+# tau = 1 on either side, tau = T - 1, and both sides with tau > 1
+HANKEL_CASES = [(3, 10, 1), (6, 5, 1), (2, 7, 6), (2, 20, 3), (4, 9, 5), (1, 16, 15)]
+
+# existing circular cases keep their ids; Hankel cases add "-nowrap"
+CASES = [
+    pytest.param(*case, True, id="-".join(map(str, case))) for case in STACK_CASES
+] + [
+    pytest.param(*case, False, id="-".join(map(str, case)) + "-nowrap")
+    for case in HANKEL_CASES
+]
 
 
 def _relative(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
-def _dense_pair(n, t, tau, seed):
+def _dense_pair(n, t, tau, seed, wrap):
+    """Oracle source (offset 0) and target (offset 1) from the dense embeddings."""
     m = _matrix(n, t, seed=seed)
+    if not wrap:
+        h = hankel(m, tau).values
+        return m.values, {0: h[:, :-1], 1: h[:, 1:]}
     c = anti_circulant(m, tau)
     return m.values, {0: apply_right_permutation(c).values, 1: c.values}
 
 
-@pytest.mark.parametrize("n,t,tau", STACK_CASES)
+@pytest.mark.parametrize("n,t,tau,wrap", CASES)
 @pytest.mark.parametrize("offset", [0, 1])
-def test_circular_stack_matches_dense_stack(n, t, tau, offset):
-    x, dense = _dense_pair(n, t, tau, seed=n + t + tau)
+def test_circular_stack_matches_dense_stack(n, t, tau, wrap, offset):
+    x, dense = _dense_pair(n, t, tau, seed=n + t + tau, wrap=wrap)
     dense = dense[offset]
-    stack = CircularStack(x, tau, offset)
+    stack = DelayStack(x, tau, offset, wrap)
+    width = dense.shape[1]
     rng = np.random.default_rng(tau)
-    y = rng.normal(size=(t, 3))
+    y = rng.normal(size=(width, 3))
     z = rng.normal(size=(2, n * tau))
     assert stack.shape == dense.shape
     assert _relative(stack @ y, dense @ y) <= 1e-10
@@ -267,36 +284,47 @@ def test_circular_stack_matches_dense_stack(n, t, tau, offset):
     assert _relative(z @ stack, z @ dense) <= 1e-10
     assert _relative(z[0] @ stack, z[0] @ dense) <= 1e-10
     assert np.array_equal(stack.first_column(), dense[:, 0])
+    assert np.array_equal(stack.dense(), dense)
 
 
-@pytest.mark.parametrize("n,t,tau", STACK_CASES)
+@pytest.mark.parametrize("n,t,tau,wrap", CASES)
 @pytest.mark.parametrize("offset", [0, 1])
-def test_circular_stack_gram_on_the_smaller_side(n, t, tau, offset):
-    x, dense = _dense_pair(n, t, tau, seed=2 * n + t)
+def test_circular_stack_gram_on_the_smaller_side(n, t, tau, wrap, offset):
+    # gram() is the time-side Gram; where the stack side is smaller,
+    # snapshot_svd materialises the stack instead, so its factors are checked
+    x, dense = _dense_pair(n, t, tau, seed=2 * n + t, wrap=wrap)
     dense = dense[offset]
-    gram = CircularStack(x, tau, offset).gram()
-    if t <= n * tau:
-        assert _relative(gram, dense.T @ dense) <= 1e-10
-    else:
-        assert _relative(gram, dense @ dense.T) <= 1e-10
+    stack = DelayStack(x, tau, offset, wrap)
+    assert _relative(stack.gram(), dense.T @ dense) <= 1e-10
+    rows, cols = dense.shape
+    if cols > rows:
+        svd = snapshot_svd(stack, rank=rows)
+        assert _relative((svd.left * svd.singular**2) @ svd.left.T, dense @ dense.T) <= 1e-10
+        assert _relative((svd.left * svd.singular) @ svd.right.T, dense) <= 1e-10
 
 
 def test_circular_stack_offsets_are_the_regression_pair():
     # source is the snapshot-ordered stack, target the unpermuted one:
-    # target column t is the successor of source column t
+    # target column t is the successor of source column t, with or
+    # without wrap
     x = _matrix(3, 8, seed=13).values
-    source, target = CircularStack(x, 4, 0), CircularStack(x, 4, 1)
-    eye = np.eye(8)
-    assert np.array_equal((source @ eye)[:, 1:], (target @ eye)[:, :-1])
-    assert np.array_equal(source.first_column(), x[:, :4].T.ravel())
+    for wrap in (True, False):
+        source, target = DelayStack(x, 4, 0, wrap), DelayStack(x, 4, 1, wrap)
+        eye = np.eye(source.shape[1])
+        assert np.array_equal((source @ eye)[:, 1:], (target @ eye)[:, :-1])
+        assert np.array_equal(source.first_column(), x[:, :4].T.ravel())
 
 
 def test_circular_stack_validates():
     with pytest.raises(RangeError):
-        CircularStack(np.ones((2, 5)), 6)
+        DelayStack(np.ones((2, 5)), 6, 0, True)
     with pytest.raises(RangeError):
-        CircularStack(np.ones((2, 5)), 0)
+        DelayStack(np.ones((2, 5)), 0, 0, True)
+    with pytest.raises(RangeError):
+        DelayStack(np.ones((2, 5)), 5, 0, False)  # no column left for a successor
+    with pytest.raises(RangeError):
+        DelayStack(np.ones((2, 5)), 2, 2, False)
     with pytest.raises(ShapeError):
-        CircularStack(np.ones(5), 1)
+        DelayStack(np.ones(5), 1, 0, True)
     with pytest.raises(DataError):
-        CircularStack(np.array([[1.0, np.nan, 2.0]]), 2)
+        DelayStack(np.array([[1.0, np.nan, 2.0]]), 2, 0, True)

@@ -340,16 +340,18 @@ def test_circular_fit_matches_dense_stack_regression():
     assert eig_match_distance(spec.eigenvalues, eigs) <= 1e-10
 
 
-def test_circular_fit_and_predict_never_form_the_stack(monkeypatch):
+def _forbid_dense_stacks(monkeypatch):
+    """Replace every binding of the dense stacking functions with one that raises."""
     import sys
 
     from circdmd import embedding, spectral
 
     def dense(*args, **kwargs):
-        raise AssertionError("dense stack formed on the circular path")
+        raise AssertionError("dense stack formed on a structured path")
 
     originals = [getattr(embedding, name) for name in (
-        "anti_circulant", "apply_right_permutation", "collapse_snapshot_reconstruction")]
+        "anti_circulant", "apply_right_permutation", "collapse_snapshot_reconstruction",
+        "inverse_anti_circulant", "hankel", "inverse_hankel")]
     originals.append(spectral.reconstruct)
     # replace every binding, wherever a circdmd module imported one
     for name, module in list(sys.modules.items()):
@@ -357,8 +359,52 @@ def test_circular_fit_and_predict_never_form_the_stack(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if any(value is original for original in originals):
                     monkeypatch.setattr(module, attr, dense)
+    return dense
+
+
+def test_circular_fit_and_predict_never_form_the_stack(monkeypatch):
+    _forbid_dense_stacks(monkeypatch)
     data = periodic_data(n=3, t=48, seed=19)
     for method in ("circ", "circ-sp"):
         spec = fit(data, VariantConfig(method=method, tau=6))
         assert predict(spec, (3, 48), 12).shape == (3, 60)
     fit_gamma_path(data, VariantConfig(method="circ-sp", tau=6), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("method,tau", [("dmd", None), ("hankel", 5), ("fb-hankel", 5)])
+def test_hankel_fit_and_predict_never_form_the_stack(monkeypatch, method, tau):
+    # N*tau >= T - tau puts the Gram on the time side, where no
+    # (N*tau)-row array is needed: not even the stack's own dense()
+    from circdmd.embedding import DelayStack
+
+    monkeypatch.setattr(DelayStack, "dense", _forbid_dense_stacks(monkeypatch))
+    data = periodic_data(n=12, t=12, periods=(6.0, 4.0), seed=22)
+    spec = fit(data, VariantConfig(method=method, tau=tau))
+    assert predict(spec, (12, 12), 7).shape == (12, 19)
+
+
+@pytest.mark.parametrize("method,tau", [("dmd", None), ("hankel", 1), ("hankel", 6),
+                                        ("fb-hankel", 6), ("tls-hankel", 6), ("hankel", 47)])
+def test_hankel_predict_matches_dense_collapse(method, tau):
+    from circdmd import inverse_hankel, reconstruct
+
+    data = periodic_data(n=3, t=48, seed=23)
+    spec = fit(data, VariantConfig(method=method, tau=tau))
+    tau = spec.meta.tau
+    for horizon in (0, 5, 60):
+        dense = inverse_hankel(reconstruct(spec, 48 - tau + 1 + horizon), 3, tau)
+        got = predict(spec, (3, 48), horizon)
+        assert np.max(np.abs(got - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("n,tau", [(4, 5), (2, 20)])  # Gram on the stack side, then the time side
+def test_hankel_fit_matches_dense_stack_regression(n, tau):
+    from circdmd import hankel, snapshot_svd
+    from circdmd.spectral import eigendecompose, projected_dynamics
+
+    data = periodic_data(n=n, t=30, seed=24)
+    spec = fit(data, VariantConfig(method="hankel", tau=tau, rank=4))
+    h = hankel(data, tau).values
+    svd = snapshot_svd(h[:, :-1], rank=4)
+    eigs, _ = eigendecompose(projected_dynamics(h[:, 1:], svd))
+    assert eig_match_distance(spec.eigenvalues, eigs) <= 1e-10
