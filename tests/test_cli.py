@@ -1,10 +1,17 @@
 import csv
+import io
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from circdmd import DataError, load_matrix
+from circdmd import cli
 from circdmd.cli import load_bundle, load_manifest, main, read_config_file
 
 
@@ -150,7 +157,13 @@ def test_analyze_command(tmp_path, fixture_csv):
         "--acf", "--max-lag", "24", "--residual-corr", "--lags", "1,2",
         "--per-sensor-mape",
     ]) == 0
-    assert (out / "stability.csv").exists()
+    spectrum = load_bundle(bundle)
+    with open(out / "stability.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    # the text of abs() of each value, in the last digit too
+    order = spectrum.dominance_order()
+    assert [r[2] for r in rows] == [f"{abs(spectrum.eigenvalues[i]):.17g}" for i in order]
+    assert [r[5] for r in rows] == [f"{abs(spectrum.amplitudes[i]):.17g}" for i in order]
     stability = json.loads((out / "stability.json").read_text())
     assert stability["deviation_sum"] <= 1e-6  # noiseless periodic: unit circle
     with open(out / "periods.csv", newline="") as fh:
@@ -310,6 +323,17 @@ def _truncate_mid_line(bundle):
     (bundle / "modes.csv").write_text(text[: len(text) // 2 + 3])
 
 
+def _header_only(bundle):
+    lines = (bundle / "modes.csv").read_text().splitlines(keepends=True)
+    (bundle / "modes.csv").write_text(lines[0])
+
+
+def _non_numeric_cell(bundle):
+    text = (bundle / "modes.csv").read_text()
+    header, first, rest = text.split("\n", 2)
+    (bundle / "modes.csv").write_text("\n".join([header, "x" + first[1:], rest]))
+
+
 def _no_manifest(bundle):
     (bundle / "manifest.json").unlink()
 
@@ -342,6 +366,8 @@ def _rank_mismatch(bundle):
         (_parent_layout, "modes.csv"),
         (_truncate_rows, "modes.csv"),
         (_truncate_mid_line, "modes.csv"),
+        (_header_only, "modes.csv"),
+        (_non_numeric_cell, "modes.csv"),
         (_rank_mismatch, "eigenvalues.csv"),
         (_no_manifest, "manifest.json"),
         (_manifest_not_json, "manifest.json"),
@@ -353,11 +379,107 @@ def test_unusable_bundle_is_an_error(tmp_path, fixture_csv, capsys, corrupt, nam
     bundle = _fit(tmp_path, fixture_csv)
     corrupt(bundle)
     capsys.readouterr()
-    code = main([
-        "forecast", "--input", str(fixture_csv), "--dt", str(1 / 12),
-        "--bundle", str(bundle), "--horizon", "12", "--out", str(tmp_path / "fc"),
-    ])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([
+            "forecast", "--input", str(fixture_csv), "--dt", str(1 / 12),
+            "--bundle", str(bundle), "--horizon", "12", "--out", str(tmp_path / "fc"),
+        ])
     assert code == 1
+    assert not caught
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert str(bundle / named) in err
+
+
+def test_gamma_path_formats_the_shared_modes_once(tmp_path, fixture_csv, monkeypatch):
+    formatted, saved = [], {}
+    write_csv, save_bundle = cli._write_csv, cli.save_bundle
+
+    def counting(path, *args, **kwargs):
+        formatted.append(Path(path).name)
+        write_csv(path, *args, **kwargs)
+
+    def capturing(outdir, spectrum, *args, **kwargs):
+        saved[Path(outdir).name] = spectrum
+        save_bundle(outdir, spectrum, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_write_csv", counting)
+    monkeypatch.setattr(cli, "save_bundle", capturing)
+    outdir = tmp_path / "grid"
+    assert main([
+        "fit", "--input", str(fixture_csv), "--dt", str(1 / 12),
+        "--method", "circ-sp", "--tau", "48",
+        "--gamma-grid", "0,10,100", "--out", str(outdir),
+    ]) == 0
+    assert formatted.count("modes.csv") == 1
+    assert formatted.count("amplitudes.csv") == 3
+    # a repeated penalty saves into the same bundle, over its own modes.csv
+    assert main([
+        "fit", "--input", str(fixture_csv), "--dt", str(1 / 12),
+        "--method", "circ-sp", "--tau", "48",
+        "--gamma-grid", "10,10", "--out", str(tmp_path / "repeated"),
+    ]) == 0
+    assert formatted.count("modes.csv") == 2
+    repeated = tmp_path / "repeated" / "gamma_10" / "modes.csv"
+    assert repeated.read_bytes() == (outdir / "gamma_10" / "modes.csv").read_bytes()
+    monkeypatch.undo()
+    assert sorted(saved) == ["gamma_0", "gamma_10", "gamma_100"]
+    for name, spectrum in saved.items():
+        alone = tmp_path / "alone" / name
+        digest = load_manifest(outdir / name)["input_digest"]
+        save_bundle(alone, spectrum, digest, split_index=0)
+        for path in alone.iterdir():
+            assert path.read_bytes() == (outdir / name / path.name).read_bytes()
+
+
+@pytest.mark.parametrize("grid", [["--gamma-grid", "0,10"], ["--gamma", "10"]])
+def test_fit_warns_when_admm_does_not_converge(tmp_path, fixture_csv, capsys, grid):
+    argv = [
+        "fit", "--input", str(fixture_csv), "--dt", str(1 / 12),
+        "--method", "circ-sp", "--tau", "48", *grid,
+    ]
+    assert main([*argv, "--out", str(tmp_path / "converged")]) == 0
+    assert "warning" not in capsys.readouterr().err
+    assert main([*argv, "--admm-max-iter", "1", "--out", str(tmp_path / "stopped")]) == 0
+    err = capsys.readouterr().err
+    assert "warning: ADMM did not converge for gamma=10 (1 iterations)\n" in err
+
+
+# -- paired re/im bundle CSV: the bytes of csv.writer with f"{v:.17g}" cells,
+# and the values of the csv.reader/float() reader --------------------------
+
+SPECIAL = [-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308]
+finite = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _csv_writer_text(matrix):
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow([f"c{k}_{part}" for k in range(matrix.shape[1]) for part in ("re", "im")])
+    for row in matrix:
+        writer.writerow([f"{f:.17g}" for v in row for f in (v.real, v.imag)])
+    return out.getvalue()
+
+
+def _csv_reader_values(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    data = np.array([[float(c) for c in row] for row in rows[1:]])
+    return data[:, 0::2] + 1j * data[:, 1::2]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    parts=arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 5), st.just(2)),
+                 elements=finite),
+)
+def test_complex_matrix_round_trip(tmp_path_factory, parts):
+    matrix = parts.view(complex)[..., 0]  # each part exactly as drawn
+    path = tmp_path_factory.mktemp("bundle") / "m.csv"
+    cli._write_complex_matrix(path, matrix)
+    with open(path, newline="") as fh:
+        assert fh.read() == _csv_writer_text(matrix)
+    back = cli._read_complex_matrix(path)
+    assert np.array_equal(back.view(np.uint64), _csv_reader_values(path).view(np.uint64))
+    assert np.array_equal(back, matrix)

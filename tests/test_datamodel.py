@@ -1,5 +1,11 @@
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from circdmd import (
     ConfigError,
@@ -124,3 +130,122 @@ def test_save_load_round_trip_bit_exact(tmp_path, layout):
     assert np.array_equal(back.values, m.values)
     if layout == "cols":
         assert back.sensor_ids == m.sensor_ids
+
+
+# -- CSV text: the bytes csv.writer wrote with f"{v:.17g}" cells, and errors
+# named exactly as the cell-by-cell reader named them --------------------
+
+SPECIAL = [-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
+finite = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _csv_writer_text(values, header=None):
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    if header is not None:
+        writer.writerow(header)
+    for row in values:
+        writer.writerow([f"{v:.17g}" for v in row])
+    return out.getvalue()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    values=arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 6)), elements=finite),
+    layout=st.sampled_from(["rows", "cols"]),
+)
+def test_save_matrix_writes_csv_writer_text_and_loads_bit_exact(tmp_path_factory, values, layout):
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    m = SpeedMatrix(values=values, delta_t=1.0)
+    save_matrix(m, path, layout=layout)
+    if layout == "rows":
+        expected = _csv_writer_text(values)
+    else:
+        expected = _csv_writer_text(values.T, header=m.sensor_ids)
+    with open(path, newline="") as fh:
+        assert fh.read() == expected
+    if values.shape[1] < 2:  # a single time column is not an ingestible matrix
+        with pytest.raises(ShapeError, match="T >= 2"):
+            load_matrix(path, layout=layout)
+        return
+    back = load_matrix(path, layout=layout)
+    assert np.array_equal(back.values.view(np.uint64), values.view(np.uint64))
+    assert back.sensor_ids == m.sensor_ids
+
+
+@pytest.mark.parametrize("shape", [(700, 30), (3, 9000)])  # many rows a block; one
+def test_save_matrix_text_across_write_blocks(tmp_path, shape):
+    values = np.random.default_rng(5).normal(scale=50.0, size=shape)
+    path = tmp_path / "wide.csv"
+    save_matrix(SpeedMatrix(values=values, delta_t=1.0), path)
+    with open(path, newline="") as fh:
+        assert fh.read() == _csv_writer_text(values)
+
+
+def test_save_matrix_quotes_sensor_ids_like_csv_writer(tmp_path):
+    values = np.arange(6.0).reshape(3, 2) / 7
+    m = SpeedMatrix(values=values, delta_t=1.0, sensor_ids=("a,b", 'say "hi"', "s3"))
+    path = tmp_path / "ids.csv"
+    save_matrix(m, path, layout="cols")
+    with open(path, newline="") as fh:
+        assert fh.read() == _csv_writer_text(values.T, header=m.sensor_ids)
+    back = load_matrix(path, layout="cols")
+    assert back.sensor_ids == m.sensor_ids
+    assert np.array_equal(back.values, values)
+
+
+@pytest.mark.parametrize(
+    "text, coordinates",
+    [
+        ("1,-inf\n2,3\n", [(1, 2)]),
+        ("1,2\n1e400,NaN\n", [(2, 1), (2, 2)]),
+        # the row is counted among non-blank rows, after the header
+        ("a,b\n\n1,2\n\n3,inf\n", [(3, 2)]),
+    ],
+)
+def test_load_rejects_non_finite_cells(tmp_path, text, coordinates):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DataError) as err:
+        load_matrix(path)
+    assert err.value.coordinates == coordinates
+
+
+@pytest.mark.parametrize(
+    "text, row, col, value",
+    [
+        ("1,2,3\n4,,6\n", 2, 2, ""),
+        ("a,b\n\n1,2\n\n3, x \n", 3, 2, "x"),
+        ("1,2\n3,x\n1,2,3\n", 2, 2, "x"),  # before the ragged row below it
+    ],
+)
+def test_load_parse_error_coordinates(tmp_path, text, row, col, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load_matrix(path)
+    assert (err.value.row, err.value.col, err.value.value) == (row, col, value)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1,2,3\n4,5\n", "row 2 has 2 cells, expected 3"),
+        ("a,b,c\n\n1,2,3\n\n4,5\n", "row 3 has 2 cells, expected 3"),
+        ("1,2\n1,2,3\nx,1\n", "row 2 has 3 cells, expected 2"),  # before the bad cell
+    ],
+)
+def test_load_ragged_row_message(tmp_path, text, message):
+    path = tmp_path / "ragged.csv"
+    path.write_text(text)
+    with pytest.raises(ShapeError) as err:
+        load_matrix(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_load_accepts_what_float_accepts(tmp_path):
+    path = tmp_path / "odd.csv"
+    path.write_text(" 7 ,1_000,+.5\n-0,1e-320,1E3\n")
+    m = load_matrix(path)
+    assert np.array_equal(m.values, [[7.0, 1000.0, 0.5], [-0.0, 1e-320, 1000.0]])
+    assert np.signbit(m.values[1, 0])
