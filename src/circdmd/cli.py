@@ -278,14 +278,16 @@ def cmd_fit(args) -> int:
     train, _ = _load_train(args)
     digest = input_digest(args.input)
     outdir = Path(args.out)
-    if (outdir / "manifest.json").exists() and not args.force:
-        if load_manifest(outdir).get("input_digest") != digest:
-            print(
-                f"error: {outdir} was fit from different input "
-                "(digest mismatch); use --force to overwrite",
-                file=sys.stderr,
-            )
-            return 1
+    # a single fit writes <out>/manifest.json, a gamma grid <out>/gamma_*/
+    for bundle in [outdir, *sorted(outdir.glob("gamma_*"))]:
+        if (bundle / "manifest.json").exists() and not args.force:
+            if load_manifest(bundle).get("input_digest") != digest:
+                print(
+                    f"error: {bundle} was fit from different input "
+                    "(digest mismatch); use --force to overwrite",
+                    file=sys.stderr,
+                )
+                return 1
 
     rank = RANK_AUTO if args.rank in (None, "", "auto") else int(args.rank)
     config = VariantConfig(

@@ -103,12 +103,9 @@ class DelayStack:
     target ``anti_circulant(X, tau)``. Without ``wrap``, ``width = T -
     tau``: offsets 0 and 1 are the Hankel stack ``hankel(X, tau)``
     without its last and without its first column, and tau = 1 is plain
-    DMD's pair. ``stack @ y`` and ``z @ stack`` return what the dense
-    stack would; ``gram()`` returns its time-side Gram matrix.
+    DMD's pair. ``stack @ y`` returns what the dense stack would;
+    ``gram()`` returns its time-side Gram matrix.
     """
-
-    # ``ndarray @ stack`` defers to __rmatmul__ instead of converting.
-    __array_ufunc__ = None
 
     def __init__(self, x: np.ndarray, tau: int, offset: int, wrap: bool):
         x = np.asarray(x, dtype=float)
@@ -146,15 +143,6 @@ class DelayStack:
             sum(self.x[:, cols] @ y[rows] for cols, rows in self._pieces(start))
             for start in self.starts
         ])
-
-    def __rmatmul__(self, z):
-        z = np.asarray(z)
-        n = self.x.shape[0]
-        out = np.zeros(z.shape[:-1] + (self.width,), dtype=np.result_type(z, self.x))
-        for i, start in enumerate(self.starts):
-            for cols, rows in self._pieces(start):
-                out[..., rows] += z[..., i * n : (i + 1) * n] @ self.x[:, cols]
-        return out
 
     def first_column(self) -> np.ndarray:
         """Column 0: block i holds x_{i+offset}, 0-based and wrapped."""

@@ -190,63 +190,85 @@ def _finite_matrix(matrix) -> np.ndarray:
     return a
 
 
+def _top_singular(gram: np.ndarray, rank, rows: int, cols: int):
+    """The rank rule: (singular values, Gram eigenvectors) of the rank kept.
+
+    ``gram`` (overwritten) is a Gram matrix of a rows x cols matrix,
+    whose other min(rows, cols) - len(gram) singular values are known
+    to be exactly zero. Auto rank is the hard threshold capped at the
+    numerical rank. A Gram eigenvalue below eps * max-dim * lambda_1,
+    that is a singular value below sigma_1 * sqrt(eps * max-dim),
+    carries no signal: squaring into the Gram puts a floor under the
+    singular values it resolves. A fixed rank must lie in 1..min(rows,
+    cols) (RangeError) and above that floor (RankDeficiencyError).
+    """
+    eigen = _SymmetricEigen(gram)
+    eigvals = np.clip(eigen.values(), 0.0, None)
+    if eigvals[0] <= 0.0:
+        raise RankDeficiencyError("matrix is numerically zero")
+    floor = max(rows, cols) * _EPS
+    num_rank = int(np.sum(eigvals > eigvals[0] * floor))
+    size = min(rows, cols)
+    if rank == RANK_AUTO:
+        sing = np.zeros(size)
+        sing[: len(eigvals)] = np.sqrt(eigvals)
+        r = min(optimal_rank(sing, rows, cols), max(num_rank, 1))
+    else:
+        r = int(rank)
+        if not 1 <= r <= size:
+            raise RangeError(f"fixed rank {r} outside 1..{size}")
+        if r > num_rank:
+            ratio = np.sqrt(eigvals[r - 1] / eigvals[0]) if r <= len(eigvals) else 0.0
+            raise RankDeficiencyError(
+                f"rank {r} requested but only {num_rank} nonzero singular values: "
+                f"sigma_{r}/sigma_1 = {ratio:.3g} is below the Gram's squaring "
+                f"floor sqrt(eps * {max(rows, cols)}) = {np.sqrt(floor):.3g}"
+            )
+    return np.sqrt(eigvals[:r]), eigen.top_vectors(r)
+
+
+def _syrk(a: np.ndarray, on_cols: bool) -> np.ndarray:
+    """``a.T @ a`` (on_cols) or ``a @ a.T``, Fortran-ordered, lower triangle
+    only: what the eigensolve reads. scipy's BLAS (not numpy's) forms it,
+    so the two libraries' thread pools do not contend between the
+    product and the solve."""
+    return blas.dsyrk(1.0, a.T, trans=0 if on_cols else 1, lower=1)
+
+
 def snapshot_svd(matrix, rank=RANK_AUTO) -> ReducedSvd:
     """Reduced SVD via eigendecomposition of the smaller Gram matrix.
 
     ``matrix`` is an ndarray or a structured stack such as
     :class:`circdmd.embedding.DelayStack`: anything with ``shape``,
-    ``gram()`` (the column-side Gram), ``dense()`` and the products
-    ``matrix @ y`` and ``z @ matrix``. A stack with more columns than
-    rows is smaller than its column-side Gram, so it is materialised.
-    ``rank`` is either ``"auto"`` (hard threshold capped at the
-    numerical rank) or a fixed positive integer. A fixed rank that
-    reaches into numerically zero singular values raises
-    RankDeficiencyError, because the snapshot path cannot produce
-    meaningful vectors for them. Every eigenvalue is computed, for the
-    rank rule, but eigenvectors only for the ``rank`` kept.
+    ``gram()`` (the column-side Gram), ``dense()`` and the product
+    ``matrix @ y``. A stack with more columns than rows is smaller than
+    its column-side Gram, so it is materialised. ``rank`` is either
+    ``"auto"`` (hard threshold capped at the numerical rank) or a fixed
+    positive integer. A fixed rank that reaches into numerically zero
+    singular values raises RankDeficiencyError, because the snapshot
+    path cannot produce meaningful vectors for them. Every eigenvalue
+    is computed, for the rank rule, but eigenvectors only for the
+    ``rank`` kept.
     """
     if hasattr(matrix, "gram") and matrix.shape[1] > matrix.shape[0]:
         matrix = matrix.dense()
     a = matrix if hasattr(matrix, "gram") else _finite_matrix(matrix)
-    rows, cols = a.shape
-    gram_on_cols = cols <= rows
-    if isinstance(a, np.ndarray):
-        # Fortran-ordered, lower triangle only: what the eigensolve reads.
-        # scipy's BLAS (not numpy's) forms it, so the two libraries'
-        # thread pools do not contend between the product and the solve.
-        gram = blas.dsyrk(1.0, a.T, trans=0 if gram_on_cols else 1, lower=1)
-    else:
-        gram = a.gram()
+    return _snapshot_svd(a, rank, *a.shape)
 
-    eigen = _SymmetricEigen(gram)
-    eigvals = np.clip(eigen.values(), 0.0, None)
-    sing_all = np.sqrt(eigvals)
 
-    if eigvals[0] <= 0.0:
-        raise RankDeficiencyError("matrix is numerically zero")
-    # Gram eigenvalues below eps * max-dim * lambda_1 carry no signal.
-    num_rank = int(np.sum(eigvals > eigvals[0] * max(rows, cols) * _EPS))
-
-    if rank == RANK_AUTO:
-        r = min(optimal_rank(sing_all, rows, cols), max(num_rank, 1))
-    else:
-        r = int(rank)
-        if not 1 <= r <= min(rows, cols):
-            raise RangeError(f"fixed rank {r} outside 1..{min(rows, cols)}")
-        if r > num_rank:
-            raise RankDeficiencyError(
-                f"rank {r} requested but only {num_rank} nonzero singular values"
-            )
-
-    sing = sing_all[:r]
-    vectors = eigen.top_vectors(r)
+def _snapshot_svd(a, rank, rows: int, cols: int) -> ReducedSvd:
+    """:func:`snapshot_svd` of ``a``, whose rank rule reads a rows x cols
+    matrix with the same nonzero singular values as ``a`` and no others."""
+    gram_on_cols = a.shape[1] <= a.shape[0]
+    gram = _syrk(a, gram_on_cols) if isinstance(a, np.ndarray) else a.gram()
+    sing, vectors = _top_singular(gram, rank, rows, cols)
     if gram_on_cols:
         right = vectors
         left = (a @ right) / sing
     else:
         left = vectors
         right = (left.T @ a).T / sing
-    return ReducedSvd(left=left, singular=sing, right=right, rank=r)
+    return ReducedSvd(left=left, singular=sing, right=right, rank=len(sing))
 
 
 def projected_dynamics(target, svd_of_source: ReducedSvd) -> np.ndarray:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .datamodel import SpeedMatrix
 from .embedding import DelayStack
@@ -28,6 +29,9 @@ from .errors import (
 from .sparsity import build_quadratic, gamma_path
 from .spectral import (
     RANK_AUTO,
+    _snapshot_svd,
+    _syrk,
+    _top_singular,
     DynamicSpectrum,
     ReducedSvd,
     SpectrumMeta,
@@ -236,21 +240,52 @@ def fit_forward_backward(data: SpeedMatrix, config: VariantConfig) -> DynamicSpe
 
 
 def fit_total_least_squares(data: SpeedMatrix, config: VariantConfig) -> DynamicSpectrum:
-    """Debias by projecting both snapshot matrices onto the POD modes of
-    their vertical stack, then running the plain pipeline on the
-    projected pair."""
+    """Debias by projecting both snapshot matrices onto the leading right
+    singular vectors V of their vertical stack [S; T], then running the
+    plain pipeline on the projected pair (Hemati, Rowley, Deem &
+    Cattafesta 2017).
+
+    Neither the 2N*tau-row stack nor an N*tau x W projection is formed.
+    Target block i is source block i + 1, so [S; T] has only the
+    N*(tau+1) distinct rows B_i = X[:, i:i+W], i = 0..tau, each taken
+    m_i times (once at either end, twice in between): V and its singular
+    values come from the rows sqrt(m_i) B_i when they are fewer than W,
+    and from the time-side Gram S.T S + T.T T otherwise. The projected
+    pair (S V) V.T, (T V) V.T is the pair (S V, T V) rotated by the
+    orthonormal V.T, so the regression runs in those k coordinates: the
+    same propagator, exact modes and initial snapshot. Both rank rules
+    read the dense matrices' shapes, whose singular values past the ones
+    computed here are exactly zero.
+    """
     source, target, _ = _snapshot_pair(data, config)
-    stacked = np.concatenate([source.dense(), target.dense()])
-    source, target = np.split(stacked, 2)
+    x, tau, w = data.values, config.tau, source.width
+    n = x.shape[0]
     z_rank = config.tls_rank if config.tls_rank is not None else RANK_AUTO
-    if z_rank != RANK_AUTO and z_rank > stacked.shape[1]:
-        raise RangeError(
-            f"tls rank {z_rank} exceeds column count {stacked.shape[1]}"
-        )
-    v = snapshot_svd(stacked, z_rank).right
-    source_bar = (source @ v) @ v.T
-    target_bar = (target @ v) @ v.T
-    return _regress(data, config, source_bar, target_bar, source_bar[:, 0])
+    if z_rank != RANK_AUTO and z_rank > w:
+        raise RangeError(f"tls rank {z_rank} exceeds column count {w}")
+    if n * (tau + 1) < w:
+        # the rows sqrt(m_i) B_i, formed only for their Gram: block i is
+        # in S for i < tau and in T for i > 0
+        copies = np.full(tau + 1, 2.0)
+        copies[[0, -1]] = 1.0
+        scale = np.repeat(np.sqrt(copies), n)
+        windows = sliding_window_view(x, w, axis=1).transpose(1, 0, 2)  # B_i = windows[i]
+        gram = _syrk(np.multiply(windows, scale.reshape(tau + 1, n, 1)).reshape(-1, w), False)
+        sing, u = _top_singular(gram, z_rank, 2 * n * tau, w)
+        # V = rows.T U / sigma, so B V = diag(1/sqrt(m)) U diag(sigma), and
+        # V's first row reads the rows' first column, sqrt(m_i) x[:, i]
+        coords = u * sing / scale[:, None]
+        source_v, target_v = coords[: n * tau], coords[n:]
+        first_v = (scale * x[:, : tau + 1].ravel(order="F")) @ u / sing
+    else:
+        gram = source.gram()
+        gram += target.gram()
+        sing, v = _top_singular(gram, z_rank, 2 * n * tau, w)
+        source_v, target_v, first_v = source @ v, target @ v, v[0]
+    svd = _snapshot_svd(source_v, config.rank, n * tau, w)
+    return _spectrum(
+        data, config, svd, projected_dynamics(target_v, svd), target_v, source_v @ first_v
+    )
 
 
 def predict(

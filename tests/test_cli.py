@@ -91,6 +91,34 @@ def test_fit_digest_guard(tmp_path, fixture_csv):
     ]) == 0
 
 
+def test_gamma_grid_digest_guard(tmp_path, fixture_csv, capsys):
+    # a grid's manifests sit under <out>/gamma_*/, not at <out>/manifest.json
+    grid = tmp_path / "grid"
+    other = tmp_path / "other.csv"
+    other.write_text(fixture_csv.read_text().replace("30", "31", 1))
+
+    def fit_grid(path, *extra):
+        return main([
+            "fit", "--input", str(path), "--dt", str(1 / 12), "--method", "circ-sp",
+            "--tau", "48", "--gamma-grid", "0,10", "--out", str(grid), *extra,
+        ])
+
+    def files():
+        return {p: p.read_bytes() for p in sorted(grid.rglob("*")) if p.is_file()}
+
+    assert fit_grid(fixture_csv) == 0
+    before = files()
+    assert fit_grid(fixture_csv) == 0  # same input: overwrite is fine
+    capsys.readouterr()
+    assert fit_grid(other) == 1
+    assert f"error: {grid / 'gamma_0'} was fit from different input" in capsys.readouterr().err
+    assert files() == before
+    assert fit_grid(other, "--force") == 0
+    digest = cli.input_digest(str(other))
+    for name in ("gamma_0", "gamma_10"):
+        assert load_manifest(grid / name)["input_digest"] == digest
+
+
 def test_bundle_round_trip_preserves_spectrum(tmp_path, fixture_csv):
     from circdmd import VariantConfig, fit as fit_api
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -150,6 +151,26 @@ def test_snapshot_svd_rank_deficiency_error():
         snapshot_svd(a, rank=2)
     svd = snapshot_svd(a, rank=1)
     assert svd.rank == 1
+
+
+def test_rank_deficiency_names_the_squaring_floor():
+    # sigma_2 / sigma_1 = 1e-9 is a real direction, but its square falls
+    # under eps * 20 in the Gram, so the fixed rank cannot be had
+    rng = np.random.default_rng(7)
+    u, _ = np.linalg.qr(rng.normal(size=(20, 2)))
+    v, _ = np.linalg.qr(rng.normal(size=(10, 2)))
+    a = u @ np.diag([1.0, 1e-9]) @ v.T
+    floor = np.sqrt(np.finfo(float).eps * 20)
+    with pytest.raises(RankDeficiencyError) as err:
+        snapshot_svd(a, rank=2)
+    match = re.fullmatch(
+        r"rank 2 requested but only 1 nonzero singular values: sigma_2/sigma_1 = (\S+) "
+        r"is below the Gram's squaring floor sqrt\(eps \* 20\) = (\S+)",
+        str(err.value),
+    )
+    assert match, str(err.value)
+    assert float(match.group(1)) < floor
+    assert match.group(2) == f"{floor:.3g}" == "6.66e-08"
 
 
 def test_snapshot_svd_auto_caps_at_numerical_rank():

@@ -5,6 +5,7 @@ from scipy.optimize import linear_sum_assignment
 from circdmd import (
     ConfigError,
     RangeError,
+    RankDeficiencyError,
     SpeedMatrix,
     VariantConfig,
     fit,
@@ -204,6 +205,134 @@ def test_tls_beats_plain_dmd_on_noisy_ar1():
         plain_err.append(abs(plain.eigenvalues[0] - 0.9))
         tls_err.append(abs(tls.eigenvalues[0] - 0.9))
     assert np.mean(tls_err) < np.mean(plain_err)
+
+
+def _dense_tls(data, config):
+    """The stacked-pair oracle: the SVD of the dense [S; T], then the plain
+    regression of (T V) V.T on (S V) V.T. Returns (spectrum, tls rank)."""
+    from circdmd.spectral import RANK_AUTO, snapshot_svd
+    from circdmd.variants import _regress, _snapshot_pair
+
+    source, target, _ = _snapshot_pair(data, config)
+    stacked = np.concatenate([source.dense(), target.dense()])
+    source, target = np.split(stacked, 2)
+    z_rank = config.tls_rank if config.tls_rank is not None else RANK_AUTO
+    if z_rank != RANK_AUTO and z_rank > stacked.shape[1]:
+        raise RangeError(f"tls rank {z_rank} exceeds column count {stacked.shape[1]}")
+    v = snapshot_svd(stacked, z_rank).right
+    source_bar = (source @ v) @ v.T
+    target_bar = (target @ v) @ v.T
+    return _regress(data, config, source_bar, target_bar, source_bar[:, 0]), v.shape[1]
+
+
+def _structured_tls(data, config, monkeypatch):
+    """fit_total_least_squares, with the tls rank it kept. Returns (spectrum, tls rank)."""
+    from circdmd import variants
+
+    kept = []
+    top = variants._top_singular
+
+    def recording(*args):
+        sing, vectors = top(*args)
+        kept.append(len(sing))
+        return sing, vectors
+
+    monkeypatch.setattr(variants, "_top_singular", recording)
+    spectrum = fit_total_least_squares(data, config)
+    monkeypatch.undo()
+    [k] = kept
+    return spectrum, k
+
+
+def noisy_periodic(n, t, seed):
+    data = periodic_data(n=n, t=t, periods=(12.0, 8.0, 5.0), seed=seed)
+    noise = 0.05 * np.random.default_rng(seed + 100).normal(size=(n, t))
+    return SpeedMatrix(values=data.values + noise, delta_t=1.0)
+
+
+# N*(tau+1) against W = T - tau: the distinct rows or the time-side Gram
+TLS_SHAPES = [
+    pytest.param(3, 120, 8, id="rows-side"),      # 27 < 112
+    pytest.param(10, 60, 20, id="time-side"),     # 210 > 40
+    pytest.param(4, 29, 5, id="equal-sides"),     # 24 = 24
+    pytest.param(6, 80, 1, id="tau1-rows-side"),  # 12 < 79
+    pytest.param(30, 40, 1, id="tau1-time-side"), # 60 > 39
+]
+
+
+@pytest.mark.parametrize("n,t,tau", TLS_SHAPES)
+@pytest.mark.parametrize("tls_rank,rank", [(None, "auto"), (None, 2), (4, "auto"), (4, 2)])
+def test_tls_matches_dense_stacked_pair(n, t, tau, tls_rank, rank, monkeypatch):
+    data = noisy_periodic(n, t, seed=n + t + tau)
+    config = VariantConfig(method="tls-hankel", tau=tau, rank=rank, tls_rank=tls_rank)
+    got, k = _structured_tls(data, config, monkeypatch)
+    want, k_dense = _dense_tls(data, config)
+    assert k == k_dense
+    assert got.meta == want.meta
+    assert eig_match_distance(got.eigenvalues, want.eigenvalues) <= 1e-9
+    for horizon in (0, 30):
+        a, b = predict(got, (n, t), horizon), predict(want, (n, t), horizon)
+        assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
+
+
+def _outcome(fit_tls, data, config):
+    try:
+        fit_tls(data, config)
+    except (RangeError, RankDeficiencyError) as exc:
+        return exc
+    return None
+
+
+@pytest.mark.parametrize("n,t,tau,cases", [
+    # rows side: W = 36, 2 N tau = 24, N (tau+1) = 15, N tau = 12
+    pytest.param(3, 40, 4, [(0, "auto"), (15, "auto"), (16, "auto"), (24, "auto"), (25, "auto"),
+                            (37, "auto"), (10, 0), (10, 10), (10, 11), (10, 12), (10, 13)],
+                 id="rows-side"),
+    # time side: W = 16, 2 N tau = 48, N (tau+1) = 30, N tau = 24
+    pytest.param(6, 20, 4, [(0, "auto"), (16, "auto"), (17, "auto"), (10, 0), (10, 10),
+                            (10, 11), (10, 16), (10, 17)], id="time-side"),
+])
+def test_tls_rank_errors_match_dense_stacked_pair(n, t, tau, cases):
+    data = SpeedMatrix(values=np.random.default_rng(t).normal(size=(n, t)), delta_t=1.0)
+    kinds = set()
+    for tls_rank, rank in cases:
+        config = VariantConfig(method="tls-hankel", tau=tau, rank=rank, tls_rank=tls_rank)
+        got = _outcome(fit_total_least_squares, data, config)
+        want = _outcome(lambda d, c: _dense_tls(d, c)[0], data, config)
+        assert type(got) is type(want), (tls_rank, rank, got, want)
+        if isinstance(want, RangeError):
+            assert str(got) == str(want)
+        kinds.add(type(want))
+    assert kinds == {type(None), RangeError, RankDeficiencyError}
+
+
+def test_tls_rank_past_the_distinct_rows_is_exactly_zero():
+    # [S; T] has 2 N tau = 24 rows but N (tau+1) = 15 distinct ones: its
+    # 16th singular value is zero, not round-off, and the error says so
+    data = SpeedMatrix(values=np.random.default_rng(40).normal(size=(3, 40)), delta_t=1.0)
+    config = VariantConfig(method="tls-hankel", tau=4, tls_rank=16)
+    with pytest.raises(RankDeficiencyError, match=(
+        r"^rank 16 requested but only 15 nonzero singular values: sigma_16/sigma_1 = 0 "
+        r"is below the Gram's squaring floor sqrt\(eps \* 36\) = 8\.94e-08$"
+    )):
+        fit_total_least_squares(data, config)
+
+
+@pytest.mark.parametrize("n,t,tau", [(4, 600, 24), (10, 1500, 30), (6, 200, 60)])
+def test_tls_peak_allocation_stays_below_the_stacked_pair(n, t, tau):
+    import tracemalloc
+
+    data = noisy_periodic(n, t, seed=n)
+    config = VariantConfig(method="tls-hankel", tau=tau)
+    fit_total_least_squares(data, config)  # first-call set-up out of the count
+    pair_bytes = 2 * n * tau * (t - tau) * 8
+    tracemalloc.start()
+    try:
+        fit_total_least_squares(data, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < pair_bytes, (peak, pair_bytes)
 
 
 # ----------------------------------------------------------------------
