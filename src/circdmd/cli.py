@@ -2,9 +2,11 @@
 
 Subcommands: synth, fit, reconstruct, forecast, analyze, metrics.
 Options may come from a flat key=value config file (``--config``);
-explicit flags override file values. All outputs are UTF-8 CSV/JSON;
-decomposition bundles store complex arrays as paired re/im columns so
-they stay portable across platforms and languages.
+explicit flags override file values. Every output is UTF-8 CSV/JSON
+except a bundle's mode matrix, ``modes.npy``: a complex128 array in
+NumPy's documented ``.npy`` format, which writes and reads at memory
+speed. The bundle's eigenvalues and amplitudes stay CSV, as paired
+re/im columns.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import shutil
 import sys
 import warnings
 from pathlib import Path
@@ -123,11 +124,8 @@ def input_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def save_bundle(outdir, spectrum: DynamicSpectrum, digest: str, split_index=None,
-                previous=None):
-    """Write ``spectrum`` as a bundle in ``outdir``. ``previous`` is the (modes,
-    modes.csv path) of a bundle written before: if ``spectrum.modes`` is that
-    very array, as along a gamma path, the file is copied, not formatted again."""
+def save_bundle(outdir, spectrum: DynamicSpectrum, digest: str, split_index=None):
+    """Write ``spectrum`` as a bundle in ``outdir``."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     meta = spectrum.meta
@@ -152,11 +150,8 @@ def save_bundle(outdir, spectrum: DynamicSpectrum, digest: str, split_index=None
     (outdir / "manifest.json").unlink(missing_ok=True)
     _write_complex_matrix(outdir / "eigenvalues.csv", spectrum.eigenvalues[None, :])
     _write_complex_matrix(outdir / "amplitudes.csv", spectrum.amplitudes[None, :])
-    modes_path = outdir / "modes.csv"
-    if previous is None or previous[0] is not spectrum.modes:
-        _write_complex_matrix(modes_path, spectrum.modes)
-    elif Path(previous[1]) != modes_path:
-        shutil.copyfile(previous[1], modes_path)
+    np.save(outdir / "modes.npy", np.asarray(spectrum.modes, dtype=complex),
+            allow_pickle=False)
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
@@ -174,6 +169,31 @@ def _read_bundle_matrix(path, shape) -> np.ndarray:
     if matrix.shape != shape:
         raise ShapeError(f"{path}: shape {matrix.shape}, manifest implies {shape}")
     return matrix
+
+
+def _read_bundle_modes(path, shape) -> np.ndarray:
+    """The bundle's complex128 mode matrix, checked against the shape its
+    manifest implies. Pickled data is refused, not run."""
+    try:
+        with open(path, "rb") as fh:
+            modes = np.load(fh, allow_pickle=False)
+    except FileNotFoundError:
+        legacy = path.with_suffix(".csv")
+        if legacy.exists():
+            raise DataError(
+                f"{path}: missing from the bundle, which holds {legacy.name}, "
+                "the text layout of earlier releases: re-fit it"
+            ) from None
+        raise DataError(f"{path}: missing from the bundle") from None
+    except (ValueError, EOFError) as exc:
+        raise DataError(f"{path}: not a .npy array ({exc})") from None
+    if not isinstance(modes, np.ndarray):  # an .npz archive
+        raise DataError(f"{path}: not a .npy array")
+    if modes.dtype != np.complex128:
+        raise DataError(f"{path}: dtype {modes.dtype}, expected complex128")
+    if modes.shape != shape:
+        raise ShapeError(f"{path}: shape {modes.shape}, manifest implies {shape}")
+    return modes
 
 
 def load_bundle(bundle_dir) -> DynamicSpectrum:
@@ -195,8 +215,8 @@ def load_bundle(bundle_dir) -> DynamicSpectrum:
     rank = meta.rank
     return DynamicSpectrum(
         eigenvalues=_read_bundle_matrix(bundle_dir / "eigenvalues.csv", (1, rank)).ravel(),
-        modes=_read_bundle_matrix(
-            bundle_dir / "modes.csv", (meta.n_sensors * meta.tau, rank)
+        modes=_read_bundle_modes(
+            bundle_dir / "modes.npy", (meta.n_sensors * meta.tau, rank)
         ),
         amplitudes=_read_bundle_matrix(bundle_dir / "amplitudes.csv", (1, rank)).ravel(),
         meta=meta,
@@ -301,13 +321,10 @@ def cmd_fit(args) -> int:
     if args.gamma_grid:
         gammas = [float(g) for g in args.gamma_grid.split(",")]
         rows = []
-        previous = None
         for gamma, spectrum, solution in fit_gamma_path(train, config, gammas):
-            subdir = outdir / f"gamma_{gamma:g}"
-            save_bundle(subdir, spectrum, digest, split_index=args.split_index,
-                        previous=previous)
+            save_bundle(outdir / f"gamma_{gamma:g}", spectrum, digest,
+                        split_index=args.split_index)
             _report_admm(spectrum)
-            previous = (spectrum.modes, subdir / "modes.csv")
             rows.append((gamma, solution.nonzero_count, solution.loss))
         outdir.mkdir(parents=True, exist_ok=True)
         _write_csv(outdir / "sparsity_path.csv", np.array(rows, dtype=object), "%s",

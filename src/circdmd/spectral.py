@@ -132,8 +132,11 @@ class _SymmetricEigen:
     One Householder reduction to tridiagonal form (``dsytrd``) is shared:
     ``dsterf`` gives all eigenvalues, and the eigenvectors of the top
     ``r`` come from the MRRR tridiagonal solver (``dstemr``; Dhillon &
-    Parlett 2004) followed by the back-transform (``dormqr``). The
-    matrix is reduced in place, so the caller must not reuse it.
+    Parlett 2004) followed by the back-transform (``dormqr``). MRRR can
+    fail on a large cluster of round-off eigenvalues; bisection and
+    inverse iteration (``dstebz`` + ``dstein``) on the same tridiagonal
+    then take its place. The matrix is reduced in place, so the caller
+    must not reuse it.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -163,9 +166,20 @@ class _SymmetricEigen:
         m, _, z, info = lapack.dstemr(
             self._diag, np.append(self._off, 0.0), 2, 0.0, 0.0, n - r + 1, n
         )
-        _check("dstemr", info)
+        if info > 0:
+            m, values, block, split, info = lapack.dstebz(
+                self._diag, self._off, 2, 0.0, 0.0, n - r + 1, n, 0.0, "B"
+            )
+            _check("dstebz", info)
+            z, info = lapack.dstein(self._diag, self._off, values[:m], block, split)
+            _check("dstein", info)
+            z = z[:, np.argsort(values[:m], kind="stable")]  # block order to ascending
+            routine = "dstebz"
+        else:
+            _check("dstemr", info)
+            routine = "dstemr"
         if m != r:
-            raise NumericalError(f"LAPACK dstemr returned {m} of {r} eigenvectors")
+            raise NumericalError(f"LAPACK {routine} returned {m} of {r} eigenvectors")
         z = np.asfortranarray(z[:, r - 1 :: -1])
         if n > 1:
             # Q = H(1) ... H(n-1) leaves row 1 alone and acts on rows 2..n
@@ -372,7 +386,10 @@ def extrapolate_continuous(
 
     ``t`` is 1-based and grid-aligned at integers: t = 1 returns the
     initial snapshot and integer t matches the corresponding
-    Vandermonde column. Uses the principal branch of the complex log;
+    Vandermonde column. The result is that stacked snapshot: N*tau
+    rows, tau delayed copies of the N sensors, not the N sensor values;
+    on the grid, :func:`circdmd.variants.predict` averages the copies
+    into N rows. Uses the principal branch of the complex log;
     eigenvalues at zero have no continuous-time rate.
     """
     if delta_t <= 0:

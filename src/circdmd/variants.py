@@ -294,11 +294,13 @@ def predict(
     """Reconstruct history plus ``horizon_columns`` future steps in the
     original N-row space.
 
-    Block i of reconstructed snapshot j estimates column i + j; adding
-    one N-row block at a time at its shift, then dividing each column
-    by its copy count, never forms the (N*tau)-row reconstruction.
-    Circular stacks wrap the shifted part to the front (tau copies per
-    column); Hankel stacks have tau - 1 fewer snapshots (1 to tau).
+    Block i of reconstructed snapshot j estimates column i + j, and each
+    column is the mean of its copies: tau per column for a circular
+    stack, whose shifted part wraps to the front, and 1 to tau for a
+    Hankel stack, which has tau - 1 fewer snapshots. The Vandermonde
+    matrix is shift-invariant, so the collapse never forms the
+    (N*tau)-row reconstruction nor one product per block (see
+    :func:`_delay_sum`).
     """
     n, t = data_shape
     meta = spectrum.meta
@@ -312,16 +314,52 @@ def predict(
         raise ConfigError(f"unknown method {meta.method!r} in spectrum metadata")
     tau = meta.tau
     out = t + horizon_columns
-    width = out if meta.method in _CIRC_METHODS else out - tau + 1
+    circular = meta.method in _CIRC_METHODS
+    width = out if circular else out - tau + 1
     psi = vandermonde(spectrum.eigenvalues, width)
-    weighted = spectrum.modes * spectrum.amplitudes
-    acc = np.zeros((n, out))
-    count = np.zeros(out)
-    for i in range(tau):
-        block = np.real(weighted[i * n : (i + 1) * n] @ psi)
-        tail = block[:, out - i :]  # past the last column: empty unless circular
-        acc[:, i : i + width] += block[:, : out - i]
-        acc[:, : tail.shape[1]] += tail
-        count[i : i + width] += 1
-        count[: tail.shape[1]] += 1
+    blocks = (spectrum.modes * spectrum.amplitudes).reshape(tau, n, -1)
+    # block i reaches columns i .. i + width - 1: in runs of at most
+    # width blocks, every run has a column that all of its blocks reach
+    acc = np.zeros((n, tau - 1 + width))
+    run = min(tau, width)
+    for first in range(0, tau, run):
+        part = blocks[first : first + run]
+        acc[:, first : first + len(part) + width - 1] += _delay_sum(part, psi)
+    if circular:
+        acc[:, : tau - 1] += acc[:, out:]
+        return acc[:, :out] / tau
+    column = np.arange(out)
+    count = np.minimum(column, tau - 1) - np.maximum(column - width + 1, 0) + 1
     return acc / count
+
+
+def _delay_sum(blocks: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Column c of the n x (L + w - 1) result is the sum over blocks i of
+    Re(blocks[i] psi[:, c - i]), for the L <= w blocks (L x n x r) and
+    the r x w Vandermonde matrix ``psi``.
+
+    Since l^(c-i) = l^(c-L+1) l^(L-1-i), the columns c = L-1 .. w-1,
+    which every block reaches, are one product M psi with
+    M = sum_i blocks[i] diag(l^(L-1-i)). The last L - 1 columns take
+    the suffixes of that sum, and the first L - 1 a running sum over
+    the blocks. Every power is read from ``psi`` (the running sum
+    multiplies by its column l^1), so none is negative or above
+    l^(w-1), and those ``vandermonde`` flushed to 0 stay 0.
+    """
+    length, n, r = blocks.shape
+    w = psi.shape[1]
+    result = np.empty((n, length + w - 1))
+    # suffix[m] = sum over i >= m of blocks[i] l^(L-1-i)
+    suffix = np.cumsum((blocks * psi[:, length - 1 :: -1].T[:, None, :])[::-1], axis=0)[::-1]
+    # the real part alone, as two real products: no complex n x w temporary
+    steady = psi[:, : w - length + 1]
+    result[:, length - 1 : w] = suffix[0].real @ steady.real
+    result[:, length - 1 : w] -= suffix[0].imag @ steady.imag
+    # column w - 1 + m is reached by blocks m .. L-1 at l^(w-1+m-i)
+    result[:, w:] = np.real(np.einsum("mnk,km->nm", suffix[1:], psi[:, w - length + 1 :]))
+    # column c < L - 1 is reached by blocks 0 .. c at l^(c-i)
+    running = np.zeros((n, r), dtype=complex)
+    for c in range(length - 1):
+        running = running * psi[:, 1] + blocks[c]
+        result[:, c] = np.real(running.sum(axis=1))
+    return result

@@ -67,8 +67,10 @@ def test_fit_writes_bundle(tmp_path, fixture_csv):
     assert spectrum.eigenvalues.shape[0] == manifest["rank"]
     assert spectrum.modes.shape == (4 * 48, manifest["rank"])
     assert sorted(p.name for p in bundle.iterdir()) == [
-        "amplitudes.csv", "eigenvalues.csv", "manifest.json", "modes.csv",
+        "amplitudes.csv", "eigenvalues.csv", "manifest.json", "modes.npy",
     ]
+    modes = np.load(bundle / "modes.npy", allow_pickle=False)
+    assert modes.dtype == np.complex128 and modes.shape == (4 * 48, manifest["rank"])
 
 
 def test_fit_digest_guard(tmp_path, fixture_csv):
@@ -322,7 +324,7 @@ def test_interrupted_resave_leaves_an_unloadable_bundle(tmp_path, fixture_csv, m
     write = cli._write_complex_matrix
 
     def failing(path, matrix):
-        if path.name == "modes.csv":
+        if path.name == "amplitudes.csv":
             raise OSError("disk full")
         write(path, matrix)
 
@@ -333,33 +335,62 @@ def test_interrupted_resave_leaves_an_unloadable_bundle(tmp_path, fixture_csv, m
         load_bundle(bundle)
 
 
+# A corrupter returns the text the error must hold besides the file's
+# name, if any.
+
 def _parent_layout(bundle):
-    """The layout of earlier releases: both mode flavours, no modes.csv."""
-    modes = bundle / "modes.csv"
-    (bundle / "modes_projected.csv").write_text(modes.read_text())
-    (bundle / "eigvecs_reduced.csv").write_text("c0_re,c0_im\n1,0\n")
-    modes.rename(bundle / "modes_exact.csv")
+    """The layout of earlier releases: modes.csv in place of modes.npy."""
+    modes = bundle / "modes.npy"
+    cli._write_complex_matrix(bundle / "modes.csv", np.load(modes))
+    modes.unlink()
+    return "re-fit"
 
 
-def _truncate_rows(bundle):
-    lines = (bundle / "modes.csv").read_text().splitlines(keepends=True)
-    (bundle / "modes.csv").write_text("".join(lines[: len(lines) // 2]))
+def _truncated_npy(bundle):
+    data = (bundle / "modes.npy").read_bytes()
+    (bundle / "modes.npy").write_bytes(data[: len(data) // 2])
+
+
+def _float_npy(bundle):
+    np.save(bundle / "modes.npy", np.load(bundle / "modes.npy").real)
+
+
+class _Loud:
+    """Prints when unpickled: a bundle must never run the code it holds."""
+
+    def __reduce__(self):
+        return print, ("unpickled",)
+
+
+def _pickled_npy(bundle):
+    np.save(bundle / "modes.npy", np.array([_Loud()], dtype=object), allow_pickle=True)
+
+
+def _npz_archive(bundle):
+    with open(bundle / "modes.npy", "rb") as fh:
+        modes = np.load(fh)
+    with open(bundle / "modes.npy", "wb") as fh:
+        np.savez(fh, modes=modes)
+
+
+def _misshapen_npy(bundle):
+    np.save(bundle / "modes.npy", np.load(bundle / "modes.npy")[1:])
 
 
 def _truncate_mid_line(bundle):
-    text = (bundle / "modes.csv").read_text()
-    (bundle / "modes.csv").write_text(text[: len(text) // 2 + 3])
+    text = (bundle / "amplitudes.csv").read_text()
+    (bundle / "amplitudes.csv").write_text(text[: len(text) // 2 + 3])
 
 
 def _header_only(bundle):
-    lines = (bundle / "modes.csv").read_text().splitlines(keepends=True)
-    (bundle / "modes.csv").write_text(lines[0])
+    lines = (bundle / "amplitudes.csv").read_text().splitlines(keepends=True)
+    (bundle / "amplitudes.csv").write_text(lines[0])
 
 
 def _non_numeric_cell(bundle):
-    text = (bundle / "modes.csv").read_text()
-    header, first, rest = text.split("\n", 2)
-    (bundle / "modes.csv").write_text("\n".join([header, "x" + first[1:], rest]))
+    text = (bundle / "amplitudes.csv").read_text()
+    header, first = text.split("\n", 1)
+    (bundle / "amplitudes.csv").write_text("\n".join([header, "x" + first[1:]]))
 
 
 def _no_manifest(bundle):
@@ -391,11 +422,15 @@ def _rank_mismatch(bundle):
 @pytest.mark.parametrize(
     "corrupt, named",
     [
-        (_parent_layout, "modes.csv"),
-        (_truncate_rows, "modes.csv"),
-        (_truncate_mid_line, "modes.csv"),
-        (_header_only, "modes.csv"),
-        (_non_numeric_cell, "modes.csv"),
+        (_parent_layout, "modes.npy"),
+        (_truncated_npy, "modes.npy"),
+        (_float_npy, "modes.npy"),
+        (_pickled_npy, "modes.npy"),
+        (_npz_archive, "modes.npy"),
+        (_misshapen_npy, "modes.npy"),
+        (_truncate_mid_line, "amplitudes.csv"),
+        (_header_only, "amplitudes.csv"),
+        (_non_numeric_cell, "amplitudes.csv"),
         (_rank_mismatch, "eigenvalues.csv"),
         (_no_manifest, "manifest.json"),
         (_manifest_not_json, "manifest.json"),
@@ -405,7 +440,7 @@ def _rank_mismatch(bundle):
 )
 def test_unusable_bundle_is_an_error(tmp_path, fixture_csv, capsys, corrupt, named):
     bundle = _fit(tmp_path, fixture_csv)
-    corrupt(bundle)
+    hint = corrupt(bundle)
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -415,24 +450,21 @@ def test_unusable_bundle_is_an_error(tmp_path, fixture_csv, capsys, corrupt, nam
         ])
     assert code == 1
     assert not caught
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ")
     assert str(bundle / named) in err
+    assert hint is None or hint in err
+    assert "unpickled" not in out
 
 
-def test_gamma_path_formats_the_shared_modes_once(tmp_path, fixture_csv, monkeypatch):
-    formatted, saved = [], {}
-    write_csv, save_bundle = cli._write_csv, cli.save_bundle
-
-    def counting(path, *args, **kwargs):
-        formatted.append(Path(path).name)
-        write_csv(path, *args, **kwargs)
+def test_gamma_path_bundles_match_a_lone_save(tmp_path, fixture_csv, monkeypatch):
+    saved = {}
+    save_bundle = cli.save_bundle
 
     def capturing(outdir, spectrum, *args, **kwargs):
         saved[Path(outdir).name] = spectrum
         save_bundle(outdir, spectrum, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "_write_csv", counting)
     monkeypatch.setattr(cli, "save_bundle", capturing)
     outdir = tmp_path / "grid"
     assert main([
@@ -440,23 +472,14 @@ def test_gamma_path_formats_the_shared_modes_once(tmp_path, fixture_csv, monkeyp
         "--method", "circ-sp", "--tau", "48",
         "--gamma-grid", "0,10,100", "--out", str(outdir),
     ]) == 0
-    assert formatted.count("modes.csv") == 1
-    assert formatted.count("amplitudes.csv") == 3
-    # a repeated penalty saves into the same bundle, over its own modes.csv
-    assert main([
-        "fit", "--input", str(fixture_csv), "--dt", str(1 / 12),
-        "--method", "circ-sp", "--tau", "48",
-        "--gamma-grid", "10,10", "--out", str(tmp_path / "repeated"),
-    ]) == 0
-    assert formatted.count("modes.csv") == 2
-    repeated = tmp_path / "repeated" / "gamma_10" / "modes.csv"
-    assert repeated.read_bytes() == (outdir / "gamma_10" / "modes.csv").read_bytes()
     monkeypatch.undo()
     assert sorted(saved) == ["gamma_0", "gamma_10", "gamma_100"]
     for name, spectrum in saved.items():
         alone = tmp_path / "alone" / name
         digest = load_manifest(outdir / name)["input_digest"]
         save_bundle(alone, spectrum, digest, split_index=0)
+        assert sorted(p.name for p in alone.iterdir()) == sorted(
+            p.name for p in (outdir / name).iterdir())
         for path in alone.iterdir():
             assert path.read_bytes() == (outdir / name / path.name).read_bytes()
 

@@ -191,18 +191,40 @@ def test_snapshot_svd_rejects_non_finite_entries():
         snapshot_svd(a, rank=2)
 
 
-@pytest.mark.parametrize("routine", ["dsytrd", "dsterf", "dstemr", "dormqr"])
-def test_snapshot_svd_names_a_failing_lapack_routine(monkeypatch, routine):
-    real = getattr(spectral.lapack, routine)
-
-    def failing(*args, **kwargs):
+def _failing(real):
+    def call(*args, **kwargs):
         *outputs, _ = real(*args, **kwargs)
         return (*outputs, 7)
 
-    monkeypatch.setattr(spectral.lapack, routine, failing)
-    a = np.random.default_rng(12).normal(size=(9, 6))
-    with pytest.raises(NumericalError, match=f"LAPACK {routine} failed"):
-        snapshot_svd(a, rank=2)
+    return call
+
+
+@pytest.mark.parametrize("routine", ["dsytrd", "dsterf", "dstemr", "dormqr", "dstebz", "dstein"])
+def test_snapshot_svd_names_a_failing_lapack_routine(monkeypatch, routine):
+    # dstemr fails in every case, so bisection and inverse iteration
+    # (dstebz + dstein) take its place: a failure is named only past them
+    for name in {routine, "dstemr"}:
+        monkeypatch.setattr(spectral.lapack, name, _failing(getattr(spectral.lapack, name)))
+    # two blocks of columns on disjoint rows: the tridiagonal splits in
+    # two, and the top two eigenvalues, 9 and 4, lie in different blocks
+    rng = np.random.default_rng(12)
+    a = np.zeros((9, 6))
+    for rows, cols, sigma in ((slice(0, 5), slice(0, 3), [3.0, 1.0, 0.5]),
+                              (slice(5, 9), slice(3, 6), [2.0, 0.8, 0.3])):
+        u, _ = np.linalg.qr(rng.normal(size=(rows.stop - rows.start, 3)))
+        v, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        a[rows, cols] = (u * sigma) @ v.T
+    if routine != "dstemr":
+        with pytest.raises(NumericalError, match=f"LAPACK {routine} failed"):
+            snapshot_svd(a, rank=2)
+        return
+    svd = snapshot_svd(a, rank=2)
+    _, vectors = np.linalg.eigh(a.T @ a)
+    # eigh's top two vectors, largest first, up to sign
+    overlap = np.abs(np.sum(svd.right * vectors[:, [-1, -2]], axis=0))
+    assert np.max(np.abs(overlap - 1.0)) <= 1e-12
+    assert np.max(np.abs(svd.left.T @ svd.left - np.eye(2))) <= 1e-12
+    assert np.max(np.abs(svd.singular - np.linalg.svd(a, compute_uv=False)[:2])) <= 1e-12
 
 
 # ----------------------------------------------------------------------

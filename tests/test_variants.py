@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -443,16 +445,45 @@ def test_each_fit_lifts_modes_once(monkeypatch):
 # structured circular path
 # ----------------------------------------------------------------------
 
+# Hand-built spectra: growing modes, powers that turn subnormal (and so
+# are flushed to 0) after one step, and an eigenvalue at exactly 0.
+HAND_BUILT_EIGENVALUES = [
+    [1.08 * np.exp(0.3j), 1.08 * np.exp(-0.3j), 1.02, 0.9 * np.exp(0.7j)],
+    [1e-155 * np.exp(0.4j), 3e-160, 0.95 * np.exp(1.1j)],
+    [0.0, 0.97 * np.exp(0.5j), 0.97 * np.exp(-0.5j), 1e-3],
+]
+PREDICT_HORIZONS = (0, 1, 5, 60)
+
+
+def _hand_built(spec, seed=31):
+    """Spectra shaped like ``spec``, with random modes and amplitudes and
+    the eigenvalues above."""
+    from circdmd.spectral import DynamicSpectrum
+
+    rng = np.random.default_rng(seed)
+    rows = spec.modes.shape[0]
+    for eigenvalues in HAND_BUILT_EIGENVALUES:
+        r = len(eigenvalues)
+        yield DynamicSpectrum(
+            eigenvalues=np.array(eigenvalues, dtype=complex),
+            modes=rng.normal(size=(rows, r)) + 1j * rng.normal(size=(rows, r)),
+            amplitudes=rng.normal(size=r) + 1j * rng.normal(size=r),
+            meta=replace(spec.meta, rank=r),
+        )
+
+
 @pytest.mark.parametrize("method,tau", [("circ", 1), ("circ", 6), ("circ-sp", 6), ("circ", 48)])
 def test_circular_predict_matches_dense_collapse(method, tau):
+    # tau = 48 = T: out < 2 tau - 2 for every horizon but the longest
     from circdmd import collapse_snapshot_reconstruction, reconstruct
 
     data = periodic_data(n=3, t=48, seed=17)
-    spec = fit(data, VariantConfig(method=method, tau=tau, gamma=1.0 if method == "circ-sp" else 0.0))
-    for horizon in (0, 5, 60):
-        dense = collapse_snapshot_reconstruction(reconstruct(spec, 48 + horizon), 3, tau)
-        got = predict(spec, (3, 48), horizon)
-        assert np.max(np.abs(got - dense)) <= 1e-10 * np.max(np.abs(dense))
+    fitted = fit(data, VariantConfig(method=method, tau=tau, gamma=1.0 if method == "circ-sp" else 0.0))
+    for spec in [fitted, *_hand_built(fitted)]:
+        for horizon in PREDICT_HORIZONS:
+            dense = collapse_snapshot_reconstruction(reconstruct(spec, 48 + horizon), 3, tau)
+            got = predict(spec, (3, 48), horizon)
+            assert np.max(np.abs(got - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
 def test_circular_fit_matches_dense_stack_regression():
@@ -513,17 +544,21 @@ def test_hankel_fit_and_predict_never_form_the_stack(monkeypatch, method, tau):
 
 
 @pytest.mark.parametrize("method,tau", [("dmd", None), ("hankel", 1), ("hankel", 6),
-                                        ("fb-hankel", 6), ("tls-hankel", 6), ("hankel", 47)])
+                                        ("fb-hankel", 6), ("tls-hankel", 6), ("hankel", 47),
+                                        ("hankel", 30)])
 def test_hankel_predict_matches_dense_collapse(method, tau):
+    # tau = 47 = T - 1 and tau = 30: out < 2 tau - 2, no column is steady,
+    # unless the horizon is the longest
     from circdmd import inverse_hankel, reconstruct
 
     data = periodic_data(n=3, t=48, seed=23)
-    spec = fit(data, VariantConfig(method=method, tau=tau))
-    tau = spec.meta.tau
-    for horizon in (0, 5, 60):
-        dense = inverse_hankel(reconstruct(spec, 48 - tau + 1 + horizon), 3, tau)
-        got = predict(spec, (3, 48), horizon)
-        assert np.max(np.abs(got - dense)) <= 1e-10 * np.max(np.abs(dense))
+    fitted = fit(data, VariantConfig(method=method, tau=tau))
+    tau = fitted.meta.tau
+    for spec in [fitted, *_hand_built(fitted)]:
+        for horizon in PREDICT_HORIZONS:
+            dense = inverse_hankel(reconstruct(spec, 48 - tau + 1 + horizon), 3, tau)
+            got = predict(spec, (3, 48), horizon)
+            assert np.max(np.abs(got - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
 @pytest.mark.parametrize("n,tau", [(4, 5), (2, 20)])  # Gram on the stack side, then the time side
