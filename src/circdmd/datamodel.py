@@ -108,31 +108,23 @@ def load_matrix(path, layout: str = LAYOUT_ROWS, delta_t: float = 1.0) -> SpeedM
     if layout not in (LAYOUT_ROWS, LAYOUT_COLS):
         raise ConfigError(f"layout must be 'rows' or 'cols', got {layout!r}")
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
-    if not rows:
-        raise ShapeError(f"{path}: empty file")
-
-    header = None
-    first = rows[0]
-    if any(not _is_number(c) for c in first):
-        header = [c.strip() for c in first]
-        rows = rows[1:]
-        if not rows:
-            raise ShapeError(f"{path}: header without data rows")
+        reader = csv.reader(fh)
+        rows = (r for r in reader if r and any(c.strip() for c in r))
+        first = next(rows, None)
+        if first is None:
+            raise ShapeError(f"{path}: empty file")
+        header, skip = None, 0
+        if any(not _is_number(c) for c in first):
+            header, skip = [c.strip() for c in first], reader.line_num
+            if next(rows, None) is None:
+                raise ShapeError(f"{path}: header without data rows")
 
     offset = 2 if header is not None else 1
     try:
-        data = np.array(rows, dtype=float)
-    except ValueError:  # cell by cell, to name the first ragged row or bad cell
-        width = len(rows[0])
-        data = np.empty((len(rows), width), dtype=float)
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise ShapeError(
-                    f"{path}: row {i + offset} has {len(row)} cells, expected {width}"
-                )
-            for j, cell in enumerate(row):
-                data[i, j] = _parse_cell(cell.strip(), i + offset, j + 1)
+        # "#" is a cell like any other, and a bad one an error: never a comment
+        data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip)
+    except ValueError:  # ragged rows, blank cells, text float() alone reads
+        data = _read_cells(path, offset)
 
     bad = [(int(i) + offset, int(j) + 1) for i, j in zip(*np.nonzero(~np.isfinite(data)))]
     if bad:
@@ -146,6 +138,27 @@ def load_matrix(path, layout: str = LAYOUT_ROWS, delta_t: float = 1.0) -> SpeedM
     if data.shape[1] < 2:
         raise ShapeError(f"{path}: ingested matrix needs T >= 2, got T={data.shape[1]}")
     return SpeedMatrix(values=data, delta_t=delta_t, sensor_ids=ids)
+
+
+def _read_cells(path, offset: int) -> np.ndarray:
+    """The data rows of ``path`` through ``csv.reader``, blank rows skipped
+    and the header (``offset`` 2) dropped: each cell as ``float`` reads
+    it, and the first ragged row or bad cell named by its file position."""
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)][offset - 1 :]
+    try:
+        return np.array(rows, dtype=float)
+    except ValueError:  # cell by cell, to name the first ragged row or bad cell
+        width = len(rows[0])
+        data = np.empty((len(rows), width), dtype=float)
+        for i, row in enumerate(rows):
+            if len(row) != width:
+                raise ShapeError(
+                    f"{path}: row {i + offset} has {len(row)} cells, expected {width}"
+                )
+            for j, cell in enumerate(row):
+                data[i, j] = _parse_cell(cell.strip(), i + offset, j + 1)
+        return data
 
 
 def _is_number(cell: str) -> bool:

@@ -13,7 +13,7 @@ Conventions, fixed once for the whole package:
   with the forward embedding it is exact (not just approximate).
 * :class:`DelayStack` is either stack as an operator: every block is a
   rotated (anti-circulant) or sliced (Hankel) copy of X, so its products
-  and time-side Gram matrix reduce to N x T work and the (N*tau)-row
+  and both of its Gram matrices reduce to N x T work and the (N*tau)-row
   matrix is never formed. The dense functions are its oracles.
 """
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from .datamodel import SpeedMatrix
 from .errors import DataError, KindError, RangeError, ShapeError
@@ -103,9 +104,12 @@ class DelayStack:
     target ``anti_circulant(X, tau)``. Without ``wrap``, ``width = T -
     tau``: offsets 0 and 1 are the Hankel stack ``hankel(X, tau)``
     without its last and without its first column, and tau = 1 is plain
-    DMD's pair. ``stack @ y`` returns what the dense stack would;
-    ``gram()`` returns its time-side Gram matrix.
+    DMD's pair. ``stack @ y`` and ``z @ stack`` return what the dense
+    stack would; ``gram()`` and ``stack_gram()`` return its time-side
+    and stack-side Gram matrices.
     """
+
+    __array_ufunc__ = None  # so that ndarray @ stack calls __rmatmul__
 
     def __init__(self, x: np.ndarray, tau: int, offset: int, wrap: bool):
         x = np.asarray(x, dtype=float)
@@ -144,16 +148,18 @@ class DelayStack:
             for start in self.starts
         ])
 
+    def __rmatmul__(self, z):
+        z = np.asarray(z)
+        n = self.x.shape[0]
+        out = np.zeros(z.shape[:-1] + (self.width,), dtype=np.result_type(z, self.x))
+        for i, start in enumerate(self.starts):
+            for cols, rows in self._pieces(start):
+                out[..., rows] += z[..., i * n : (i + 1) * n] @ self.x[:, cols]
+        return out
+
     def first_column(self) -> np.ndarray:
         """Column 0: block i holds x_{i+offset}, 0-based and wrapped."""
         return self.x[:, self.starts].ravel(order="F")
-
-    def dense(self) -> np.ndarray:
-        """The (N*tau) x width stack as an array."""
-        return np.concatenate([
-            self.x.take(range(start, start + self.width), axis=1, mode="wrap")
-            for start in self.starts
-        ])
 
     def gram(self) -> np.ndarray:
         """width x width ``S.T @ S``: G[j, l] = sum over shifts s of K[j+s, l+s].
@@ -182,6 +188,54 @@ class DelayStack:
             g[j, j:] = window[: w - j]
             g[j, :j] = window[t - j :]
         return g
+
+    def stack_gram(self) -> np.ndarray:
+        """(N*tau) x (N*tau) ``S @ S.T``, from lagged N x N products of x
+        (see :func:`_block_gram`)."""
+        return _block_gram(self.x, self.starts, self.width)
+
+
+def _block_gram(x: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """``S @ S.T`` for the stack S of the L blocks B_a = x[:, s_a : s_a + width],
+    s_a = starts[a] = starts[0] + a, columns read modulo T.
+
+    Block (a, a + m) is B_a B_{a+m}.T. The first block on each block
+    diagonal m is one N x width x N product, and each later one is its
+    predecessor plus the column pair that enters the window minus the
+    pair that leaves it:
+    H[a+1, a+1+m] = H[a, a+m] + x_{s_a+W} x_{s_a+m+W}.T - x_{s_a} x_{s_a+m}.T.
+    A running sum thus adds at most L - 1 terms. A circular stack has
+    width T, so the two pairs are the same columns and cancel exactly:
+    its block diagonals are constant. The first row of blocks sums over
+    a window starting at s_0, or at column 0 when the window is a whole
+    cycle; scipy's BLAS forms it, so the thread pools of numpy's and
+    scipy's BLAS do not contend before the eigensolve.
+    """
+    n, t = x.shape
+    blocks = len(starts)
+    first = 0 if width == t else int(starts[0])
+    # row j of xt is column j of x: every window is a Fortran-ordered view
+    xt = np.ascontiguousarray(x.T)
+    g = np.empty((blocks, n, blocks, n))
+    for m in range(blocks):
+        # column first + j meets column first + m + j, which may wrap
+        head = min(width, t - first - m)
+        lag = blas.dgemm(1.0, xt[first : first + head].T, xt[first + m : first + m + head].T,
+                         trans_b=1)
+        if head < width:
+            lag += blas.dgemm(1.0, xt[first + head : first + width].T, xt[: width - head].T,
+                              trans_b=1)
+        g[0, :, m, :] = lag
+    enter = x[:, (starts[:-1] + width) % t]
+    leave = x[:, starts[:-1]]
+    for a in range(1, blocks):
+        row = g[a, :, a:, :]
+        row[...] = g[a - 1, :, a - 1 : blocks - 1, :]
+        row += enter[:, a - 1, None, None] * enter[:, a - 1 :].T
+        row -= leave[:, a - 1, None, None] * leave[:, a - 1 :].T
+    for a in range(blocks - 1):
+        g[a + 1 :, :, a, :] = g[a, :, a + 1 :, :].transpose(1, 2, 0)
+    return g.reshape(blocks * n, blocks * n)
 
 
 def hankel(x: SpeedMatrix, tau: int) -> EmbeddedMatrix:

@@ -254,18 +254,15 @@ def snapshot_svd(matrix, rank=RANK_AUTO) -> ReducedSvd:
 
     ``matrix`` is an ndarray or a structured stack such as
     :class:`circdmd.embedding.DelayStack`: anything with ``shape``,
-    ``gram()`` (the column-side Gram), ``dense()`` and the product
-    ``matrix @ y``. A stack with more columns than rows is smaller than
-    its column-side Gram, so it is materialised. ``rank`` is either
-    ``"auto"`` (hard threshold capped at the numerical rank) or a fixed
-    positive integer. A fixed rank that reaches into numerically zero
-    singular values raises RankDeficiencyError, because the snapshot
-    path cannot produce meaningful vectors for them. Every eigenvalue
-    is computed, for the rank rule, but eigenvectors only for the
-    ``rank`` kept.
+    ``gram()`` (the column-side Gram), ``stack_gram()`` (the row-side
+    Gram) and the products ``matrix @ y`` and ``z @ matrix``. ``rank``
+    is either ``"auto"`` (hard threshold capped at the numerical rank)
+    or a fixed positive integer. A fixed rank that reaches into
+    numerically zero singular values raises RankDeficiencyError,
+    because the snapshot path cannot produce meaningful vectors for
+    them. Every eigenvalue is computed, for the rank rule, but
+    eigenvectors only for the ``rank`` kept.
     """
-    if hasattr(matrix, "gram") and matrix.shape[1] > matrix.shape[0]:
-        matrix = matrix.dense()
     a = matrix if hasattr(matrix, "gram") else _finite_matrix(matrix)
     return _snapshot_svd(a, rank, *a.shape)
 
@@ -274,7 +271,10 @@ def _snapshot_svd(a, rank, rows: int, cols: int) -> ReducedSvd:
     """:func:`snapshot_svd` of ``a``, whose rank rule reads a rows x cols
     matrix with the same nonzero singular values as ``a`` and no others."""
     gram_on_cols = a.shape[1] <= a.shape[0]
-    gram = _syrk(a, gram_on_cols) if isinstance(a, np.ndarray) else a.gram()
+    if isinstance(a, np.ndarray):
+        gram = _syrk(a, gram_on_cols)
+    else:
+        gram = a.gram() if gram_on_cols else a.stack_gram()
     sing, vectors = _top_singular(gram, rank, rows, cols)
     if gram_on_cols:
         right = vectors
@@ -364,8 +364,29 @@ def vandermonde(eigenvalues: np.ndarray, horizon: int) -> np.ndarray:
         raise RangeError(f"horizon must be >= 1, got {horizon}")
     eigenvalues = np.asarray(eigenvalues, dtype=complex)
     psi = np.vander(eigenvalues, N=horizon, increasing=True)
-    psi[np.abs(psi) < _TINY] = 0.0
+    for cols in _column_blocks(*psi.shape):  # no full-size |psi| temporary
+        block = psi[:, cols]
+        block[np.abs(block) < _TINY] = 0.0
     return psi
+
+
+# Wide masks and products go in column blocks of about this many cells,
+# so that their temporaries stay near 2 MB.
+_BLOCK_CELLS = 1 << 18
+
+
+def _column_blocks(rows: int, cols: int) -> list:
+    """Slices of consecutive column blocks that tile a rows x cols array.
+
+    Every block is a multiple of 64 columns wide but the last, which
+    takes the remainder and so is at least as wide as the others. With
+    OpenBLAS, a product taken in such blocks, unless they are tiny,
+    runs the same kernels per column as the whole product and gives the
+    same bits.
+    """
+    step = max(64, _BLOCK_CELLS // max(1, rows) // 64 * 64)
+    bounds = [i * step for i in range(max(1, cols // step))] + [cols]
+    return [slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
 
 
 def reconstruct(spectrum: DynamicSpectrum, horizon: int) -> np.ndarray:

@@ -15,10 +15,9 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .datamodel import SpeedMatrix
-from .embedding import DelayStack
+from .embedding import DelayStack, _block_gram
 from .errors import (
     ConfigError,
     NumericalError,
@@ -30,11 +29,11 @@ from .sparsity import build_quadratic, gamma_path
 from .spectral import (
     RANK_AUTO,
     _snapshot_svd,
-    _syrk,
     _top_singular,
     DynamicSpectrum,
     ReducedSvd,
     SpectrumMeta,
+    _column_blocks,
     amplitudes,
     dynamic_modes,
     eigendecompose,
@@ -264,13 +263,14 @@ def fit_total_least_squares(data: SpeedMatrix, config: VariantConfig) -> Dynamic
     if z_rank != RANK_AUTO and z_rank > w:
         raise RangeError(f"tls rank {z_rank} exceeds column count {w}")
     if n * (tau + 1) < w:
-        # the rows sqrt(m_i) B_i, formed only for their Gram: block i is
-        # in S for i < tau and in T for i > 0
+        # the Gram of the rows sqrt(m_i) B_i, from the blocks' lagged
+        # products: block i is in S for i < tau and in T for i > 0
         copies = np.full(tau + 1, 2.0)
         copies[[0, -1]] = 1.0
         scale = np.repeat(np.sqrt(copies), n)
-        windows = sliding_window_view(x, w, axis=1).transpose(1, 0, 2)  # B_i = windows[i]
-        gram = _syrk(np.multiply(windows, scale.reshape(tau + 1, n, 1)).reshape(-1, w), False)
+        gram = _block_gram(x, np.arange(tau + 1), w)
+        gram *= scale
+        gram *= scale[:, None]
         sing, u = _top_singular(gram, z_rank, 2 * n * tau, w)
         # V = rows.T U / sigma, so B V = diag(1/sqrt(m)) U diag(sigma), and
         # V's first row reads the rows' first column, sqrt(m_i) x[:, i]
@@ -349,12 +349,17 @@ def _delay_sum(blocks: np.ndarray, psi: np.ndarray) -> np.ndarray:
     length, n, r = blocks.shape
     w = psi.shape[1]
     result = np.empty((n, length + w - 1))
-    # suffix[m] = sum over i >= m of blocks[i] l^(L-1-i)
-    suffix = np.cumsum((blocks * psi[:, length - 1 :: -1].T[:, None, :])[::-1], axis=0)[::-1]
-    # the real part alone, as two real products: no complex n x w temporary
-    steady = psi[:, : w - length + 1]
-    result[:, length - 1 : w] = suffix[0].real @ steady.real
-    result[:, length - 1 : w] -= suffix[0].imag @ steady.imag
+    # suffix[m] = sum over i >= m of blocks[i] l^(L-1-i), summed in place
+    suffix = (blocks * psi[:, length - 1 :: -1].T[:, None, :])[::-1]
+    np.cumsum(suffix, axis=0, out=suffix)
+    suffix = suffix[::-1]
+    # the real part alone, as two real products per column block: no
+    # complex n x w temporary, and no r x w copy of psi's real or imaginary part
+    m_real, m_imag = suffix[0].real.copy(), suffix[0].imag.copy()
+    steady = result[:, length - 1 : w]
+    for cols in _column_blocks(r, w - length + 1):
+        steady[:, cols] = m_real @ psi[:, cols].real
+        steady[:, cols] -= m_imag @ psi[:, cols].imag
     # column w - 1 + m is reached by blocks m .. L-1 at l^(w-1+m-i)
     result[:, w:] = np.real(np.einsum("mnk,km->nm", suffix[1:], psi[:, w - length + 1 :]))
     # column c < L - 1 is reached by blocks 0 .. c at l^(c-i)

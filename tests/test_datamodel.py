@@ -249,3 +249,70 @@ def test_load_accepts_what_float_accepts(tmp_path):
     m = load_matrix(path)
     assert np.array_equal(m.values, [[7.0, 1000.0, 0.5], [-0.0, 1e-320, 1000.0]])
     assert np.signbit(m.values[1, 0])
+
+
+# -- the bulk parser (np.loadtxt) against the csv.reader path it falls back to
+
+EXACT_FORMATS = ["{:.17g}", "{!r}", " {:.17g} "]  # text that reads back bit-exactly
+CELL_FORMATS = EXACT_FORMATS + ["{:.6e}", "{:.3f}", "{:+.10G}"]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    values=arrays(float, st.tuples(st.integers(2, 4), st.integers(2, 6)), elements=finite),
+    cell=st.sampled_from(CELL_FORMATS),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    header=st.booleans(),
+    blank=st.booleans(),
+)
+def test_load_bulk_path_matches_the_csv_reader_path(
+    tmp_path_factory, values, cell, newline, header, blank
+):
+    from unittest import mock
+
+    from circdmd import datamodel
+
+    lines = [",".join(cell.format(float(v)) for v in row) for row in values]
+    if header:
+        lines.insert(0, ",".join(f"id{j}" for j in range(values.shape[1])))
+    if blank:  # before the first row and between every two
+        lines = [part for line in lines for part in ("", line)]
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    path.write_bytes((newline.join(lines) + newline).encode())
+    want = datamodel._read_cells(path, 2 if header else 1)
+    with mock.patch.object(datamodel, "_read_cells", side_effect=AssertionError("fell back")):
+        if not np.isfinite(want).all():  # a cell rounded up past the largest float
+            with pytest.raises(DataError):
+                load_matrix(path)
+            return
+        got = load_matrix(path, layout="cols" if header else "rows")
+    if header:  # the cols layout: the header's ids, and the file transposed
+        assert got.sensor_ids == tuple(f"id{j}" for j in range(values.shape[1]))
+    got = got.values.T if header else got.values
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    if cell in EXACT_FORMATS:
+        assert np.array_equal(got.view(np.uint64), values.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "text, row, col, value",
+    [("1,2\n3,#\n", 2, 2, "#"), ("a,b\n1,2\n#3,4\n", 3, 1, "#3")],
+)
+def test_load_hash_cell_is_a_parse_error(tmp_path, text, row, col, value):
+    # no comment syntax: a "#" cell is a cell that is not a number
+    path = tmp_path / "hash.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load_matrix(path)
+    assert (err.value.row, err.value.col, err.value.value) == (row, col, value)
+
+
+def test_load_crlf_and_blank_lines_with_a_cols_header(tmp_path):
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(b"\r\na,b\r\n\r\n1,2\r\n\r\n3,4\r\n\r\n")
+    m = load_matrix(path, layout="cols")
+    assert m.sensor_ids == ("a", "b")
+    assert np.array_equal(m.values, [[1, 3], [2, 4]])
+    # a whitespace-only line is blank too, on the csv.reader path
+    path.write_bytes(b"1,2\r\n   \r\n3,4\r\n")
+    assert np.array_equal(load_matrix(path).values, [[1, 2], [3, 4]])

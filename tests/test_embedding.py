@@ -258,6 +258,15 @@ def _relative(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
+def _dense_stack(stack):
+    """The (N*tau) x width stack as an array: block i is the width
+    columns of x from starts[i] on, read modulo T."""
+    return np.concatenate([
+        stack.x.take(range(start, start + stack.width), axis=1, mode="wrap")
+        for start in stack.starts
+    ])
+
+
 def _dense_pair(n, t, tau, seed, wrap):
     """Oracle source (offset 0) and target (offset 1) from the dense embeddings."""
     m = _matrix(n, t, seed=seed)
@@ -281,14 +290,14 @@ def test_circular_stack_matches_dense_stack(n, t, tau, wrap, offset):
     assert _relative(stack @ y, dense @ y) <= 1e-10
     assert _relative(stack @ y[:, 0], dense @ y[:, 0]) <= 1e-10
     assert np.array_equal(stack.first_column(), dense[:, 0])
-    assert np.array_equal(stack.dense(), dense)
+    assert np.array_equal(_dense_stack(stack), dense)
 
 
 @pytest.mark.parametrize("n,t,tau,wrap", CASES)
 @pytest.mark.parametrize("offset", [0, 1])
 def test_circular_stack_gram_on_the_smaller_side(n, t, tau, wrap, offset):
     # gram() is the time-side Gram; where the stack side is smaller,
-    # snapshot_svd materialises the stack instead, so its factors are checked
+    # snapshot_svd takes stack_gram() instead, so its factors are checked
     x, dense = _dense_pair(n, t, tau, seed=2 * n + t, wrap=wrap)
     dense = dense[offset]
     stack = DelayStack(x, tau, offset, wrap)
@@ -298,6 +307,45 @@ def test_circular_stack_gram_on_the_smaller_side(n, t, tau, wrap, offset):
         svd = snapshot_svd(stack, rank=rows)
         assert _relative((svd.left * svd.singular**2) @ svd.left.T, dense @ dense.T) <= 1e-10
         assert _relative((svd.left * svd.singular) @ svd.right.T, dense) <= 1e-10
+
+
+# the stack cases, plus N*tau = W - 1 without and with wrap
+STACK_SIDE_CASES = CASES + [
+    pytest.param(3, 33, 8, False, id="3-33-8-nowrap-one-short"),  # 24 = 25 - 1
+    pytest.param(3, 13, 4, True, id="3-13-4-one-short"),  # 12 = 13 - 1
+]
+
+
+@pytest.mark.parametrize("n,t,tau,wrap", STACK_SIDE_CASES)
+@pytest.mark.parametrize("offset", [0, 1])
+def test_stack_gram_and_left_product_match_dense_stack(n, t, tau, wrap, offset):
+    # S S.T from lagged N x N products, and S.T U as (U.T S).T, on either side
+    x, dense = _dense_pair(n, t, tau, seed=3 * n + t, wrap=wrap)
+    dense = dense[offset]
+    stack = DelayStack(x, tau, offset, wrap)
+    u = np.random.default_rng(tau).normal(size=(dense.shape[0], 3))
+    assert _relative(stack.stack_gram(), dense @ dense.T) <= 1e-12
+    assert _relative((u.T @ stack).T, dense.T @ u) <= 1e-12
+
+
+@pytest.mark.parametrize("wrap", [True, False])
+def test_stack_side_snapshot_svd_peaks_below_one_dense_stack(monkeypatch, wrap):
+    import tracemalloc
+
+    def dense(*args, **kwargs):
+        raise AssertionError("dense stack formed on the stack side")
+
+    monkeypatch.setattr(DelayStack, "dense", dense, raising=False)
+    stack = DelayStack(_matrix(4, 1200, seed=6).values, 12, 0, wrap)
+    stack_bytes = stack.shape[0] * stack.shape[1] * 8
+    snapshot_svd(stack, rank=2)  # first-call set-up out of the count
+    tracemalloc.start()
+    try:
+        snapshot_svd(stack, rank=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes, (peak, stack_bytes)
 
 
 def test_circular_stack_offsets_are_the_regression_pair():

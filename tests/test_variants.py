@@ -212,11 +212,12 @@ def test_tls_beats_plain_dmd_on_noisy_ar1():
 def _dense_tls(data, config):
     """The stacked-pair oracle: the SVD of the dense [S; T], then the plain
     regression of (T V) V.T on (S V) V.T. Returns (spectrum, tls rank)."""
+    from circdmd import hankel
     from circdmd.spectral import RANK_AUTO, snapshot_svd
-    from circdmd.variants import _regress, _snapshot_pair
+    from circdmd.variants import _regress
 
-    source, target, _ = _snapshot_pair(data, config)
-    stacked = np.concatenate([source.dense(), target.dense()])
+    h = hankel(data, config.tau).values
+    stacked = np.concatenate([h[:, :-1], h[:, 1:]])
     source, target = np.split(stacked, 2)
     z_rank = config.tls_rank if config.tls_rank is not None else RANK_AUTO
     if z_rank != RANK_AUTO and z_rank > stacked.shape[1]:
@@ -318,6 +319,33 @@ def test_tls_rank_past_the_distinct_rows_is_exactly_zero():
         r"is below the Gram's squaring floor sqrt\(eps \* 36\) = 8\.94e-08$"
     )):
         fit_total_least_squares(data, config)
+
+
+@pytest.mark.parametrize("n,t,tau", [(3, 120, 8), (2, 40, 1), (3, 24, 5)])  # 18 = W - 1
+def test_tls_row_gram_matches_the_weighted_distinct_rows(n, t, tau, monkeypatch):
+    # the Gram of the rows sqrt(m_i) B_i, m = 1, 2, ..., 2, 1, from lagged
+    # products, against the same rows as strided windows of X
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    from circdmd import variants
+
+    grams = []
+    top = variants._top_singular
+
+    def recording(gram, *args):
+        grams.append(gram.copy())  # the eigensolve overwrites it
+        return top(gram, *args)
+
+    monkeypatch.setattr(variants, "_top_singular", recording)
+    data = noisy_periodic(n, t, seed=t)
+    fit_total_least_squares(data, VariantConfig(method="tls-hankel", tau=tau))
+    w = t - tau
+    copies = np.full(tau + 1, 2.0)
+    copies[[0, -1]] = 1.0
+    windows = sliding_window_view(data.values, w, axis=1).transpose(1, 0, 2)
+    rows = (windows * np.sqrt(copies)[:, None, None]).reshape(-1, w)
+    want = rows @ rows.T
+    assert np.max(np.abs(grams[0] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("n,t,tau", [(4, 600, 24), (10, 1500, 30), (6, 200, 60)])
@@ -486,6 +514,30 @@ def test_circular_predict_matches_dense_collapse(method, tau):
             assert np.max(np.abs(got - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
+@pytest.mark.parametrize("method", ["hankel", "circ"])
+def test_predict_in_column_blocks_matches_dense_collapse(monkeypatch, method):
+    # the smallest blocks (64 columns) split every Vandermonde flush and
+    # steady product here into several, the last one wider
+    from circdmd import collapse_snapshot_reconstruction, inverse_hankel, reconstruct
+    from circdmd import spectral
+
+    data = periodic_data(n=3, t=300, seed=26)
+    fitted = fit(data, VariantConfig(method=method, tau=6))
+    spectra = [fitted, *_hand_built(fitted)]
+    whole = [spectral.vandermonde(spec.eigenvalues, 365) for spec in spectra]
+    monkeypatch.setattr(spectral, "_BLOCK_CELLS", 1)
+    assert len(spectral._column_blocks(4, 300)) == 4
+    for spec, psi in zip(spectra, whole):
+        assert np.array_equal(spectral.vandermonde(spec.eigenvalues, 365), psi)
+        for horizon in (0, 5, 65):
+            if method == "circ":
+                dense = collapse_snapshot_reconstruction(reconstruct(spec, 300 + horizon), 3, 6)
+            else:
+                dense = inverse_hankel(reconstruct(spec, 300 - 6 + 1 + horizon), 3, 6)
+            got = predict(spec, (3, 300), horizon)
+            assert np.max(np.abs(got - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+
 def test_circular_fit_matches_dense_stack_regression():
     # the structured fit against the same regression on the dense stacks
     from circdmd import anti_circulant, apply_right_permutation, snapshot_svd
@@ -501,7 +553,8 @@ def test_circular_fit_matches_dense_stack_regression():
 
 
 def _forbid_dense_stacks(monkeypatch):
-    """Replace every binding of the dense stacking functions with one that raises."""
+    """Replace every binding of the dense stacking functions, and any
+    ``DelayStack.dense``, with one that raises."""
     import sys
 
     from circdmd import embedding, spectral
@@ -509,6 +562,7 @@ def _forbid_dense_stacks(monkeypatch):
     def dense(*args, **kwargs):
         raise AssertionError("dense stack formed on a structured path")
 
+    monkeypatch.setattr(embedding.DelayStack, "dense", dense, raising=False)
     originals = [getattr(embedding, name) for name in (
         "anti_circulant", "apply_right_permutation", "collapse_snapshot_reconstruction",
         "inverse_anti_circulant", "hankel", "inverse_hankel")]
@@ -533,14 +587,35 @@ def test_circular_fit_and_predict_never_form_the_stack(monkeypatch):
 
 @pytest.mark.parametrize("method,tau", [("dmd", None), ("hankel", 5), ("fb-hankel", 5)])
 def test_hankel_fit_and_predict_never_form_the_stack(monkeypatch, method, tau):
-    # N*tau >= T - tau puts the Gram on the time side, where no
-    # (N*tau)-row array is needed: not even the stack's own dense()
-    from circdmd.embedding import DelayStack
-
-    monkeypatch.setattr(DelayStack, "dense", _forbid_dense_stacks(monkeypatch))
+    # N*tau >= T - tau puts the Gram on the time side
+    _forbid_dense_stacks(monkeypatch)
     data = periodic_data(n=12, t=12, periods=(6.0, 4.0), seed=22)
     spec = fit(data, VariantConfig(method=method, tau=tau))
     assert predict(spec, (12, 12), 7).shape == (12, 19)
+
+
+@pytest.mark.parametrize("method", ["dmd", "hankel", "fb-hankel", "tls-hankel", "circ", "circ-sp"])
+def test_stack_side_fit_and_predict_never_form_the_stack(monkeypatch, method):
+    # N*tau < W puts the Gram on the stack side: S S.T from lagged
+    # N x N products of X, for every method
+    from circdmd import embedding, variants
+
+    _forbid_dense_stacks(monkeypatch)
+    calls = []
+    kernel = embedding._block_gram
+
+    def recording(*args):
+        calls.append(args[2])
+        return kernel(*args)
+
+    monkeypatch.setattr(embedding, "_block_gram", recording)
+    monkeypatch.setattr(variants, "_block_gram", recording)
+    data = periodic_data(n=3, t=200, seed=25)
+    tau = None if method == "dmd" else 8
+    gamma = 1.0 if method == "circ-sp" else 0.0
+    spec = fit(data, VariantConfig(method=method, tau=tau, gamma=gamma))
+    assert calls and all(3 * spec.meta.tau < width for width in calls)
+    assert predict(spec, (3, 200), 12).shape == (3, 212)
 
 
 @pytest.mark.parametrize("method,tau", [("dmd", None), ("hankel", 1), ("hankel", 6),
