@@ -21,7 +21,7 @@ LAYOUT_COLS = "cols"
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, copy=True)
+    a = np.array(a, dtype=float, order="C", copy=True)
     a.flags.writeable = False
     return a
 

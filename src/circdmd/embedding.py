@@ -171,23 +171,50 @@ class DelayStack:
         w_j by one row of D entering and one leaving. The window is
         summed afresh every tau rows, so rounding cannot build up over
         more updates than the window has terms.
+
+        G is written over D, so the fit holds one T x T array. Row j of G
+        goes to cells j*W .. (j+1)*W - 1 of the buffer, which lie in D's
+        rows 0..j, and window j and every later one read D's rows from j
+        on, save two kinds that are copied first: the row that leaves
+        the next window, and, for a circular stack, the first rows that
+        a wrapped window reads. A Hankel stack's W x W result is then
+        cut from the front of the buffer in place.
         """
         t = self.x.shape[1]
-        w = self.width
+        w, tau, lead = self.width, self.tau, int(self.starts[0])
         d = self.x.T @ self.x
         for j in range(t):
             d[j] = np.roll(d[j], -j)  # K becomes D in place
-        g = np.empty((w, w))
+        wrapped = d[: lead + tau - 1].copy() if w == t else None
+        left = np.empty(t)  # D's row j - 1, which leaves window j when lead is 0
+
+        def row(i):
+            """D's row i, read modulo T, as it was before G overwrote it."""
+            i %= t
+            if i >= j:
+                return d[i]
+            return left if lead == 0 and i == j - 1 else wrapped[i]
+
+        flat = d.reshape(-1)
         for j in range(w):
-            first = j + self.starts[0]
-            if j % self.tau == 0:
-                window = d.take(range(first, first + self.tau), axis=0, mode="wrap").sum(axis=0)
+            first = j + lead
+            if j % tau == 0:
+                # added row by row in order: the bits of a sum over axis 0
+                window = row(first).copy()
+                for i in range(first + 1, first + tau):
+                    window += row(i)
             else:
-                window += d[(first + self.tau - 1) % t]
-                window -= d[(first - 1) % t]
-            g[j, j:] = window[: w - j]
-            g[j, :j] = window[t - j :]
-        return g
+                window += row(first + tau - 1)
+                window -= row(first - 1)
+            if lead == 0:
+                left[:] = d[j]
+            out = flat[j * w : (j + 1) * w]
+            out[j:] = window[: w - j]
+            out[:j] = window[t - j :]
+        if w < t:
+            del flat, out  # no view of the buffer outlives the resize
+            d.resize((w, w), refcheck=False)
+        return d
 
     def stack_gram(self) -> np.ndarray:
         """(N*tau) x (N*tau) ``S @ S.T``, from lagged N x N products of x

@@ -69,7 +69,7 @@ def build_quadratic(
     target's columns. With Phi_pod = U* modes (the reduced
     eigenvectors) and G = S V.T:
     P = (Phi_pod* Phi_pod) o conj(Psi Psi*), q = conj(diag(Psi G* Phi_pod)),
-    s = trace(G* G), where o is the elementwise product.
+    s = trace(G* G) = ||G||_F^2, where o is the elementwise product.
     """
     modes_projected = np.asarray(modes_projected)
     psi = np.asarray(psi)
@@ -91,7 +91,7 @@ def build_quadratic(
     p = (phi_pod.conj().T @ phi_pod) * np.conj(psi @ psi.conj().T)
     p = 0.5 * (p + p.conj().T)
     q = np.conj(np.diag(psi @ g.conj().T @ phi_pod))
-    s = float(np.real(np.trace(g.conj().T @ g)))
+    s = float(np.vdot(g, g).real)
     return QuadraticForm(p=p, q=q, s=s)
 
 

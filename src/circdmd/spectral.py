@@ -126,17 +126,24 @@ def _check(routine: str, info: int) -> None:
         raise NumericalError(f"LAPACK {routine} failed (info = {info})")
 
 
+# The back-transform applies this many Householder reflectors per call,
+# so that the panel it copies is n x 64, not n x n. dormqr applies its
+# reflectors in blocks of at most 64 in any case, so no blocking is lost.
+_PANEL = 64
+
+
 class _SymmetricEigen:
     """Every eigenvalue of a symmetric matrix, and eigenvectors on request.
 
-    One Householder reduction to tridiagonal form (``dsytrd``) is shared:
-    ``dsterf`` gives all eigenvalues, and the eigenvectors of the top
-    ``r`` come from the MRRR tridiagonal solver (``dstemr``; Dhillon &
-    Parlett 2004) followed by the back-transform (``dormqr``). MRRR can
-    fail on a large cluster of round-off eigenvalues; bisection and
-    inverse iteration (``dstebz`` + ``dstein``) on the same tridiagonal
-    then take its place. The matrix is reduced in place, so the caller
-    must not reuse it.
+    One Householder reduction to tridiagonal form (``dsytrd``) is shared,
+    and ``dsterf`` gives every eigenvalue from it. The eigenvectors of
+    the top ``r`` come from inverse iteration (``dstein``) on the whole
+    tridiagonal at those r eigenvalues, which reorthogonalises the
+    vectors of clustered eigenvalues, followed by the back-transform
+    (``dormqr``), one F-contiguous panel of at most 64 reflectors at a
+    time, last panel first. The matrix is reduced in place, so the
+    caller must not reuse it; beside it the solve holds the n x r
+    vectors and one panel, never a second n x n array.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -150,48 +157,46 @@ class _SymmetricEigen:
             lower, lower=1, lwork=int(work), overwrite_a=1
         )
         _check("dsytrd", info)
+        if n == 1:
+            self._ascending = self._diag.copy()
+        else:
+            self._ascending, info = lapack.dsterf(self._diag, self._off)
+            _check("dsterf", info)
 
     def values(self) -> np.ndarray:
         """All eigenvalues, in decreasing order."""
-        if self.n == 1:
-            return self._diag.copy()
-        values, info = lapack.dsterf(self._diag, self._off)
-        _check("dsterf", info)
-        return values[::-1]
+        return self._ascending[::-1]
 
     def top_vectors(self, r: int) -> np.ndarray:
         """Orthonormal eigenvectors of the r largest eigenvalues, largest first."""
         n = self.n
-        # range 2 selects eigenvalues n-r+1 .. n (1-based, ascending)
-        m, _, z, info = lapack.dstemr(
-            self._diag, np.append(self._off, 0.0), 2, 0.0, 0.0, n - r + 1, n
-        )
-        if info > 0:
-            m, values, block, split, info = lapack.dstebz(
-                self._diag, self._off, 2, 0.0, 0.0, n - r + 1, n, 0.0, "B"
-            )
-            _check("dstebz", info)
-            z, info = lapack.dstein(self._diag, self._off, values[:m], block, split)
-            _check("dstein", info)
-            z = z[:, np.argsort(values[:m], kind="stable")]  # block order to ascending
-            routine = "dstebz"
-        else:
-            _check("dstemr", info)
-            routine = "dstemr"
-        if m != r:
-            raise NumericalError(f"LAPACK {routine} returned {m} of {r} eigenvectors")
-        z = np.asfortranarray(z[:, r - 1 :: -1])
-        if n > 1:
-            # Q = H(1) ... H(n-1) leaves row 1 alone and acts on rows 2..n
-            # through the reflectors below the subdiagonal (as dormtr does).
-            reflectors = np.asfortranarray(self._reflectors[1:, :-1])
-            _, work, info = lapack.dormqr("L", "N", reflectors, self._tau, z[1:], -1)
-            _check("dormqr", info)
-            z[1:], _, info = lapack.dormqr(
-                "L", "N", reflectors, self._tau, z[1:], int(work[0])
-            )
-            _check("dormqr", info)
+        if n == 1:
+            return np.ones((1, 1))
+        # one block: every eigenvalue belongs to the block of rows 1..n
+        block = np.ones(n, dtype=np.int32)
+        split = np.full(n, n, dtype=np.int32)
+        z, info = lapack.dstein(self._diag, self._off, self._ascending[n - r :], block, split)
+        _check("dstein", info)
+        z = np.asfortranarray(z[:, ::-1])
+        # Q = H(1) ... H(n-1) leaves row 1 alone, and reflector i acts on
+        # rows i+1..n through its column below the subdiagonal (as dormtr
+        # does); Q z applies the panels of Q's product right to left.
+        for start in reversed(range(0, n - 1, _PANEL)):
+            self._apply_panel(start, min(start + _PANEL, n - 1), z)
         return z
+
+    def _apply_panel(self, start: int, stop: int, z: np.ndarray) -> None:
+        """z[start+1:] = H(start+1) ... H(stop) z[start+1:], the reflectors
+        numbered from 1, through an F-contiguous copy of their columns
+        that is freed on return, before the next panel is copied."""
+        panel = np.asfortranarray(self._reflectors[start + 1 :, start:stop])
+        tau = self._tau[start:stop]
+        _, work, info = lapack.dormqr("L", "N", panel, tau, z[start + 1 :], -1)
+        _check("dormqr", info)
+        z[start + 1 :], _, info = lapack.dormqr(
+            "L", "N", panel, tau, z[start + 1 :], int(work[0])
+        )
+        _check("dormqr", info)
 
 
 def _finite_matrix(matrix) -> np.ndarray:

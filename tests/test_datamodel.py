@@ -88,6 +88,16 @@ def test_values_immutable():
         m.values[0, 0] = 2.0
 
 
+def test_values_are_c_ordered_whatever_the_input_order(tmp_path):
+    # a fit reads the same bits from either layout of the same file
+    values = np.asfortranarray(np.arange(12.0).reshape(3, 4))
+    assert SpeedMatrix(values=values, delta_t=1.0).values.flags.c_contiguous
+    m = SpeedMatrix(values=values, delta_t=1.0)
+    save_matrix(m, tmp_path / "cols.csv", layout="cols")
+    back = load_matrix(tmp_path / "cols.csv", layout="cols")
+    assert back.values.flags.c_contiguous and np.array_equal(back.values, values)
+
+
 def test_split_two_weeks_and_one():
     # 21 days of daily columns: first 14 train, last 7 test
     data = SpeedMatrix(values=np.arange(42.0).reshape(2, 21), delta_t=24.0)

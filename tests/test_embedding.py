@@ -316,6 +316,42 @@ STACK_SIDE_CASES = CASES + [
 ]
 
 
+def _two_buffer_gram(stack):
+    """``gram()`` as it was with D and G in separate T x T arrays: the
+    same window sums in the same order, so the same bits."""
+    t = stack.x.shape[1]
+    w = stack.width
+    d = stack.x.T @ stack.x
+    for j in range(t):
+        d[j] = np.roll(d[j], -j)
+    g = np.empty((w, w))
+    for j in range(w):
+        first = j + stack.starts[0]
+        if j % stack.tau == 0:
+            window = d.take(range(first, first + stack.tau), axis=0, mode="wrap").sum(axis=0)
+        else:
+            window += d[(first + stack.tau - 1) % t]
+            window -= d[(first - 1) % t]
+        g[j, j:] = window[: w - j]
+        g[j, :j] = window[t - j :]
+    return g
+
+
+@pytest.mark.parametrize("n,t,tau,wrap", CASES + [
+    pytest.param(2, 40, 9, True, id="2-40-9-kept-rows"),
+    pytest.param(3, 64, 17, False, id="3-64-17-nowrap-compacted"),
+    pytest.param(1, 1, 1, True, id="1-1-1"),
+])
+@pytest.mark.parametrize("offset", [0, 1])
+def test_gram_over_its_own_buffer_matches_the_two_buffer_gram(n, t, tau, wrap, offset):
+    # G written over D keeps every addition of the two-buffer form, and a
+    # Hankel stack's W x W result owns its memory, not a T x T buffer
+    stack = DelayStack(_matrix(n, t, seed=t + tau).values, tau, offset, wrap)
+    g = stack.gram()
+    assert np.array_equal(g, _two_buffer_gram(stack))
+    assert g.flags.owndata and g.flags.c_contiguous and g.base is None
+
+
 @pytest.mark.parametrize("n,t,tau,wrap", STACK_SIDE_CASES)
 @pytest.mark.parametrize("offset", [0, 1])
 def test_stack_gram_and_left_product_match_dense_stack(n, t, tau, wrap, offset):

@@ -199,14 +199,10 @@ def _failing(real):
     return call
 
 
-@pytest.mark.parametrize("routine", ["dsytrd", "dsterf", "dstemr", "dormqr", "dstebz", "dstein"])
-def test_snapshot_svd_names_a_failing_lapack_routine(monkeypatch, routine):
-    # dstemr fails in every case, so bisection and inverse iteration
-    # (dstebz + dstein) take its place: a failure is named only past them
-    for name in {routine, "dstemr"}:
-        monkeypatch.setattr(spectral.lapack, name, _failing(getattr(spectral.lapack, name)))
-    # two blocks of columns on disjoint rows: the tridiagonal splits in
-    # two, and the top two eigenvalues, 9 and 4, lie in different blocks
+def _split_tridiagonal_matrix():
+    """Two blocks of columns on disjoint rows: the Gram's tridiagonal
+    splits in two, and its top two eigenvalues, 9 and 4, lie in
+    different blocks."""
     rng = np.random.default_rng(12)
     a = np.zeros((9, 6))
     for rows, cols, sigma in ((slice(0, 5), slice(0, 3), [3.0, 1.0, 0.5]),
@@ -214,10 +210,19 @@ def test_snapshot_svd_names_a_failing_lapack_routine(monkeypatch, routine):
         u, _ = np.linalg.qr(rng.normal(size=(rows.stop - rows.start, 3)))
         v, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         a[rows, cols] = (u * sigma) @ v.T
-    if routine != "dstemr":
-        with pytest.raises(NumericalError, match=f"LAPACK {routine} failed"):
-            snapshot_svd(a, rank=2)
-        return
+    return a
+
+
+@pytest.mark.parametrize("routine", ["dsytrd", "dsterf", "dstein", "dormqr"])
+def test_snapshot_svd_names_a_failing_lapack_routine(monkeypatch, routine):
+    monkeypatch.setattr(spectral.lapack, routine, _failing(getattr(spectral.lapack, routine)))
+    with pytest.raises(NumericalError, match=f"LAPACK {routine} failed"):
+        snapshot_svd(_split_tridiagonal_matrix(), rank=2)
+
+
+def test_snapshot_svd_top_vectors_across_a_split_tridiagonal():
+    # inverse iteration takes the split tridiagonal as one block
+    a = _split_tridiagonal_matrix()
     svd = snapshot_svd(a, rank=2)
     _, vectors = np.linalg.eigh(a.T @ a)
     # eigh's top two vectors, largest first, up to sign
@@ -225,6 +230,29 @@ def test_snapshot_svd_names_a_failing_lapack_routine(monkeypatch, routine):
     assert np.max(np.abs(overlap - 1.0)) <= 1e-12
     assert np.max(np.abs(svd.left.T @ svd.left - np.eye(2))) <= 1e-12
     assert np.max(np.abs(svd.singular - np.linalg.svd(a, compute_uv=False)[:2])) <= 1e-12
+
+
+def test_top_vectors_allocate_no_second_square_array():
+    # the vectors come out n x r and the reflectors are read one n x 64
+    # panel at a time, so the solve adds far less than the n x n matrix
+    import tracemalloc
+
+    n, r = 600, 8
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(2 * n, n)) * np.linspace(1.0, 0.01, n)
+    gram = x.T @ x
+    spectral._SymmetricEigen(gram.copy()).top_vectors(r)  # first-call set-up out of the count
+    matrix = gram.copy()
+    tracemalloc.start()
+    try:
+        vectors = spectral._SymmetricEigen(matrix).top_vectors(r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * gram.nbytes, (peak, gram.nbytes)
+    assert vectors.shape == (n, r)
+    residual = gram @ vectors - vectors * np.linalg.eigvalsh(gram)[: -r - 1 : -1]
+    assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(gram))
 
 
 # ----------------------------------------------------------------------

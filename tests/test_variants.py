@@ -365,6 +365,28 @@ def test_tls_peak_allocation_stays_below_the_stacked_pair(n, t, tau):
     assert peak < pair_bytes, (peak, pair_bytes)
 
 
+def test_time_side_circ_sp_fit_peaks_near_one_gram():
+    # N * tau = 800 > T = 600: the fit's Gram is T x T. It is built over
+    # X.T X, eigensolved in place, and the sparsity constant is read off
+    # the r x T factor, so no second T x T array is ever held
+    import tracemalloc
+
+    n, t, tau = 8, 600, 100
+    data = noisy_periodic(n, t, seed=n)
+    config = VariantConfig(method="circ-sp", tau=tau, gamma=10.0)
+    fit(data, config)  # first-call set-up out of the count
+    tracemalloc.start()
+    try:
+        spectrum = fit(data, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    r = spectrum.meta.rank
+    gram_bytes = t * t * 8
+    outputs = t * r * 8 + spectrum.modes.nbytes  # right factor and modes
+    assert peak < 1.25 * gram_bytes + outputs, (peak, gram_bytes, outputs)
+
+
 # ----------------------------------------------------------------------
 # prediction
 # ----------------------------------------------------------------------
