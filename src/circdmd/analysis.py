@@ -8,6 +8,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from ._linalg import dot
 from .errors import DegenerateSeriesError, RangeError, ShapeError
 
 STABILITY_TOL = 1e-3
@@ -168,6 +169,8 @@ def residual_acf(residuals: np.ndarray, max_lag: int):
     if not 0 <= max_lag < t:
         raise RangeError(f"max_lag must satisfy 0 <= lag < {t}, got {max_lag}")
     centered = residuals - residuals.mean()
+    # vector-only products (level-1 BLAS, no thread pool at a series' length),
+    # kept as numpy's: a scipy call per lag would cost more than its dot
     denom = float(centered @ centered)
     if denom == 0.0:
         raise DegenerateSeriesError("constant series has no autocorrelation")
@@ -203,7 +206,7 @@ def residual_lag_correlation(residuals: np.ndarray, lag: int):
         )
     past_norm[past_norm == 0.0] = 1.0
     present_norm[present_norm == 0.0] = 1.0
-    matrix = (past / past_norm[:, None]) @ (present / present_norm[:, None]).T
+    matrix = dot(past / past_norm[:, None], (present / present_norm[:, None]).T)
     matrix[degenerate, :] = 0.0
     matrix[:, degenerate] = 0.0
     return matrix, float(np.mean(np.abs(matrix)))

@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import shutil
 import sys
 import warnings
 from pathlib import Path
@@ -326,6 +327,11 @@ def cmd_fit(args) -> int:
                         split_index=args.split_index)
             _report_admm(spectrum)
             rows.append((gamma, solution.nonzero_count, solution.loss))
+        # an earlier grid's bundles that this grid leaves out would outlive it
+        kept = {f"gamma_{gamma:g}" for gamma in gammas}
+        for stale in outdir.glob("gamma_*"):
+            if stale.is_dir() and stale.name not in kept:
+                shutil.rmtree(stale)
         outdir.mkdir(parents=True, exist_ok=True)
         _write_csv(outdir / "sparsity_path.csv", np.array(rows, dtype=object), "%s",
                    header=["gamma", "nonzero_count", "loss"])

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas
 
+from ._linalg import dot
 from .datamodel import SpeedMatrix
 from .errors import DataError, KindError, RangeError, ShapeError
 
@@ -141,20 +142,28 @@ class DelayStack:
         if head < self.width:
             yield slice(0, self.width - head), slice(head, self.width)
 
+    def _xt(self) -> np.ndarray:
+        """x.T, C-ordered and made for one product: column j of a block is
+        row j of it, so every block is a Fortran-ordered view that BLAS
+        reads without a copy."""
+        return np.ascontiguousarray(self.x.T)
+
     def __matmul__(self, y):
         y = np.asarray(y)
-        return np.concatenate([
-            sum(self.x[:, cols] @ y[rows] for cols, rows in self._pieces(start))
-            for start in self.starts
-        ])
+        n, xt = self.x.shape[0], self._xt()
+        out = np.zeros((n * self.tau,) + y.shape[1:], dtype=np.result_type(y, self.x))
+        for i, start in enumerate(self.starts):
+            for cols, rows in self._pieces(start):
+                out[i * n : (i + 1) * n] += dot(xt[cols].T, y[rows])
+        return out
 
     def __rmatmul__(self, z):
         z = np.asarray(z)
-        n = self.x.shape[0]
+        n, xt = self.x.shape[0], self._xt()
         out = np.zeros(z.shape[:-1] + (self.width,), dtype=np.result_type(z, self.x))
         for i, start in enumerate(self.starts):
             for cols, rows in self._pieces(start):
-                out[..., rows] += z[..., i * n : (i + 1) * n] @ self.x[:, cols]
+                out[..., rows] += dot(z[..., i * n : (i + 1) * n], xt[cols].T)
         return out
 
     def first_column(self) -> np.ndarray:
@@ -162,64 +171,86 @@ class DelayStack:
         return self.x[:, self.starts].ravel(order="F")
 
     def gram(self) -> np.ndarray:
-        """width x width ``S.T @ S``: G[j, l] = sum over shifts s of K[j+s, l+s].
-
-        The sum runs along the diagonals of K = X.T X, wrapped modulo T
-        for a circular stack; a Hankel stack's indices never pass T - 1.
-        With D[j, d] = K[j, j+d], row j of G is the window sum
-        w_j = sum_s D[j+s] rotated right by j, and w_{j+1} differs from
-        w_j by one row of D entering and one leaving. The window is
-        summed afresh every tau rows, so rounding cannot build up over
-        more updates than the window has terms.
-
-        G is written over D, so the fit holds one T x T array. Row j of G
-        goes to cells j*W .. (j+1)*W - 1 of the buffer, which lie in D's
-        rows 0..j, and window j and every later one read D's rows from j
-        on, save two kinds that are copied first: the row that leaves
-        the next window, and, for a circular stack, the first rows that
-        a wrapped window reads. A Hankel stack's W x W result is then
-        cut from the front of the buffer in place.
-        """
-        t = self.x.shape[1]
-        w, tau, lead = self.width, self.tau, int(self.starts[0])
-        d = self.x.T @ self.x
-        for j in range(t):
-            d[j] = np.roll(d[j], -j)  # K becomes D in place
-        wrapped = d[: lead + tau - 1].copy() if w == t else None
-        left = np.empty(t)  # D's row j - 1, which leaves window j when lead is 0
-
-        def row(i):
-            """D's row i, read modulo T, as it was before G overwrote it."""
-            i %= t
-            if i >= j:
-                return d[i]
-            return left if lead == 0 and i == j - 1 else wrapped[i]
-
-        flat = d.reshape(-1)
-        for j in range(w):
-            first = j + lead
-            if j % tau == 0:
-                # added row by row in order: the bits of a sum over axis 0
-                window = row(first).copy()
-                for i in range(first + 1, first + tau):
-                    window += row(i)
-            else:
-                window += row(first + tau - 1)
-                window -= row(first - 1)
-            if lead == 0:
-                left[:] = d[j]
-            out = flat[j * w : (j + 1) * w]
-            out[j:] = window[: w - j]
-            out[:j] = window[t - j :]
-        if w < t:
-            del flat, out  # no view of the buffer outlives the resize
-            d.resize((w, w), refcheck=False)
-        return d
+        """width x width ``S.T @ S``: G[j, l] = sum over shifts s of K[j+s, l+s]
+        (see :func:`_window_gram`)."""
+        return _window_gram(self.x, self.tau, self.width, (int(self.starts[0]),))
 
     def stack_gram(self) -> np.ndarray:
         """(N*tau) x (N*tau) ``S @ S.T``, from lagged N x N products of x
         (see :func:`_block_gram`)."""
         return _block_gram(self.x, self.starts, self.width)
+
+
+def _window_gram(x: np.ndarray, tau: int, width: int, leads) -> np.ndarray:
+    """The sum, over the stacks of x with tau blocks of ``width`` columns
+    whose first blocks start at the columns ``leads``, of their time-side
+    Gram matrices ``S.T @ S``: G[j, l] = sum over leads and shifts s of
+    K[j+s, l+s] with s = lead .. lead + tau - 1.
+
+    The sum runs along the diagonals of K = X.T X, wrapped modulo T
+    for a circular stack (width T); a Hankel stack's indices never pass
+    T - 1. With D[j, d] = K[j, j+d], a stack's row j of G is the window
+    sum w_j = sum_s D[j+s] rotated right by j, and w_{j+1} differs from
+    w_j by one row of D entering and one leaving. The window is summed
+    afresh every tau rows, so rounding cannot build up over more updates
+    than the window has terms. Each stack keeps its own window, and the
+    windows of row j are added to G in the order of ``leads``: the same
+    bits as summing the stacks' separate Gram matrices.
+
+    scipy's ``dsyrk`` writes K's upper triangle (the same bits as numpy's
+    ``x.T @ x``) into the one T x T buffer, and each row of D is read off
+    that triangle, last row first. G is then written over D, so the fit
+    holds one T x T array. Row j of G goes to cells j*W .. (j+1)*W - 1
+    of the buffer, which lie in D's rows 0..j, and window j and every
+    later one read D's rows from j on, save two kinds that are copied
+    first: the row that leaves the next window of a stack that leads at
+    column 0, and, for a circular stack, the first rows that a wrapped
+    window reads. A Hankel stack's W x W result is then cut from the
+    front of the buffer in place.
+    """
+    t = x.shape[1]
+    w = width
+    d = np.empty((t, t))
+    # dsyrk fills the lower triangle of d.T, K[j, l] for l >= j in d
+    blas.dsyrk(1.0, x.T, lower=1, c=d.T, overwrite_c=1)
+    for j in reversed(range(t)):
+        # D[j] = K[j, j:] then K[j, :j] = K[:j, j], which rows 0..j-1 still hold
+        d[j] = np.concatenate((d[j, j:], d[:j, j]))
+    wrapped = d[: max(leads) + tau - 1].copy() if w == t else None
+    left = np.empty(t)  # D's row j - 1, which leaves window j of a stack leading at 0
+
+    def row(i):
+        """D's row i, read modulo T, as it was before G overwrote it."""
+        i %= t
+        if i >= j:
+            return d[i]
+        return left if 0 in leads and i == j - 1 else wrapped[i]
+
+    windows = [None] * len(leads)
+    flat = d.reshape(-1)
+    for j in range(w):
+        for k, lead in enumerate(leads):
+            first = j + lead
+            if j % tau == 0:
+                # added row by row in order: the bits of a sum over axis 0
+                windows[k] = row(first).copy()
+                for i in range(first + 1, first + tau):
+                    windows[k] += row(i)
+            else:
+                windows[k] += row(first + tau - 1)
+                windows[k] -= row(first - 1)
+        if 0 in leads:
+            left[:] = d[j]
+        out = flat[j * w : (j + 1) * w]
+        out[j:] = windows[0][: w - j]
+        out[:j] = windows[0][t - j :]
+        for window in windows[1:]:
+            out[j:] += window[: w - j]
+            out[:j] += window[t - j :]
+    if w < t:
+        del flat, out  # no view of the buffer outlives the resize
+        d.resize((w, w), refcheck=False)
+    return d
 
 
 def _block_gram(x: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:

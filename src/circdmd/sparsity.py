@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from ._linalg import dot, solve
 from .errors import NumericalError, RangeError, ShapeError
 from .spectral import ReducedSvd
 
@@ -31,14 +32,15 @@ class QuadraticForm:
 
     def loss(self, b: np.ndarray) -> float:
         b = np.asarray(b, dtype=complex)
-        value = b.conj() @ self.p @ b - self.q.conj() @ b - b.conj() @ self.q + self.s
+        b_conj = b.conj()
+        value = dot(b_conj, dot(self.p, b)) - dot(self.q.conj(), b) - dot(b_conj, self.q) + self.s
         return float(np.real(value))
 
     def gradient(self, b: np.ndarray) -> np.ndarray:
-        return 2.0 * (self.p @ b - self.q)
+        return 2.0 * (dot(self.p, b) - self.q)
 
     def unregularized_minimizer(self) -> np.ndarray:
-        return np.linalg.solve(self.p, self.q)
+        return solve(self.p, self.q)
 
 
 @dataclass(frozen=True)
@@ -87,11 +89,12 @@ def build_quadratic(
         raise ShapeError(
             f"target spans {g.shape[1]} columns, evolution {psi.shape[1]}"
         )
-    phi_pod = target_svd.left.conj().T @ modes_projected
-    p = (phi_pod.conj().T @ phi_pod) * np.conj(psi @ psi.conj().T)
+    phi_pod = dot(target_svd.left.conj().T, modes_projected)
+    p = dot(phi_pod.conj().T, phi_pod) * np.conj(dot(psi, psi.conj().T))
     p = 0.5 * (p + p.conj().T)
-    q = np.conj(np.diag(psi @ g.conj().T @ phi_pod))
-    s = float(np.vdot(g, g).real)
+    q = np.conj(np.diag(dot(dot(psi, g.conj().T), phi_pod)))
+    entries = g.ravel(order="K")  # g's cells in memory order, with no copy
+    s = float(np.real(dot(entries.conj(), entries)))
     return QuadraticForm(p=p, q=q, s=s)
 
 
@@ -199,7 +202,7 @@ def polish(form: QuadraticForm, support: np.ndarray) -> np.ndarray:
     kkt = np.block([[form.p, e], [e.conj().T, np.zeros((k, k), dtype=complex)]])
     rhs = np.concatenate([form.q, np.zeros(k, dtype=complex)])
     try:
-        solution = np.linalg.solve(kkt, rhs)
+        solution = solve(kkt, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular KKT system: {exc}") from exc
     b = solution[:r]

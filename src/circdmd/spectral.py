@@ -16,8 +16,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg import blas, lapack
 
+from ._linalg import dot
 from .errors import (
     ConfigError,
     DataError,
@@ -281,12 +283,13 @@ def _snapshot_svd(a, rank, rows: int, cols: int) -> ReducedSvd:
     else:
         gram = a.gram() if gram_on_cols else a.stack_gram()
     sing, vectors = _top_singular(gram, rank, rows, cols)
+    del gram  # reduced in place, and no longer needed beside the products
     if gram_on_cols:
         right = vectors
-        left = (a @ right) / sing
+        left = dot(a, right) / sing
     else:
         left = vectors
-        right = (left.T @ a).T / sing
+        right = dot(left.T, a).T / sing
     return ReducedSvd(left=left, singular=sing, right=right, rank=len(sing))
 
 
@@ -302,7 +305,7 @@ def projected_dynamics(target, svd_of_source: ReducedSvd) -> np.ndarray:
             f"target shape {target.shape} does not match factors "
             f"{u.shape[0]} x {v.shape[0]}"
         )
-    return u.conj().T @ (target @ (v / s))
+    return dot(u.conj().T, dot(target, v / s))
 
 
 def eigendecompose(a_tilde: np.ndarray):
@@ -315,8 +318,8 @@ def eigendecompose(a_tilde: np.ndarray):
     if a_tilde.ndim != 2 or a_tilde.shape[0] != a_tilde.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a_tilde.shape}")
     try:
-        eigvals, eigvecs = np.linalg.eig(a_tilde)
-    except np.linalg.LinAlgError as exc:
+        eigvals, eigvecs = scipy.linalg.eig(a_tilde)
+    except (np.linalg.LinAlgError, ValueError) as exc:  # ValueError: not finite
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     order = np.lexsort((np.angle(eigvals), -np.abs(eigvals)))
     return eigvals[order], eigvecs[:, order]
@@ -332,14 +335,14 @@ def dynamic_modes(target, svd: ReducedSvd, w: np.ndarray, flavor: str = "exact")
     is formed.
     """
     if flavor == "projected":
-        return svd.left @ w
+        return dot(svd.left, w)
     if flavor != "exact":
         raise RangeError(f"flavor must be 'exact' or 'projected', got {flavor!r}")
     if target.shape[1] != svd.right.shape[0]:
         raise ShapeError(
             f"target has {target.shape[1]} columns, right factor {svd.right.shape[0]} rows"
         )
-    return target @ (svd.right / svd.singular) @ w
+    return dot(dot(target, svd.right / svd.singular), w)
 
 
 def amplitudes(modes: np.ndarray, initial: np.ndarray) -> np.ndarray:
@@ -352,7 +355,8 @@ def amplitudes(modes: np.ndarray, initial: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"modes have {modes.shape[0]} rows, initial vector {initial.shape[0]}"
         )
-    b, *_ = np.linalg.lstsq(modes, initial.astype(complex), rcond=1e-12)
+    b, *_ = scipy.linalg.lstsq(modes, initial.astype(complex), cond=1e-12,
+                               lapack_driver="gelsd")
     return b
 
 
@@ -402,7 +406,7 @@ def reconstruct(spectrum: DynamicSpectrum, horizon: int) -> np.ndarray:
     evolution into the future.
     """
     psi = vandermonde(spectrum.eigenvalues, horizon)
-    return np.real((spectrum.modes * spectrum.amplitudes) @ psi)
+    return np.real(dot(spectrum.modes * spectrum.amplitudes, psi))
 
 
 def extrapolate_continuous(
@@ -425,4 +429,4 @@ def extrapolate_continuous(
         raise SingularEigenvalueError("zero eigenvalue has no logarithm")
     rates = np.log(eigs) / delta_t
     weights = np.exp(rates * (t - 1) * delta_t)
-    return np.real((spectrum.modes * spectrum.amplitudes) @ weights)
+    return np.real(dot(spectrum.modes * spectrum.amplitudes, weights))

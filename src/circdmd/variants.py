@@ -15,9 +15,11 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
+import scipy.linalg
 
 from .datamodel import SpeedMatrix
-from .embedding import DelayStack, _block_gram
+from ._linalg import dot, inv
+from .embedding import DelayStack, _block_gram, _window_gram
 from .errors import (
     ConfigError,
     NumericalError,
@@ -200,19 +202,22 @@ def forward_backward_combine(a_forward: np.ndarray, a_backward: np.ndarray) -> n
         raise ShapeError(
             f"propagator shapes differ: {a_forward.shape} vs {a_backward.shape}"
         )
-    if np.linalg.cond(a_backward) > 1.0 / np.finfo(float).eps:
+    singular = scipy.linalg.svdvals(a_backward)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        condition = singular[0] / singular[-1]
+    if condition > 1.0 / np.finfo(float).eps:
         raise SingularBackwardError("backward propagator is numerically singular")
-    product = a_forward @ np.linalg.inv(a_backward)
-    eigvals, eigvecs = np.linalg.eig(product)
+    product = dot(a_forward, inv(a_backward))
+    eigvals, eigvecs = scipy.linalg.eig(product)
     try:
-        eigvecs_inv = np.linalg.inv(eigvecs)
+        eigvecs_inv = inv(eigvecs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"defective propagator product: {exc}") from exc
     roots = np.sqrt(eigvals.astype(complex))
-    reference = np.diag(eigvecs_inv @ a_forward @ eigvecs)
+    reference = np.diag(dot(dot(eigvecs_inv, a_forward), eigvecs))
     flip = np.abs(-roots - reference) < np.abs(roots - reference)
     roots = np.where(flip, -roots, roots)
-    return eigvecs @ np.diag(roots) @ eigvecs_inv
+    return dot(eigvecs * roots, eigvecs_inv)
 
 
 def fit_forward_backward(data: SpeedMatrix, config: VariantConfig) -> DynamicSpectrum:
@@ -272,19 +277,21 @@ def fit_total_least_squares(data: SpeedMatrix, config: VariantConfig) -> Dynamic
         gram *= scale
         gram *= scale[:, None]
         sing, u = _top_singular(gram, z_rank, 2 * n * tau, w)
+        del gram
         # V = rows.T U / sigma, so B V = diag(1/sqrt(m)) U diag(sigma), and
         # V's first row reads the rows' first column, sqrt(m_i) x[:, i]
         coords = u * sing / scale[:, None]
         source_v, target_v = coords[: n * tau], coords[n:]
-        first_v = (scale * x[:, : tau + 1].ravel(order="F")) @ u / sing
+        first_v = dot(scale * x[:, : tau + 1].ravel(order="F"), u) / sing
     else:
-        gram = source.gram()
-        gram += target.gram()
+        # one W x W array: the target's window sums go into the source's Gram
+        gram = _window_gram(x, tau, w, (0, 1))
         sing, v = _top_singular(gram, z_rank, 2 * n * tau, w)
-        source_v, target_v, first_v = source @ v, target @ v, v[0]
+        del gram
+        source_v, target_v, first_v = dot(source, v), dot(target, v), v[0]
     svd = _snapshot_svd(source_v, config.rank, n * tau, w)
     return _spectrum(
-        data, config, svd, projected_dynamics(target_v, svd), target_v, source_v @ first_v
+        data, config, svd, projected_dynamics(target_v, svd), target_v, dot(source_v, first_v)
     )
 
 
@@ -353,15 +360,19 @@ def _delay_sum(blocks: np.ndarray, psi: np.ndarray) -> np.ndarray:
     suffix = (blocks * psi[:, length - 1 :: -1].T[:, None, :])[::-1]
     np.cumsum(suffix, axis=0, out=suffix)
     suffix = suffix[::-1]
-    # the real part alone, as two real products per column block: no
-    # complex n x w temporary, and no r x w copy of psi's real or imaginary part
-    m_real, m_imag = suffix[0].real.copy(), suffix[0].imag.copy()
+    # the real part alone, as one real product per column block. Read as
+    # floats, conj(M) holds the pairs (Re M, -Im M) side by side and a
+    # Fortran-ordered block of psi the pairs (Re psi, Im psi) one above the
+    # other, so their product is Re M Re psi - Im M Im psi = Re(M psi),
+    # with no complex n x w temporary
+    m_pairs = np.conj(suffix[0]).view(float)
     steady = result[:, length - 1 : w]
     for cols in _column_blocks(r, w - length + 1):
-        steady[:, cols] = m_real @ psi[:, cols].real
-        steady[:, cols] -= m_imag @ psi[:, cols].imag
+        block = np.asfortranarray(psi[:, cols])
+        steady[:, cols] = dot(m_pairs, block.T.view(float).T)
     # column w - 1 + m is reached by blocks m .. L-1 at l^(w-1+m-i)
-    result[:, w:] = np.real(np.einsum("mnk,km->nm", suffix[1:], psi[:, w - length + 1 :]))
+    for m in range(1, length):
+        result[:, w - 1 + m] = dot(suffix[m], psi[:, w - length + m]).real
     # column c < L - 1 is reached by blocks 0 .. c at l^(c-i)
     running = np.zeros((n, r), dtype=complex)
     for c in range(length - 1):

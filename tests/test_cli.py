@@ -301,6 +301,28 @@ def test_gamma_grid_fit(tmp_path, fixture_csv):
         assert (outdir / f"gamma_{gamma}" / "manifest.json").exists()
 
 
+def test_gamma_grid_refit_removes_the_bundles_it_leaves_out(tmp_path, fixture_csv):
+    # a shorter grid into the same --out leaves no bundle of the earlier
+    # grid (with its tau) beside its own, and the path lists only its own
+    outdir = tmp_path / "grid"
+
+    def fit_grid(tau, grid):
+        return main([
+            "fit", "--input", str(fixture_csv), "--dt", str(1 / 12), "--method", "circ-sp",
+            "--tau", tau, "--gamma-grid", grid, "--out", str(outdir),
+        ])
+
+    assert fit_grid("48", "0,10,100") == 0
+    (outdir / "notes.txt").write_text("kept")
+    assert fit_grid("24", "0,10") == 0
+    assert sorted(p.name for p in outdir.glob("gamma_*")) == ["gamma_0", "gamma_10"]
+    for name in ("gamma_0", "gamma_10"):
+        assert load_manifest(outdir / name)["tau"] == 24
+    with open(outdir / "sparsity_path.csv", newline="") as fh:
+        assert [r[0] for r in list(csv.reader(fh))[1:]] == ["0.0", "10.0"]
+    assert (outdir / "notes.txt").read_text() == "kept"
+
+
 @pytest.mark.parametrize("method, tau", [("dmd", []), ("hankel", ["--tau", "48"])])
 def test_gamma_grid_refuses_non_circular_methods(tmp_path, fixture_csv, capsys, method, tau):
     outdir = tmp_path / "grid"

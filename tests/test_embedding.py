@@ -16,7 +16,7 @@ from circdmd import (
     inverse_hankel,
     snapshot_svd,
 )
-from circdmd.embedding import DelayStack
+from circdmd.embedding import DelayStack, _window_gram
 
 
 def _matrix(n, t, seed=0):
@@ -349,6 +349,23 @@ def test_gram_over_its_own_buffer_matches_the_two_buffer_gram(n, t, tau, wrap, o
     stack = DelayStack(_matrix(n, t, seed=t + tau).values, tau, offset, wrap)
     g = stack.gram()
     assert np.array_equal(g, _two_buffer_gram(stack))
+    assert g.flags.owndata and g.flags.c_contiguous and g.base is None
+
+
+@pytest.mark.parametrize("n,t,tau,wrap", CASES + [
+    pytest.param(2, 40, 9, True, id="2-40-9-kept-rows"),
+    pytest.param(3, 64, 17, False, id="3-64-17-nowrap-compacted"),
+    pytest.param(1, 2, 1, True, id="1-2-1"),
+])
+def test_pair_gram_is_the_sum_of_the_two_grams(n, t, tau, wrap):
+    # the source's and target's window sums in one buffer: the same bits
+    # as adding the target's Gram to the source's, in one W x W array
+    x = _matrix(n, t, seed=t + tau).values
+    source, target = DelayStack(x, tau, 0, wrap), DelayStack(x, tau, 1, wrap)
+    want = source.gram()
+    want += target.gram()
+    g = _window_gram(x, tau, source.width, (0, 1))
+    assert np.array_equal(g, want)
     assert g.flags.owndata and g.flags.c_contiguous and g.base is None
 
 

@@ -387,6 +387,42 @@ def test_time_side_circ_sp_fit_peaks_near_one_gram():
     assert peak < 1.25 * gram_bytes + outputs, (peak, gram_bytes, outputs)
 
 
+def test_time_side_tls_fit_peaks_near_one_gram():
+    # N * (tau + 1) = 1240 >= W = 1170: V comes from the time-side Gram
+    # S.T S + T.T T. The target's window sums are added into the source's
+    # Gram as they are formed, so no second W x W array is held beside it
+    import tracemalloc
+
+    from circdmd import variants
+
+    n, t, tau = 40, 1200, 30
+    w = t - tau
+    data = noisy_periodic(n, t, seed=n)
+    config = VariantConfig(method="tls-hankel", tau=tau)
+    kept = []
+    top = variants._top_singular
+
+    def recording(*args):
+        sing, vectors = top(*args)
+        kept.append(vectors.nbytes)
+        return sing, vectors
+
+    variants._top_singular = recording
+    try:
+        fit(data, config)  # first-call set-up out of the count
+        tracemalloc.start()
+        try:
+            spectrum = fit(data, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    finally:
+        variants._top_singular = top
+    gram_bytes = w * w * 8
+    outputs = kept[-1] + spectrum.modes.nbytes  # W x k right factor and modes
+    assert peak < 1.25 * gram_bytes + outputs, (peak, gram_bytes, outputs)
+
+
 # ----------------------------------------------------------------------
 # prediction
 # ----------------------------------------------------------------------
