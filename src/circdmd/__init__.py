@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .analysis import (
     PeriodReport,
-    ResidualDiagnostics,
     StabilityReport,
     classify_stability,
     mae_rmse,
@@ -19,7 +18,6 @@ from .analysis import (
     predictability_groups,
     reshape_mode,
     residual_acf,
-    residual_diagnostics,
     residual_lag_correlation,
 )
 from .datamodel import Dataset, SpeedMatrix, load_matrix, save_matrix, split

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -36,16 +36,6 @@ class PeriodReport:
     amplitudes_real: np.ndarray
     included: np.ndarray
     excluded: np.ndarray
-
-
-@dataclass
-class ResidualDiagnostics:
-    """Bundle of residual-process diagnostics for one reconstruction."""
-
-    acf: Dict[int, np.ndarray]
-    confidence_bound: float
-    lag_correlations: Dict[int, np.ndarray]
-    mean_abs_correlation: Dict[int, float] = field(default_factory=dict)
 
 
 def mae_rmse(truth: np.ndarray, estimate: np.ndarray):
@@ -211,26 +201,3 @@ def residual_lag_correlation(residuals: np.ndarray, lag: int):
     matrix[:, degenerate] = 0.0
     return matrix, float(np.mean(np.abs(matrix)))
 
-
-def residual_diagnostics(
-    residuals: np.ndarray, max_lag: int, lags=(1, 2, 6, 12)
-) -> ResidualDiagnostics:
-    """Per-sensor ACF plus lagged cross-correlation matrices."""
-    residuals = np.asarray(residuals, dtype=float)
-    acf = {}
-    for i in range(residuals.shape[0]):
-        try:
-            acf[i], bound = residual_acf(residuals[i], max_lag)
-        except DegenerateSeriesError:
-            warnings.warn(f"sensor {i} residual is constant; ACF skipped")
-    bound = 3.0 / np.sqrt(residuals.shape[1])
-    correlations = {}
-    mean_abs = {}
-    for lag in lags:
-        correlations[lag], mean_abs[lag] = residual_lag_correlation(residuals, lag)
-    return ResidualDiagnostics(
-        acf=acf,
-        confidence_bound=bound,
-        lag_correlations=correlations,
-        mean_abs_correlation=mean_abs,
-    )

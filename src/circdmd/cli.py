@@ -1,12 +1,12 @@
 """Batch command-line interface.
 
 Subcommands: synth, fit, reconstruct, forecast, analyze, metrics.
-Options may come from a flat key=value config file (``--config``);
-explicit flags override file values. Every output is UTF-8 CSV/JSON
-except a bundle's mode matrix, ``modes.npy``: a complex128 array in
-NumPy's documented ``.npy`` format, which writes and reads at memory
-speed. The bundle's eigenvalues and amplitudes stay CSV, as paired
-re/im columns.
+Options may also come from a flat key=value config file (``--config``),
+whose lines become the command's own flags ahead of the typed ones.
+Every output is UTF-8 CSV/JSON except a bundle's mode matrix,
+``modes.npy``: a complex128 array in NumPy's documented ``.npy``
+format, which writes and reads at memory speed. The bundle's
+eigenvalues and amplitudes stay CSV, as paired re/im columns.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .synthgen import Component, SyntheticSpec, generate
 from .variants import METHODS, VariantConfig, fit, fit_gamma_path, predict
 
 ANALYSES = ("stability", "periods", "modes", "acf", "residual-corr", "per-sensor-mape")
+BUNDLE_FILES = ("manifest.json", "eigenvalues.csv", "amplitudes.csv", "modes.npy")
 
 
 # ----------------------------------------------------------------------
@@ -49,8 +50,12 @@ ANALYSES = ("stability", "periods", "modes", "acf", "residual-corr", "per-sensor
 
 def read_config_file(path) -> dict:
     """Parse a flat key=value file; '#' starts a comment."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config file ({exc.strerror})") from None
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -61,49 +66,32 @@ def read_config_file(path) -> dict:
     return values
 
 
-def write_config_file(path, values: dict) -> None:
-    lines = [f"{key} = {value}" for key, value in values.items() if value is not None]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _merge_config(args: argparse.Namespace, argv) -> argparse.Namespace:
-    """Fill argparse defaults from the config file; explicit flags win."""
-    if not getattr(args, "config", None):
-        return args
-    file_values = read_config_file(args.config)
-    for key, raw in file_values.items():
-        if not hasattr(args, key):
-            raise ConfigError(f"unknown config key {key!r}")
-        if _was_supplied(key, argv):
-            continue
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            setattr(args, key, raw.lower() in ("1", "true", "yes", "on"))
-        elif isinstance(current, int) and not isinstance(current, bool):
-            setattr(args, key, int(raw))
-        elif isinstance(current, float):
-            setattr(args, key, float(raw))
-        elif current is None:
-            setattr(args, key, _infer_scalar(raw))
-        else:
-            setattr(args, key, raw)
-    return args
-
-
-def _infer_scalar(raw: str):
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            pass
-    if raw.lower() in ("true", "false"):
-        return raw.lower() == "true"
-    return raw
-
-
-def _was_supplied(key: str, argv) -> bool:
-    flag = "--" + key.replace("_", "-")
-    return any(arg == flag or arg.startswith(flag + "=") for arg in argv)
+def _with_config(parser, argv) -> list:
+    """``argv`` with its subcommand's ``--config`` lines as that command's
+    own flags, placed ahead of the typed ones: ``--key=value`` for an
+    option that takes a value, and for one that does not, ``--key`` when
+    the value is 1/true/yes/on and nothing otherwise."""
+    [subs] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    at = next((i + 1 for i, token in enumerate(argv) if token in subs.choices), None)
+    if at is None:
+        return argv
+    command = subs.choices[argv[at - 1]]
+    find = argparse.ArgumentParser(prog=command.prog, add_help=False)
+    find.add_argument("--config")
+    path = find.parse_known_args(argv[at:])[0].config
+    if not path:
+        return argv
+    tokens = []
+    for key, value in read_config_file(path).items():
+        flag = "--" + key.replace("_", "-")
+        action = command._option_string_actions.get(flag)
+        if action is None or action.dest in ("config", "help"):
+            raise ConfigError(f"{path}: unknown config key {key!r}")
+        if action.nargs != 0:
+            tokens.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes", "on"):
+            tokens.append(flag)
+    return argv[:at] + tokens + argv[at:]
 
 
 # ----------------------------------------------------------------------
@@ -129,16 +117,8 @@ def save_bundle(outdir, spectrum: DynamicSpectrum, digest: str, split_index=None
     """Write ``spectrum`` as a bundle in ``outdir``."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    meta = spectrum.meta
     manifest = {
-        "method": meta.method,
-        "tau": meta.tau,
-        "rank": meta.rank,
-        "gamma": meta.gamma,
-        "mode_flavor": meta.mode_flavor,
-        "n_sensors": meta.n_sensors,
-        "n_time": meta.n_time,
-        "delta_t": meta.delta_t,
+        **dataclasses.asdict(spectrum.meta),
         "split_index": split_index,
         "input_digest": digest,
         "software_version": __version__,
@@ -321,24 +301,21 @@ def cmd_fit(args) -> int:
     )
     if args.gamma_grid:
         gammas = [float(g) for g in args.gamma_grid.split(",")]
+        grid = fit_gamma_path(train, config, gammas)
+        _clear_out(outdir, BUNDLE_FILES, {f"gamma_{gamma:g}" for gamma in gammas})
         rows = []
-        for gamma, spectrum, solution in fit_gamma_path(train, config, gammas):
+        for gamma, spectrum, solution in grid:
             save_bundle(outdir / f"gamma_{gamma:g}", spectrum, digest,
                         split_index=args.split_index)
             _report_admm(spectrum)
             rows.append((gamma, solution.nonzero_count, solution.loss))
-        # an earlier grid's bundles that this grid leaves out would outlive it
-        kept = {f"gamma_{gamma:g}" for gamma in gammas}
-        for stale in outdir.glob("gamma_*"):
-            if stale.is_dir() and stale.name not in kept:
-                shutil.rmtree(stale)
-        outdir.mkdir(parents=True, exist_ok=True)
         _write_csv(outdir / "sparsity_path.csv", np.array(rows, dtype=object), "%s",
                    header=["gamma", "nonzero_count", "loss"])
         print(f"wrote {len(rows)} bundles under {outdir}")
         return 0
 
     spectrum = fit(train, config)
+    _clear_out(outdir, ["sparsity_path.csv"])
     save_bundle(outdir, spectrum, digest, split_index=args.split_index)
     _report_admm(spectrum)
     print(
@@ -346,6 +323,17 @@ def cmd_fit(args) -> int:
         f"rank={spectrum.meta.rank} -> {outdir}"
     )
     return 0
+
+
+def _clear_out(outdir, files, kept=()) -> None:
+    """One bundle kind per --out: remove, before a fit's bundles are
+    written, the ``files`` and the gamma_*/ bundles outside ``kept``
+    that it would not replace."""
+    for name in files:
+        (outdir / name).unlink(missing_ok=True)
+    for bundle in outdir.glob("gamma_*"):
+        if bundle.is_dir() and bundle.name not in kept:
+            shutil.rmtree(bundle)
 
 
 def _report_admm(spectrum) -> None:
@@ -428,14 +416,10 @@ def cmd_analyze(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     meta = spectrum.meta
-    requested = [name for name in ANALYSES if getattr(args, name.replace("-", "_"))]
-    if args.run:
-        for name in args.run.split(","):
-            name = name.strip()
-            if name not in ANALYSES:
-                raise UsageError(f"unknown analysis {name!r}; choose from {ANALYSES}")
-            if name not in requested:
-                requested.append(name)
+    requested = list(dict.fromkeys(name.strip() for name in args.run))
+    for name in requested:
+        if name not in ANALYSES:
+            raise UsageError(f"unknown analysis {name!r}; choose from {ANALYSES}")
     if not requested:
         raise UsageError("no analyses requested")
 
@@ -585,7 +569,6 @@ def _add_io_args(sub):
                      help="sampling interval in hours")
     sub.add_argument("--split-index", type=int, default=0,
                      help="train/test split column; 0 disables splitting")
-    sub.add_argument("--config", help="key=value config file; flags override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -608,13 +591,11 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--outlier-magnitude", type=float, default=0.0)
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--layout", choices=["rows", "cols"], default="rows")
-    synth.add_argument("--config", help="key=value config file; flags override")
     synth.set_defaults(func=cmd_synth)
 
     fit_cmd = subs.add_parser("fit", help="fit a decomposition and save the bundle")
     _add_io_args(fit_cmd)
-    fit_cmd.add_argument("--method", default="circ",
-                         choices=["dmd", "hankel", "fb-hankel", "tls-hankel", "circ", "circ-sp"])
+    fit_cmd.add_argument("--method", default="circ", choices=METHODS)
     fit_cmd.add_argument("--tau", type=int, default=None, help="delay embedding length")
     fit_cmd.add_argument("--rank", default="auto", help='"auto" or a fixed integer')
     fit_cmd.add_argument("--gamma", type=float, default=0.0)
@@ -647,17 +628,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(ana)
     ana.add_argument("--bundle", required=True)
     ana.add_argument("--out", default="")
-    ana.add_argument("--run", default="", help=f"comma list from {ANALYSES}")
-    ana.add_argument("--stability", action="store_true")
+    ana.add_argument("--run", action="extend", type=lambda text: text.split(","),
+                     default=[], help=f"comma list from {ANALYSES}")
+    for name in ANALYSES:  # --stability is --run stability, and so on
+        ana.add_argument(f"--{name}", dest="run", action="append_const", const=name)
     ana.add_argument("--stability-tol", type=float, default=1e-3)
-    ana.add_argument("--periods", action="store_true")
-    ana.add_argument("--modes", action="store_true")
     ana.add_argument("--mode-indices", default="", help="comma list of mode indices")
-    ana.add_argument("--acf", action="store_true")
     ana.add_argument("--max-lag", type=int, default=288)
-    ana.add_argument("--residual-corr", action="store_true")
     ana.add_argument("--lags", default="1,2,6,12")
-    ana.add_argument("--per-sensor-mape", action="store_true")
     ana.set_defaults(func=cmd_analyze)
 
     met = subs.add_parser("metrics", help="compare a truth CSV against an estimate CSV")
@@ -667,19 +645,19 @@ def build_parser() -> argparse.ArgumentParser:
     met.add_argument("--dt", type=float, default=1.0 / 12.0)
     met.add_argument("--mape", action="store_true")
     met.add_argument("--out", default="")
-    met.add_argument("--config", help="key=value config file; flags override")
     met.set_defaults(func=cmd_metrics)
+
+    for sub in subs.choices.values():
+        sub.add_argument("--config", help="key=value config file; typed flags win")
 
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _merge_config(args, argv)
+        args = parser.parse_args(_with_config(parser, argv))
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -3,7 +3,7 @@
 The trajectory-wide amplitude objective is compressed to an r x r
 Hermitian quadratic form, minimized under an l1 penalty by ADMM
 (magnitude soft-thresholding preserves phase), and the surviving
-support is re-fit exactly through the equality-constrained KKT system.
+support is re-fit exactly on its own rows and columns of the form.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def admm_sparsify(
     at gamma/rho, and the scaled dual accumulates the gap. Stops on the
     combined absolute/relative residual test; non-convergence returns
     the last iterate with ``converged=False``. The surviving support is
-    then polished through the KKT refit.
+    then polished by an exact re-fit on the support.
     """
     if gamma < 0:
         raise RangeError(f"gamma must be >= 0, got {gamma}")
@@ -162,10 +162,7 @@ def admm_sparsify(
         form, gamma, rho, max_iter, eps_abs, eps_rel, _state
     )
     support = np.ones(beta.shape, dtype=bool) if gamma == 0 else np.abs(beta) > 0
-    if support.any():
-        polished = polish(form, support)
-    else:
-        polished = np.zeros_like(beta)
+    polished = polish(form, support) if support.any() else np.zeros_like(beta)
     return SparsitySolution(
         gamma=float(gamma),
         amplitudes_sparse=beta,
@@ -182,8 +179,9 @@ def admm_sparsify(
 def polish(form: QuadraticForm, support: np.ndarray) -> np.ndarray:
     """Minimize J(b) with off-support amplitudes pinned to zero.
 
-    Solves the KKT system [P, E; E*, 0] [b; nu] = [q; 0] where E's
-    columns are the unit vectors of the off-support indices.
+    Solves the support's own system P[S, S] b_S = q_S, the same
+    minimiser as the KKT system [P, E; E*, 0] [b; nu] = [q; 0] whose E
+    holds the unit vectors of the off-support indices.
     """
     support = np.asarray(support, dtype=bool)
     r = form.q.shape[0]
@@ -191,22 +189,11 @@ def polish(form: QuadraticForm, support: np.ndarray) -> np.ndarray:
         raise ShapeError(f"support length {support.shape} does not match r={r}")
     if not support.any():
         raise RangeError("support must be nonempty")
-    off = np.flatnonzero(~support)
-    k = off.size
-    if k == 0:
-        try:
-            return form.unregularized_minimizer()
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular KKT system: {exc}") from exc
-    e = np.eye(r, dtype=complex)[:, off]
-    kkt = np.block([[form.p, e], [e.conj().T, np.zeros((k, k), dtype=complex)]])
-    rhs = np.concatenate([form.q, np.zeros(k, dtype=complex)])
+    b = np.zeros(r, dtype=complex)
     try:
-        solution = solve(kkt, rhs)
+        b[support] = solve(form.p[np.ix_(support, support)], form.q[support])
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular KKT system: {exc}") from exc
-    b = solution[:r]
-    b[off] = 0.0
+        raise NumericalError(f"singular support system: {exc}") from exc
     return b
 
 

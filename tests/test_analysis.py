@@ -12,7 +12,6 @@ from circdmd import (
     predictability_groups,
     reshape_mode,
     residual_acf,
-    residual_diagnostics,
     residual_lag_correlation,
 )
 
@@ -275,11 +274,3 @@ def test_lag_correlation_orientation():
     # row index: series at t - lag, column: series at t
     assert matrix[1, 0] > 0.99
 
-
-def test_residual_diagnostics_bundle():
-    rng = np.random.default_rng(8)
-    residuals = rng.normal(size=(3, 500))
-    diag = residual_diagnostics(residuals, max_lag=20, lags=(1, 2))
-    assert set(diag.acf) == {0, 1, 2}
-    assert set(diag.lag_correlations) == {1, 2}
-    assert abs(diag.confidence_bound - 3.0 / np.sqrt(500)) <= 1e-12

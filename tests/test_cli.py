@@ -272,19 +272,82 @@ def test_config_file_rejects_unknown_key(tmp_path, fixture_csv):
     assert code == 1
 
 
+def _exit_code(argv):
+    """main's exit code, argparse's usage exit (SystemExit) included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _fit_argv(*typed):
+    return ["fit", "--config", "{conf}", "--input", "{csv}", "--tau", "48", *typed]
+
+
+# (config file, argv, exit code, what stderr holds, what must hold after);
+# {conf}, {csv}, {other}, {bundle} and {out} are paths in tmp_path, where
+# {bundle} is a circ fit of {csv} and {other} a different input
+CONFIG_CASES = {
+    "abbreviated-typed-flag-wins": (
+        "method = circ\n", _fit_argv("--meth", "hankel", "--out", "{out}"), 0, "",
+        lambda paths: load_manifest(paths["out"])["method"] == "hankel",
+    ),
+    "func-key": ("func = x\n", _fit_argv("--out", "{out}"), 1,
+                 "unknown config key 'func'", lambda paths: not paths["out"].exists()),
+    "command-key": ("command = analyze\n", _fit_argv("--out", "{out}"), 1,
+                    "unknown config key 'command'", lambda paths: not paths["out"].exists()),
+    "missing-file": (None, _fit_argv("--out", "{out}"), 1, "cannot read config file",
+                     lambda paths: not paths["out"].exists()),
+    "float-tau": ("tau = 24.0\n", ["fit", "--config", "{conf}", "--input", "{csv}",
+                                     "--out", "{out}"], 2, "invalid int value: '24.0'",
+                  lambda paths: not paths["out"].exists()),
+    "layout-choices": ("layout = diagonal\n", _fit_argv("--out", "{out}"), 2,
+                       "invalid choice: 'diagonal'", lambda paths: not paths["out"].exists()),
+    "bundle-from-file": (
+        "bundle = {bundle}\nhorizon = 12\n",
+        ["forecast", "--config", "{conf}", "--input", "{csv}", "--out", "{out}"], 0, "",
+        lambda paths: (paths["out"] / "forecast.csv").exists(),
+    ),
+    "force-false": ("force = false\nmethod = circ\n",
+                    ["fit", "--config", "{conf}", "--input", "{other}", "--tau", "48",
+                     "--out", "{bundle}"], 1, "digest mismatch",
+                    lambda paths: load_manifest(paths["bundle"])["input_digest"]
+                    == cli.input_digest(paths["csv"])),
+    "force-true": ("force = true\nmethod = circ\n",
+                   ["fit", "--config", "{conf}", "--input", "{other}", "--tau", "48",
+                    "--out", "{bundle}"], 0, "",
+                   lambda paths: load_manifest(paths["bundle"])["input_digest"]
+                   == cli.input_digest(paths["other"])),
+    "run-lists-combine": (
+        "stability = true\n",
+        ["analyze", "--config", "{conf}", "--bundle", "{bundle}", "--run", "periods",
+         "--out", "{out}"], 0, "",
+        lambda paths: all((paths["out"] / name).exists()
+                          for name in ("stability.csv", "periods.csv")),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_CASES)
+def test_config_file_lines_parse_as_the_commands_own_flags(tmp_path, fixture_csv, capsys,
+                                                          case):
+    text, argv, code, message, holds = CONFIG_CASES[case]
+    paths = {"conf": tmp_path / "run.conf", "csv": fixture_csv, "other": tmp_path / "other.csv",
+             "bundle": _fit(tmp_path, fixture_csv), "out": tmp_path / "out"}
+    paths["other"].write_text(fixture_csv.read_text().replace("30", "31", 1))
+    if text is not None:
+        paths["conf"].write_text(text.format(**paths))
+    capsys.readouterr()
+    assert _exit_code([arg.format(**paths) for arg in argv]) == code
+    assert message in capsys.readouterr().err
+    assert holds(paths)
+
+
 def test_read_config_file_parsing(tmp_path):
     config = tmp_path / "c.conf"
     config.write_text("a = 1\nb=two # trailing comment\n\n# full comment\n")
     values = read_config_file(config)
     assert values == {"a": "1", "b": "two"}
-
-
-def test_write_config_file_round_trip(tmp_path):
-    from circdmd.cli import write_config_file
-
-    path = tmp_path / "out.conf"
-    write_config_file(path, {"method": "circ", "tau": 864, "gamma": 500.0, "skip": None})
-    assert read_config_file(path) == {"method": "circ", "tau": "864", "gamma": "500.0"}
 
 
 def test_gamma_grid_fit(tmp_path, fixture_csv):
@@ -321,6 +384,57 @@ def test_gamma_grid_refit_removes_the_bundles_it_leaves_out(tmp_path, fixture_cs
     with open(outdir / "sparsity_path.csv", newline="") as fh:
         assert [r[0] for r in list(csv.reader(fh))[1:]] == ["0.0", "10.0"]
     assert (outdir / "notes.txt").read_text() == "kept"
+
+
+def test_fit_leaves_one_bundle_kind_per_out(tmp_path, fixture_csv):
+    # a single fit over a grid's --out, and a grid over a single bundle, leave
+    # no bundle of the other kind behind; a fit that fails removes nothing
+    outdir = tmp_path / "out"
+    single = ["amplitudes.csv", "eigenvalues.csv", "manifest.json", "modes.npy", "notes.txt"]
+
+    def fit_out(*typed):
+        return main(["fit", "--input", str(fixture_csv), "--dt", str(1 / 12), *typed,
+                     "--out", str(outdir)])
+
+    def names():
+        return sorted(p.name for p in outdir.iterdir())
+
+    assert fit_out("--method", "circ-sp", "--tau", "48", "--gamma-grid", "0,10") == 0
+    (outdir / "notes.txt").write_text("kept")
+    assert fit_out("--method", "hankel", "--tau", "24") == 0
+    assert names() == single
+    assert load_manifest(outdir)["method"] == "hankel"
+    assert fit_out("--method", "hankel", "--tau", "24", "--gamma-grid", "0,10") == 1
+    assert names() == single
+    assert fit_out("--method", "circ-sp", "--tau", "48", "--gamma-grid", "0,10") == 0
+    assert names() == ["gamma_0", "gamma_10", "notes.txt", "sparsity_path.csv"]
+
+
+def test_manifest_is_the_spectrum_meta_then_the_bundle_keys(tmp_path, fixture_csv):
+    # SpectrumMeta's fields in their order, then the bundle's own keys: the
+    # bytes of the manifest that listed each field by hand
+    from circdmd import VariantConfig, __version__, fit as fit_api
+
+    bundle = _fit(tmp_path, fixture_csv, "--method", "circ-sp", "--gamma", "10")
+    data = load_matrix(fixture_csv, layout="rows", delta_t=1 / 12)
+    spectrum = fit_api(data, VariantConfig(method="circ-sp", tau=48, gamma=10.0))
+    meta = spectrum.meta
+    expected = {
+        "method": meta.method,
+        "tau": meta.tau,
+        "rank": meta.rank,
+        "gamma": meta.gamma,
+        "mode_flavor": meta.mode_flavor,
+        "n_sensors": meta.n_sensors,
+        "n_time": meta.n_time,
+        "delta_t": meta.delta_t,
+        "split_index": 0,
+        "input_digest": cli.input_digest(fixture_csv),
+        "software_version": __version__,
+        "nonzero_count": spectrum.sparsity.nonzero_count,
+        "admm_converged": bool(spectrum.sparsity.converged),
+    }
+    assert (bundle / "manifest.json").read_text() == json.dumps(expected, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("method, tau", [("dmd", []), ("hankel", ["--tau", "48"])])
