@@ -290,17 +290,16 @@ def cmd_fit(args) -> int:
                 )
                 return 1
 
-    rank = RANK_AUTO if args.rank in (None, "", "auto") else int(args.rank)
     config = VariantConfig(
         method=args.method,
         tau=args.tau,
-        rank=rank,
+        rank=args.rank,
         gamma=args.gamma,
         admm_rho=args.admm_rho,
         admm_max_iter=args.admm_max_iter,
     )
     if args.gamma_grid:
-        gammas = [float(g) for g in args.gamma_grid.split(",")]
+        gammas = args.gamma_grid
         grid = fit_gamma_path(train, config, gammas)
         _clear_out(outdir, BUNDLE_FILES, {f"gamma_{gamma:g}" for gamma in gammas})
         rows = []
@@ -414,7 +413,6 @@ def cmd_analyze(args) -> int:
     _require(args, "out")
     spectrum = load_bundle(args.bundle)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     meta = spectrum.meta
     requested = list(dict.fromkeys(name.strip() for name in args.run))
     for name in requested:
@@ -422,6 +420,14 @@ def cmd_analyze(args) -> int:
             raise UsageError(f"unknown analysis {name!r}; choose from {ANALYSES}")
     if not requested:
         raise UsageError("no analyses requested")
+    if "modes" in requested and args.mode_indices:
+        outside = [i for i in args.mode_indices if not 0 <= i < meta.rank]
+        if outside:
+            raise UsageError(
+                f"--mode-indices {outside} outside 0..{meta.rank - 1}, "
+                f"the modes of this rank-{meta.rank} bundle"
+            )
+    outdir.mkdir(parents=True, exist_ok=True)
 
     needs_residuals = {"acf", "residual-corr", "per-sensor-mape"}
     residuals = truth = None
@@ -497,11 +503,7 @@ def _run_analysis(name, spectrum, meta, residuals, truth, args, outdir):
         _write_csv(outdir / "periods.csv", table[kept], "%.8g",
                    header=["period_hours", "amp_real", "amp_abs", "dominance"])
     elif name == "modes":
-        indices = (
-            [int(i) for i in args.mode_indices.split(",")]
-            if args.mode_indices
-            else list(order[: min(5, order.size)])
-        )
+        indices = args.mode_indices or list(order[: min(5, order.size)])
         for idx in indices:
             shaped = reshape_mode(
                 spectrum.modes[:, idx],
@@ -524,9 +526,8 @@ def _run_analysis(name, spectrum, meta, residuals, truth, args, outdir):
             + "\n"
         )
     elif name == "residual-corr":
-        lags = [int(v) for v in args.lags.split(",")]
         mean_abs = {}
-        for lag in lags:
+        for lag in args.lags:
             matrix, mean_value = residual_lag_correlation(residuals, lag)
             _write_csv(outdir / f"residual_corr_lag{lag}.csv", matrix)
             mean_abs[str(lag)] = mean_value
@@ -560,6 +561,31 @@ def cmd_metrics(args) -> int:
 # ----------------------------------------------------------------------
 # argument parsing
 # ----------------------------------------------------------------------
+
+def _rank(text: str):
+    """``--rank``: "auto" or an integer >= 1."""
+    if text == RANK_AUTO:
+        return RANK_AUTO
+    try:
+        rank = int(text)
+    except ValueError:
+        rank = 0
+    if rank < 1:
+        raise argparse.ArgumentTypeError(f'expected "auto" or an integer >= 1, got {text!r}')
+    return rank
+
+
+def _comma_list(kind):
+    """The argparse type of a comma list of ``kind`` values."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(value) for value in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma list of {kind.__name__} values, got {text!r}"
+            ) from None
+    return parse
+
 
 def _add_io_args(sub):
     sub.add_argument("--input", default="", help="input CSV path")
@@ -597,9 +623,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(fit_cmd)
     fit_cmd.add_argument("--method", default="circ", choices=METHODS)
     fit_cmd.add_argument("--tau", type=int, default=None, help="delay embedding length")
-    fit_cmd.add_argument("--rank", default="auto", help='"auto" or a fixed integer')
+    fit_cmd.add_argument("--rank", type=_rank, default=RANK_AUTO,
+                         help='"auto" or a fixed integer >= 1')
     fit_cmd.add_argument("--gamma", type=float, default=0.0)
-    fit_cmd.add_argument("--gamma-grid", default="",
+    fit_cmd.add_argument("--gamma-grid", type=_comma_list(float), default=None,
                          help="comma list; fit one bundle per value with warm starts")
     fit_cmd.add_argument("--admm-rho", type=float, default=1.0)
     fit_cmd.add_argument("--admm-max-iter", type=int, default=10000)
@@ -633,9 +660,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ANALYSES:  # --stability is --run stability, and so on
         ana.add_argument(f"--{name}", dest="run", action="append_const", const=name)
     ana.add_argument("--stability-tol", type=float, default=1e-3)
-    ana.add_argument("--mode-indices", default="", help="comma list of mode indices")
+    ana.add_argument("--mode-indices", type=_comma_list(int), default=None,
+                     help="comma list of mode indices")
     ana.add_argument("--max-lag", type=int, default=288)
-    ana.add_argument("--lags", default="1,2,6,12")
+    ana.add_argument("--lags", type=_comma_list(int), default="1,2,6,12")
     ana.set_defaults(func=cmd_analyze)
 
     met = subs.add_parser("metrics", help="compare a truth CSV against an estimate CSV")

@@ -367,21 +367,59 @@ def vandermonde(eigenvalues: np.ndarray, horizon: int) -> np.ndarray:
     magnitude falls below the smallest normal float are set to exactly
     0: they lie far below the rounding of any reconstruction of ordinary
     scale, and subnormal operands make products with this matrix
-    several times slower.
+    several times slower. The matrix is the column blocks of
+    :func:`_power_blocks` written side by side, with the same bits as
+    ``np.vander`` flushed afterwards.
     """
     if horizon < 1:
         raise RangeError(f"horizon must be >= 1, got {horizon}")
     eigenvalues = np.asarray(eigenvalues, dtype=complex)
-    psi = np.vander(eigenvalues, N=horizon, increasing=True)
-    for cols in _column_blocks(*psi.shape):  # no full-size |psi| temporary
-        block = psi[:, cols]
-        block[np.abs(block) < _TINY] = 0.0
+    psi = np.empty((len(eigenvalues), horizon), dtype=complex)
+    bounds = _column_blocks(*psi.shape)
+    for cols, block in zip(bounds, _power_blocks(eigenvalues, bounds, horizon)):
+        psi[:, cols] = block
     return psi
 
 
-# Wide masks and products go in column blocks of about this many cells,
-# so that their temporaries stay near 2 MB.
-_BLOCK_CELLS = 1 << 18
+def _power_blocks(eigenvalues: np.ndarray, bounds, width: int):
+    """Yield the powers l^c of the r x ``width`` Vandermonde matrix over
+    each of ``bounds``, consecutive column slices from column 0, as one
+    Fortran-ordered r x b block per slice, with the same bits as
+    ``np.vander`` flushed afterwards.
+
+    Each power is the one before it times l, the sequence of products
+    ``np.vander`` takes: a block accumulates the products of [l^(s-1),
+    l, l, ...] from the last power of the block before it, taken before
+    powers below the smallest normal float are set to 0. So only one
+    block of powers is held at a time. numpy runs an accumulation of
+    one product through its vector loop, which may fuse the multiply
+    and add and so round apart from the scalar loop that runs longer
+    ones; ``np.vander`` takes width - 2 products in one accumulation,
+    so a block's lone product is padded with one more, discarded,
+    unless width is 3.
+    """
+    eigenvalues = np.asarray(eigenvalues, dtype=complex)
+    carry = None  # l^(s-1) for a block starting at column s >= 2, not flushed
+    for cols in bounds:
+        b = cols.stop - cols.start
+        lead = max(0, 2 - cols.start)  # l^1 is l itself, never 1 * l
+        pad = int(b - lead == 1 and width != 3)
+        powers = np.empty((len(eigenvalues), b + 1 + pad), dtype=complex, order="F")
+        powers[:, 1:] = eigenvalues[:, None]
+        if cols.start == 0:
+            powers[:, 1] = 1.0
+        elif lead == 0:
+            powers[:, 0] = carry
+        np.multiply.accumulate(powers[:, lead:], axis=1, out=powers[:, lead:])
+        block = powers[:, 1 : b + 1]
+        carry = block[:, -1].copy()
+        block[np.abs(block) < _TINY] = 0.0
+        yield block
+
+
+# Wide masks, products and power blocks go in column blocks of about
+# this many complex cells, so that each temporary stays near 1 MB.
+_BLOCK_CELLS = 1 << 16
 
 
 def _column_blocks(rows: int, cols: int) -> list:

@@ -36,6 +36,7 @@ from .spectral import (
     ReducedSvd,
     SpectrumMeta,
     _column_blocks,
+    _power_blocks,
     amplitudes,
     dynamic_modes,
     eigendecompose,
@@ -323,7 +324,6 @@ def predict(
     out = t + horizon_columns
     circular = meta.method in _CIRC_METHODS
     width = out if circular else out - tau + 1
-    psi = vandermonde(spectrum.eigenvalues, width)
     blocks = (spectrum.modes * spectrum.amplitudes).reshape(tau, n, -1)
     # block i reaches columns i .. i + width - 1: in runs of at most
     # width blocks, every run has a column that all of its blocks reach
@@ -331,7 +331,9 @@ def predict(
     run = min(tau, width)
     for first in range(0, tau, run):
         part = blocks[first : first + run]
-        acc[:, first : first + len(part) + width - 1] += _delay_sum(part, psi)
+        acc[:, first : first + len(part) + width - 1] += _delay_sum(
+            part, spectrum.eigenvalues, width
+        )
     if circular:
         acc[:, : tau - 1] += acc[:, out:]
         return acc[:, :out] / tau
@@ -340,42 +342,55 @@ def predict(
     return acc / count
 
 
-def _delay_sum(blocks: np.ndarray, psi: np.ndarray) -> np.ndarray:
+def _delay_sum(blocks: np.ndarray, eigenvalues: np.ndarray, width: int) -> np.ndarray:
     """Column c of the n x (L + w - 1) result is the sum over blocks i of
     Re(blocks[i] psi[:, c - i]), for the L <= w blocks (L x n x r) and
-    the r x w Vandermonde matrix ``psi``.
+    the r x w Vandermonde matrix ``psi`` of ``eigenvalues``, w = ``width``.
 
     Since l^(c-i) = l^(c-L+1) l^(L-1-i), the columns c = L-1 .. w-1,
     which every block reaches, are one product M psi with
     M = sum_i blocks[i] diag(l^(L-1-i)). The last L - 1 columns take
     the suffixes of that sum, and the first L - 1 a running sum over
-    the blocks. Every power is read from ``psi`` (the running sum
-    multiplies by its column l^1), so none is negative or above
-    l^(w-1), and those ``vandermonde`` flushed to 0 stay 0.
+    the blocks. ``psi`` is never held: its columns stream from
+    :func:`circdmd.spectral._power_blocks` in blocks of about
+    ``_BLOCK_CELLS`` cells, the steady product taking one block at a
+    time, and beside them the sum keeps M, the r x L head powers
+    l^0 .. l^(L-1) and the r x (L-1) tail l^(w-L+1) .. l^(w-1): beside
+    ``blocks`` and the result, O(n r + (n + r) block + r L). Every power
+    is the flushed one ``vandermonde`` gives, so none is negative or
+    above l^(w-1), and those flushed to 0 stay 0.
     """
     length, n, r = blocks.shape
-    w = psi.shape[1]
+    w = width
     result = np.empty((n, length + w - 1))
-    # suffix[m] = sum over i >= m of blocks[i] l^(L-1-i), summed in place
-    suffix = (blocks * psi[:, length - 1 :: -1].T[:, None, :])[::-1]
-    np.cumsum(suffix, axis=0, out=suffix)
-    suffix = suffix[::-1]
+    [head] = _power_blocks(eigenvalues, [slice(0, length)], w)
+    # M = sum over i of blocks[i] l^(L-1-i), added from i = L-1 down
+    weighted = blocks[-1] * head[:, 0]
+    for i in range(length - 2, -1, -1):
+        weighted += blocks[i] * head[:, length - 1 - i]
     # the real part alone, as one real product per column block. Read as
     # floats, conj(M) holds the pairs (Re M, -Im M) side by side and a
     # Fortran-ordered block of psi the pairs (Re psi, Im psi) one above the
     # other, so their product is Re M Re psi - Im M Im psi = Re(M psi),
-    # with no complex n x w temporary
-    m_pairs = np.conj(suffix[0]).view(float)
+    # with no complex n x w temporary. The blocks are sized by the taller
+    # of the r x b powers and the n x b product, so neither is large
+    m_pairs = np.conj(weighted).view(float)
     steady = result[:, length - 1 : w]
-    for cols in _column_blocks(r, w - length + 1):
-        block = np.asfortranarray(psi[:, cols])
+    bounds = _column_blocks(max(n, r), w - length + 1)
+    powers = _power_blocks(eigenvalues, bounds + [slice(w - length + 1, w)], w)
+    for cols, block in zip(bounds, powers):
         steady[:, cols] = dot(m_pairs, block.T.view(float).T)
-    # column w - 1 + m is reached by blocks m .. L-1 at l^(w-1+m-i)
-    for m in range(1, length):
-        result[:, w - 1 + m] = dot(suffix[m], psi[:, w - length + m]).real
+    # column w - 1 + m is reached by blocks m .. L-1 at l^(w-1+m-i), and
+    # the sum over blocks m .. L-1 is M's suffix, added from L-1 down again
+    if length > 1:
+        tail = next(powers)  # zip stopped at the end of bounds, before it
+        suffix = blocks[-1] * head[:, 0]
+        for m in range(length - 1, 0, -1):
+            result[:, w - 1 + m] = dot(suffix, tail[:, m - 1]).real
+            suffix += blocks[m - 1] * head[:, length - m]
     # column c < L - 1 is reached by blocks 0 .. c at l^(c-i)
     running = np.zeros((n, r), dtype=complex)
     for c in range(length - 1):
-        running = running * psi[:, 1] + blocks[c]
+        running = running * head[:, 1] + blocks[c]
         result[:, c] = np.real(running.sum(axis=1))
     return result

@@ -343,6 +343,42 @@ def test_config_file_lines_parse_as_the_commands_own_flags(tmp_path, fixture_csv
     assert holds(paths)
 
 
+# (argv, option, bad value, what stderr holds): each value is a usage
+# error, typed as a flag or given as a config line; {bundle} is a circ fit
+BAD_VALUES = {
+    "rank": (["fit", "--input", "{csv}", "--tau", "48", "--out", "{out}"], "rank", "x",
+             "argument --rank: expected \"auto\" or an integer >= 1, got 'x'"),
+    "rank-zero": (["fit", "--input", "{csv}", "--tau", "48", "--out", "{out}"], "rank", "0",
+                  "argument --rank: expected \"auto\" or an integer >= 1, got '0'"),
+    "gamma-grid": (["fit", "--input", "{csv}", "--method", "circ-sp", "--tau", "48",
+                    "--out", "{out}"], "gamma_grid", "0,x",
+                   "argument --gamma-grid: expected a comma list of float values"),
+    "lags": (["analyze", "--input", "{csv}", "--bundle", "{bundle}", "--run", "residual-corr",
+              "--out", "{out}"], "lags", "1,x",
+             "argument --lags: expected a comma list of int values"),
+    "mode-indices": (["analyze", "--bundle", "{bundle}", "--run", "modes", "--out", "{out}"],
+                     "mode_indices", "0,99", "--mode-indices [99] outside 0.."),
+}
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+@pytest.mark.parametrize("case", BAD_VALUES)
+def test_bad_option_values_are_usage_errors(tmp_path, fixture_csv, capsys, case, given):
+    argv, key, value, message = BAD_VALUES[case]
+    paths = {"csv": fixture_csv, "bundle": _fit(tmp_path, fixture_csv), "out": tmp_path / "out"}
+    argv = [arg.format(**paths) for arg in argv]
+    if given == "flag":
+        argv += ["--" + key.replace("_", "-"), value]
+    else:
+        config = tmp_path / "run.conf"
+        config.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(config)]
+    capsys.readouterr()
+    assert _exit_code(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not paths["out"].exists()
+
+
 def test_read_config_file_parsing(tmp_path):
     config = tmp_path / "c.conf"
     config.write_text("a = 1\nb=two # trailing comment\n\n# full comment\n")

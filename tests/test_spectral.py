@@ -418,6 +418,54 @@ def test_vandermonde_flushes_subnormal_powers():
     assert np.array_equal(reconstruct(spec, 2000), unflushed)
 
 
+# Powers that turn subnormal inside a block (0.5^k for 1022 < k < 1075,
+# and the square of 1e-155), growth, unit modulus and an exact 0. The
+# square of 1.08 exp(0.3i) rounds apart in numpy's vector and scalar loops.
+KERNEL_EIGENVALUES = np.array([
+    0.5, -0.5, 0.5 * np.exp(0.7j), 0.5j, 1.0, 1.02 * np.exp(-0.2j),
+    1.08 * np.exp(0.3j), 0.999 * np.exp(2.1j), 1e-155 * np.exp(0.4j), 0.0,
+], dtype=complex)
+
+
+def _flushed_vander(eigenvalues, horizon):
+    psi = np.vander(eigenvalues, N=horizon, increasing=True)
+    psi[np.abs(psi) < np.finfo(float).tiny] = 0.0
+    return psi
+
+
+def _same_bits(a, b):
+    bits = [np.ascontiguousarray(m).view(np.int64) for m in (a, b)]
+    return a.shape == b.shape and np.array_equal(*bits)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 4, 63, 64, 65, 1100, 2000])
+@pytest.mark.parametrize("cells", ["default", 1])
+def test_vandermonde_is_np_vander_flushed_bit_for_bit(monkeypatch, cells, horizon):
+    if cells != "default":
+        monkeypatch.setattr(spectral, "_BLOCK_CELLS", cells)
+    if horizon == 1100 and cells == 1:
+        # 64-column blocks: a block starts at 1024, so the carry is subnormal
+        bounds = spectral._column_blocks(len(KERNEL_EIGENVALUES), horizon)
+        assert 1024 in [cols.start for cols in bounds]
+    want = _flushed_vander(KERNEL_EIGENVALUES, horizon)
+    assert _same_bits(vandermonde(KERNEL_EIGENVALUES, horizon), want)
+
+
+@pytest.mark.parametrize("width,cuts", [
+    (1100, [1]), (1100, [1, 2]), (1100, [2, 3, 1023]), (1100, [1024, 1099]),
+    (1100, [64, 1030]), (3, [1]), (3, [2]), (4, [1, 2]), (4, [3]), (5, [3]),
+])
+def test_power_blocks_do_not_depend_on_where_the_slices_fall(width, cuts):
+    # one-column blocks and one-product runs included: np.vander's own
+    # product of width 3 runs numpy's vector loop, of width 4 the scalar one
+    bounds = [slice(a, b) for a, b in zip([0, *cuts], [*cuts, width])]
+    blocks = list(spectral._power_blocks(KERNEL_EIGENVALUES, bounds, width))
+    assert all(block.flags.f_contiguous for block in blocks)
+    assert _same_bits(np.hstack(blocks), _flushed_vander(KERNEL_EIGENVALUES, width))
+    [head] = spectral._power_blocks(KERNEL_EIGENVALUES, [slice(0, cuts[0])], width)
+    assert _same_bits(head, blocks[0])
+
+
 def test_vandermonde_horizon_range():
     with pytest.raises(RangeError):
         vandermonde(np.array([1.0]), 0)

@@ -573,8 +573,37 @@ def test_circular_predict_matches_dense_collapse(method, tau):
 
 
 @pytest.mark.parametrize("method", ["hankel", "circ"])
+def test_predict_never_holds_the_vandermonde_matrix(method):
+    # the powers stream in column blocks of about 1 MB, so the collapse
+    # peaks below one r x (T + H) complex array (9.6 MB here)
+    import tracemalloc
+
+    from circdmd.spectral import DynamicSpectrum, SpectrumMeta
+
+    n, tau, r, t, horizon = 10, 24, 200, 2000, 1000
+    rng = np.random.default_rng(41)
+    rates = rng.uniform(-0.01, 0.001, r) + 1j * rng.uniform(-np.pi, np.pi, r)
+    spec = DynamicSpectrum(
+        eigenvalues=np.exp(rates),
+        modes=rng.normal(size=(n * tau, r)) + 1j * rng.normal(size=(n * tau, r)),
+        amplitudes=rng.normal(size=r) + 1j * rng.normal(size=r),
+        meta=SpectrumMeta(method=method, tau=tau, rank=r, gamma=0.0, mode_flavor="exact",
+                          n_sensors=n, n_time=t, delta_t=1.0),
+    )
+    predict(spec, (n, t), horizon)  # first-call set-up out of the count
+    tracemalloc.start()
+    try:
+        predict(spec, (n, t), horizon)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    psi_bytes = r * (t + horizon) * 16
+    assert peak < psi_bytes, (peak, psi_bytes)
+
+
+@pytest.mark.parametrize("method", ["hankel", "circ"])
 def test_predict_in_column_blocks_matches_dense_collapse(monkeypatch, method):
-    # the smallest blocks (64 columns) split every Vandermonde flush and
+    # the smallest blocks (64 columns) split every power stream and
     # steady product here into several, the last one wider
     from circdmd import collapse_snapshot_reconstruction, inverse_hankel, reconstruct
     from circdmd import spectral
