@@ -27,7 +27,8 @@ def dot(a, b):
     the real operand is made. The result is C-ordered, but complex
     times real, which is formed as the transpose of real times complex,
     is F-ordered. A structured stack (one with ``gram``, such as
-    :class:`circdmd.embedding.DelayStack`) forms its own products.
+    :class:`circdmd.embedding.DelayStack`, also the one-block stack an
+    ndarray becomes in the SVD) forms its own products, one per block.
     """
     if hasattr(a, "gram") or hasattr(b, "gram"):
         return a @ b

@@ -274,8 +274,23 @@ def _load_train(args):
     return data, None
 
 
+def _grid_names(gammas) -> list:
+    """The bundle name gamma_<g> of each grid value, in order; a
+    UsageError names two values that would write the same bundle."""
+    names = {}
+    for gamma in gammas:
+        name = f"gamma_{gamma:g}"
+        if name in names:
+            raise UsageError(
+                f"--gamma-grid values {names[name]!r} and {gamma!r} both name the bundle {name}"
+            )
+        names[name] = gamma
+    return list(names)
+
+
 def cmd_fit(args) -> int:
     _require(args, "input", "out")
+    names = _grid_names(args.gamma_grid or [])
     train, _ = _load_train(args)
     digest = input_digest(args.input)
     outdir = Path(args.out)
@@ -301,11 +316,10 @@ def cmd_fit(args) -> int:
     if args.gamma_grid:
         gammas = args.gamma_grid
         grid = fit_gamma_path(train, config, gammas)
-        _clear_out(outdir, BUNDLE_FILES, {f"gamma_{gamma:g}" for gamma in gammas})
+        _clear_out(outdir, BUNDLE_FILES, set(names))
         rows = []
-        for gamma, spectrum, solution in grid:
-            save_bundle(outdir / f"gamma_{gamma:g}", spectrum, digest,
-                        split_index=args.split_index)
+        for name, (gamma, spectrum, solution) in zip(names, grid):
+            save_bundle(outdir / name, spectrum, digest, split_index=args.split_index)
             _report_admm(spectrum)
             rows.append((gamma, solution.nonzero_count, solution.loss))
         _write_csv(outdir / "sparsity_path.csv", np.array(rows, dtype=object), "%s",
@@ -562,17 +576,21 @@ def cmd_metrics(args) -> int:
 # argument parsing
 # ----------------------------------------------------------------------
 
-def _rank(text: str):
-    """``--rank``: "auto" or an integer >= 1."""
-    if text == RANK_AUTO:
-        return RANK_AUTO
-    try:
-        rank = int(text)
-    except ValueError:
-        rank = 0
-    if rank < 1:
-        raise argparse.ArgumentTypeError(f'expected "auto" or an integer >= 1, got {text!r}')
-    return rank
+def _at_least(low: int, auto: bool = False):
+    """The argparse type of an integer >= ``low``, or of "auto" too."""
+    expected = ('"auto" or ' if auto else "") + f"an integer >= {low}"
+
+    def parse(text: str):
+        if auto and text == RANK_AUTO:
+            return RANK_AUTO
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
 
 
 def _comma_list(kind):
@@ -623,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(fit_cmd)
     fit_cmd.add_argument("--method", default="circ", choices=METHODS)
     fit_cmd.add_argument("--tau", type=int, default=None, help="delay embedding length")
-    fit_cmd.add_argument("--rank", type=_rank, default=RANK_AUTO,
+    fit_cmd.add_argument("--rank", type=_at_least(1, auto=True), default=RANK_AUTO,
                          help='"auto" or a fixed integer >= 1')
     fit_cmd.add_argument("--gamma", type=float, default=0.0)
     fit_cmd.add_argument("--gamma-grid", type=_comma_list(float), default=None,
@@ -646,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     fcst.add_argument("--bundle", required=True)
     fcst.add_argument("--horizon", type=int, default=None,
                       help="forecast columns; defaults to the test split length")
-    fcst.add_argument("--split-days", type=int, default=3,
+    fcst.add_argument("--split-days", type=_at_least(0), default=3,
                       help="boundary (days) between the two forecast metric windows")
     fcst.add_argument("--out", default="")
     fcst.set_defaults(func=cmd_forecast)

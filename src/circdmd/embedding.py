@@ -114,8 +114,8 @@ class DelayStack:
 
     def __init__(self, x: np.ndarray, tau: int, offset: int, wrap: bool):
         x = np.asarray(x, dtype=float)
-        if x.ndim != 2:
-            raise ShapeError(f"expected a 2-D matrix, got ndim={x.ndim}")
+        if x.ndim != 2 or x.size == 0:
+            raise ShapeError(f"expected a non-empty 2-D matrix, got shape {x.shape}")
         t = x.shape[1]
         max_tau = t if wrap else t - 1
         if not 1 <= tau <= max_tau:
@@ -123,7 +123,8 @@ class DelayStack:
         if offset not in (0, 1):
             raise RangeError(f"offset must be 0 or 1, got {offset}")
         if not np.isfinite(x).all():
-            raise DataError("non-finite entries in the stacked matrix")
+            bad = [(int(i), int(j)) for i, j in zip(*np.nonzero(~np.isfinite(x)))]
+            raise DataError("non-finite matrix entries", coordinates=bad[:10])
         self.x = x
         self.tau = tau
         self.width = t if wrap else t - tau

@@ -17,12 +17,12 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import blas, lapack
+from scipy.linalg import lapack
 
 from ._linalg import dot
+from .embedding import DelayStack
 from .errors import (
     ConfigError,
-    DataError,
     NumericalError,
     RangeError,
     RankDeficiencyError,
@@ -150,13 +150,12 @@ class _SymmetricEigen:
 
     def __init__(self, matrix: np.ndarray):
         self.n = n = matrix.shape[0]
-        # LAPACK reads the lower triangle of a Fortran-ordered array; a
-        # C-ordered symmetric matrix is its own Fortran-ordered transpose.
-        lower = matrix if matrix.flags.f_contiguous else matrix.T
         work, info = lapack.dsytrd_lwork(n, lower=1)
         _check("dsytrd", info)
+        # LAPACK reads the lower triangle of a Fortran-ordered array; every
+        # Gram is C-ordered and symmetric, its own Fortran-ordered transpose
         self._reflectors, self._diag, self._off, self._tau, info = lapack.dsytrd(
-            lower, lower=1, lwork=int(work), overwrite_a=1
+            matrix.T, lower=1, lwork=int(work), overwrite_a=1
         )
         _check("dsytrd", info)
         if n == 1:
@@ -201,16 +200,6 @@ class _SymmetricEigen:
         _check("dormqr", info)
 
 
-def _finite_matrix(matrix) -> np.ndarray:
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not np.isfinite(a).all():
-        bad = [(int(i), int(j)) for i, j in zip(*np.nonzero(~np.isfinite(a)))]
-        raise DataError("non-finite matrix entries", coordinates=bad[:10])
-    return a
-
-
 def _top_singular(gram: np.ndarray, rank, rows: int, cols: int):
     """The rank rule: (singular values, Gram eigenvectors) of the rank kept.
 
@@ -248,21 +237,12 @@ def _top_singular(gram: np.ndarray, rank, rows: int, cols: int):
     return np.sqrt(eigvals[:r]), eigen.top_vectors(r)
 
 
-def _syrk(a: np.ndarray, on_cols: bool) -> np.ndarray:
-    """``a.T @ a`` (on_cols) or ``a @ a.T``, Fortran-ordered, lower triangle
-    only: what the eigensolve reads. scipy's BLAS (not numpy's) forms it,
-    so the two libraries' thread pools do not contend between the
-    product and the solve."""
-    return blas.dsyrk(1.0, a.T, trans=0 if on_cols else 1, lower=1)
-
-
 def snapshot_svd(matrix, rank=RANK_AUTO) -> ReducedSvd:
     """Reduced SVD via eigendecomposition of the smaller Gram matrix.
 
-    ``matrix`` is an ndarray or a structured stack such as
-    :class:`circdmd.embedding.DelayStack`: anything with ``shape``,
-    ``gram()`` (the column-side Gram), ``stack_gram()`` (the row-side
-    Gram) and the products ``matrix @ y`` and ``z @ matrix``. ``rank``
+    ``matrix`` is a :class:`circdmd.embedding.DelayStack`, or an ndarray,
+    which is taken as a one-block circular stack (its one block is the
+    ndarray itself), so every Gram is one of the stack's two. ``rank``
     is either ``"auto"`` (hard threshold capped at the numerical rank)
     or a fixed positive integer. A fixed rank that reaches into
     numerically zero singular values raises RankDeficiencyError,
@@ -270,7 +250,7 @@ def snapshot_svd(matrix, rank=RANK_AUTO) -> ReducedSvd:
     them. Every eigenvalue is computed, for the rank rule, but
     eigenvectors only for the ``rank`` kept.
     """
-    a = matrix if hasattr(matrix, "gram") else _finite_matrix(matrix)
+    a = matrix if isinstance(matrix, DelayStack) else DelayStack(matrix, 1, 0, wrap=True)
     return _snapshot_svd(a, rank, *a.shape)
 
 
@@ -278,10 +258,7 @@ def _snapshot_svd(a, rank, rows: int, cols: int) -> ReducedSvd:
     """:func:`snapshot_svd` of ``a``, whose rank rule reads a rows x cols
     matrix with the same nonzero singular values as ``a`` and no others."""
     gram_on_cols = a.shape[1] <= a.shape[0]
-    if isinstance(a, np.ndarray):
-        gram = _syrk(a, gram_on_cols)
-    else:
-        gram = a.gram() if gram_on_cols else a.stack_gram()
+    gram = a.gram() if gram_on_cols else a.stack_gram()
     sing, vectors = _top_singular(gram, rank, rows, cols)
     del gram  # reduced in place, and no longer needed beside the products
     if gram_on_cols:

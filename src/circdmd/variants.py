@@ -290,7 +290,7 @@ def fit_total_least_squares(data: SpeedMatrix, config: VariantConfig) -> Dynamic
         sing, v = _top_singular(gram, z_rank, 2 * n * tau, w)
         del gram
         source_v, target_v, first_v = dot(source, v), dot(target, v), v[0]
-    svd = _snapshot_svd(source_v, config.rank, n * tau, w)
+    svd = _snapshot_svd(DelayStack(source_v, 1, 0, wrap=True), config.rank, n * tau, w)
     return _spectrum(
         data, config, svd, projected_dynamics(target_v, svd), target_v, dot(source_v, first_v)
     )

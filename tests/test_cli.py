@@ -358,6 +358,13 @@ BAD_VALUES = {
              "argument --lags: expected a comma list of int values"),
     "mode-indices": (["analyze", "--bundle", "{bundle}", "--run", "modes", "--out", "{out}"],
                      "mode_indices", "0,99", "--mode-indices [99] outside 0.."),
+    "split-days": (["forecast", "--input", "{csv}", "--bundle", "{bundle}", "--horizon", "10",
+                    "--out", "{out}"], "split_days", "-1",
+                   "argument --split-days: expected an integer >= 0, got '-1'"),
+    # both values print as 1 under %g, so both would write gamma_1
+    "gamma-grid-clash": (["fit", "--input", "{csv}", "--method", "circ-sp", "--tau", "48",
+                          "--out", "{out}"], "gamma_grid", "1,1.0000001",
+                         "--gamma-grid values 1.0 and 1.0000001 both name the bundle gamma_1"),
 }
 
 

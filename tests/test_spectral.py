@@ -3,13 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import subspace_angles
+from scipy.linalg import blas, subspace_angles
 
 from circdmd import (
     DataError,
     NumericalError,
     RangeError,
     RankDeficiencyError,
+    ShapeError,
     SingularEigenvalueError,
     SpectrumMeta,
     DynamicSpectrum,
@@ -24,7 +25,8 @@ from circdmd import (
     snapshot_svd,
     vandermonde,
 )
-from circdmd import spectral
+from circdmd import embedding, spectral
+from circdmd.embedding import DelayStack
 
 
 def _spectrum(eigs, modes, amps, flavor="exact", delta_t=1.0):
@@ -189,6 +191,55 @@ def test_snapshot_svd_rejects_non_finite_entries():
     a[3, 2] = np.inf
     with pytest.raises(DataError):
         snapshot_svd(a, rank=2)
+    for empty in ((3, 0), (0, 3)):
+        with pytest.raises(ShapeError, match=re.escape(str(empty))):
+            snapshot_svd(np.zeros(empty))
+
+
+def _layouts():
+    rng = np.random.default_rng(14)
+    wide = rng.normal(size=(12, 40))
+    return {
+        "tall": rng.normal(size=(40, 9)),
+        "square": rng.normal(size=(9, 9)),
+        "one-by-one": np.array([[-2.5]]),
+        "c-ordered-wide": wide,
+        "f-ordered": np.asfortranarray(rng.normal(size=(40, 9))),
+        "strided": wide[::2, ::3],
+    }
+
+
+@pytest.mark.parametrize("layout", list(_layouts()))
+def test_one_block_stack_gram_is_dsyrk_bit_for_bit(layout):
+    # an ndarray enters the SVD as a one-block circular stack, whose
+    # time-side Gram carries the bits of a lone dsyrk, in full and C-ordered
+    a = _layouts()[layout]
+    gram = DelayStack(a, 1, 0, True).gram()
+    oracle = blas.dsyrk(1.0, a.T, lower=1)
+    assert gram.flags.c_contiguous
+    assert np.array_equal(np.tril(gram), np.tril(oracle))
+    assert np.array_equal(gram, gram.T)
+
+
+@pytest.mark.parametrize("shape, kernel", [((40, 9), "_window_gram"), ((9, 40), "_block_gram")])
+def test_snapshot_svd_of_an_ndarray_takes_the_stack_kernels(monkeypatch, shape, kernel):
+    calls = {"_window_gram": 0, "_block_gram": 0}
+
+    def counting(name):
+        real = getattr(embedding, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(embedding, name, counting(name))
+    a = np.random.default_rng(15).normal(size=shape)
+    svd = snapshot_svd(a, rank=3)
+    assert calls == {name: int(name == kernel) for name in calls}
+    assert np.allclose(svd.singular, np.linalg.svd(a, compute_uv=False)[:3], rtol=1e-12)
 
 
 def _failing(real):
