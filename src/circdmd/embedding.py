@@ -19,6 +19,7 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,8 +107,9 @@ class DelayStack:
     tau``: offsets 0 and 1 are the Hankel stack ``hankel(X, tau)``
     without its last and without its first column, and tau = 1 is plain
     DMD's pair. ``stack @ y`` and ``z @ stack`` return what the dense
-    stack would; ``gram()`` and ``stack_gram()`` return its time-side
-    and stack-side Gram matrices.
+    stack would; ``gram()`` and ``stack_gram()`` return the upper
+    triangles of its time-side and stack-side Gram matrices, the
+    triangle the eigensolve reads.
     """
 
     __array_ufunc__ = None  # so that ndarray @ stack calls __rmatmul__
@@ -129,6 +131,7 @@ class DelayStack:
         self.tau = tau
         self.width = t if wrap else t - tau
         self.starts = np.arange(offset, offset + tau) % t  # each block's first column
+        self._whole = tau == 1 and wrap and offset == 0  # the one block is x itself
 
     @property
     def shape(self):
@@ -143,15 +146,9 @@ class DelayStack:
         if head < self.width:
             yield slice(0, self.width - head), slice(head, self.width)
 
-    def _xt(self) -> np.ndarray:
-        """x.T, C-ordered and made for one product: column j of a block is
-        row j of it, so every block is a Fortran-ordered view that BLAS
-        reads without a copy."""
-        return np.ascontiguousarray(self.x.T)
-
     def __matmul__(self, y):
         y = np.asarray(y)
-        n, xt = self.x.shape[0], self._xt()
+        n, xt = self.x.shape[0], _columns_as_rows(self.x, self._whole)
         out = np.zeros((n * self.tau,) + y.shape[1:], dtype=np.result_type(y, self.x))
         for i, start in enumerate(self.starts):
             for cols, rows in self._pieces(start):
@@ -160,7 +157,7 @@ class DelayStack:
 
     def __rmatmul__(self, z):
         z = np.asarray(z)
-        n, xt = self.x.shape[0], self._xt()
+        n, xt = self.x.shape[0], _columns_as_rows(self.x, self._whole)
         out = np.zeros(z.shape[:-1] + (self.width,), dtype=np.result_type(z, self.x))
         for i, start in enumerate(self.starts):
             for cols, rows in self._pieces(start):
@@ -172,91 +169,159 @@ class DelayStack:
         return self.x[:, self.starts].ravel(order="F")
 
     def gram(self) -> np.ndarray:
-        """width x width ``S.T @ S``: G[j, l] = sum over shifts s of K[j+s, l+s]
-        (see :func:`_window_gram`)."""
+        """The upper triangle of the width x width ``S.T @ S``: G[j, l] =
+        sum over shifts s of K[j+s, l+s] for l >= j, and 0 below the
+        diagonal (see :func:`_window_gram`)."""
         return _window_gram(self.x, self.tau, self.width, (int(self.starts[0]),))
 
     def stack_gram(self) -> np.ndarray:
-        """(N*tau) x (N*tau) ``S @ S.T``, from lagged N x N products of x
-        (see :func:`_block_gram`)."""
+        """The upper block triangle of the (N*tau) x (N*tau) ``S @ S.T``,
+        from lagged N x N products of x, and 0 in the blocks below the
+        block diagonal (see :func:`_block_gram`)."""
         return _block_gram(self.x, self.starts, self.width)
 
 
+def _columns_as_rows(x: np.ndarray, whole: bool) -> np.ndarray:
+    """x.T, whose row j is column j of x, made for one product: a
+    C-ordered copy, so that every run of columns is a Fortran-ordered
+    view that BLAS reads without a copy, unless the product reads x
+    ``whole`` as its one block, which BLAS reads as it is."""
+    return x.T if whole else np.ascontiguousarray(x.T)
+
+
 def _window_gram(x: np.ndarray, tau: int, width: int, leads) -> np.ndarray:
-    """The sum, over the stacks of x with tau blocks of ``width`` columns
-    whose first blocks start at the columns ``leads``, of their time-side
-    Gram matrices ``S.T @ S``: G[j, l] = sum over leads and shifts s of
-    K[j+s, l+s] with s = lead .. lead + tau - 1.
+    """The upper triangle of the sum, over the stacks of x with tau blocks
+    of ``width`` columns whose first blocks start at the columns
+    ``leads``, of their time-side Gram matrices ``S.T @ S``: G[j, l] =
+    sum over leads and shifts s of K[j+s, l+s], l >= j, with s = lead ..
+    lead + tau - 1. The strict lower triangle is left unwritten (see
+    :func:`_triangle`).
 
     The sum runs along the diagonals of K = X.T X, wrapped modulo T
     for a circular stack (width T); a Hankel stack's indices never pass
-    T - 1. With D[j, d] = K[j, j+d], a stack's row j of G is the window
-    sum w_j = sum_s D[j+s] rotated right by j, and w_{j+1} differs from
-    w_j by one row of D entering and one leaving. The window is summed
-    afresh every tau rows, so rounding cannot build up over more updates
-    than the window has terms. Each stack keeps its own window, and the
-    windows of row j are added to G in the order of ``leads``: the same
-    bits as summing the stacks' separate Gram matrices.
+    T - 1. With D[i, d] = K[i, i+d], a stack's row j of G from its
+    diagonal on is the window sum w_j = sum_s D[j+s], and w_{j+1}
+    differs from w_j by one row of D entering and one leaving. The
+    window is summed afresh every tau rows, so rounding cannot build up
+    over more updates than the window has terms. Each stack keeps its
+    own window, and the windows of row j are added to G in the order of
+    ``leads``: the same bits as summing the stacks' separate Gram
+    matrices.
 
-    scipy's ``dsyrk`` writes K's upper triangle (the same bits as numpy's
-    ``x.T @ x``) into the one T x T buffer, and each row of D is read off
-    that triangle, last row first. G is then written over D, so the fit
-    holds one T x T array. Row j of G goes to cells j*W .. (j+1)*W - 1
-    of the buffer, which lie in D's rows 0..j, and window j and every
-    later one read D's rows from j on, save two kinds that are copied
-    first: the row that leaves the next window of a stack that leads at
-    column 0, and, for a circular stack, the first rows that a wrapped
-    window reads. A Hankel stack's W x W result is then cut from the
-    front of the buffer in place.
+    D's rows come from :func:`_lag_rows` in order, and a ring keeps the
+    last ones, from the row that leaves the next window to the last row
+    any current window reads. A circular stack's last windows read D's
+    first rows again; they are formed afresh, not kept. A one-block
+    stack whose block is a run of x's columns has K's block for its
+    Gram: one ``dsyrk``, written straight into the triangle.
     """
     t = x.shape[1]
     w = width
-    d = np.empty((t, t))
-    # dsyrk fills the lower triangle of d.T, K[j, l] for l >= j in d
-    blas.dsyrk(1.0, x.T, lower=1, c=d.T, overwrite_c=1)
-    for j in reversed(range(t)):
-        # D[j] = K[j, j:] then K[j, :j] = K[:j, j], which rows 0..j-1 still hold
-        d[j] = np.concatenate((d[j, j:], d[:j, j]))
-    wrapped = d[: max(leads) + tau - 1].copy() if w == t else None
-    left = np.empty(t)  # D's row j - 1, which leaves window j of a stack leading at 0
+    g = _triangle(w)
+    if tau == 1 and len(leads) == 1 and leads[0] + w <= t:
+        block = x[:, leads[0] : leads[0] + w]
+        # dsyrk fills the lower triangle of g.T, which is g's upper triangle
+        blas.dsyrk(1.0, block.T, lower=1, c=g.T, overwrite_c=1)
+        return g
+    reach = max(leads) + tau - 1  # window j reads D's rows up to j + reach
+    low = min(leads) - 1  # and from j + low, the row that leaves it
+    ring = np.empty((reach - low + 1, w))
+    rows = _lag_rows(x, low + 1, w + reach, w)
+    formed = low + 1  # the rows below this one are in the ring
 
     def row(i):
-        """D's row i, read modulo T, as it was before G overwrote it."""
-        i %= t
-        if i >= j:
-            return d[i]
-        return left if 0 in leads and i == j - 1 else wrapped[i]
+        return ring[i % len(ring)]
 
     windows = [None] * len(leads)
-    flat = d.reshape(-1)
     for j in range(w):
+        for i, d in zip(range(formed, j + reach + 1), rows):
+            row(i)[: len(d)] = d
+        formed = j + reach + 1
+        size = w - j  # window j reaches D's columns 0 .. w - j - 1
         for k, lead in enumerate(leads):
             first = j + lead
             if j % tau == 0:
                 # added row by row in order: the bits of a sum over axis 0
-                windows[k] = row(first).copy()
+                windows[k] = row(first)[:size].copy()
                 for i in range(first + 1, first + tau):
-                    windows[k] += row(i)
+                    windows[k] += row(i)[:size]
             else:
-                windows[k] += row(first + tau - 1)
-                windows[k] -= row(first - 1)
-        if 0 in leads:
-            left[:] = d[j]
-        out = flat[j * w : (j + 1) * w]
-        out[j:] = windows[0][: w - j]
-        out[:j] = windows[0][t - j :]
+                windows[k] = windows[k][:size]
+                windows[k] += row(first + tau - 1)[:size]
+                windows[k] -= row(first - 1)[:size]
+        out = g[j, j:]
+        out[:] = windows[0]
         for window in windows[1:]:
-            out[j:] += window[: w - j]
-            out[:j] += window[t - j :]
-    if w < t:
-        del flat, out  # no view of the buffer outlives the resize
-        d.resize((w, w), refcheck=False)
-    return d
+            out += window
+    return g
+
+
+# D's rows are formed this many at a time, as one product
+_LAG_BLOCK = 64
+
+
+def _lag_rows(x: np.ndarray, start: int, stop: int, width: int):
+    """Yield D's rows start .. stop - 1, D[i, d] = x_i . x_{i+d} with x's
+    columns read modulo T, row i cut to d < min(width, stop - i).
+
+    The rows come ``_LAG_BLOCK`` at a time, from one product of the
+    columns a .. a + 63 with the columns they reach from a on: row k of
+    it is x_{a+k} against columns a, a + 1, ..., so D's row a + k is
+    that row from its column k on, a skewed view with no copy. The block
+    always has ``_LAG_BLOCK`` rows and its reach is rounded up to a
+    multiple of ``_LAG_BLOCK`` columns, so no cell that is yielded falls
+    in the edge kernels of OpenBLAS's blocked ``dgemm``. The cells then
+    have the bits of ``dsyrk``'s K, as they do at the benchmark's
+    shapes; at a few hundred columns or fewer, where OpenBLAS takes
+    other paths, they may differ from them in the last bit. Each
+    operand is a copy of runs of x's rows, each row's run contiguous.
+    """
+    for a in range(start, stop, _LAG_BLOCK):
+        reached = min(a + _LAG_BLOCK - 1 + width, stop) - a
+        cols = _wrapped_columns(x, a, a + -(-reached // _LAG_BLOCK) * _LAG_BLOCK)
+        block = np.ascontiguousarray(cols[:, :_LAG_BLOCK])
+        # the product's transpose, F-ordered, is its C-ordered rows
+        lags = blas.dgemm(1.0, cols.T, block.T, trans_b=1).T
+        for k in range(min(_LAG_BLOCK, stop - a)):
+            yield lags[k, k : k + min(width, stop - a - k)]
+
+
+def _wrapped_columns(x: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """x's columns start .. stop - 1, read modulo T, as a C-ordered copy."""
+    t = x.shape[1]
+    runs = []
+    while start < stop:
+        first = start % t
+        last = min(first + stop - start, t)
+        runs.append(x[:, first:last])
+        start += last - first
+    return np.concatenate(runs, axis=1)
+
+
+def _triangle(n: int) -> np.ndarray:
+    """An n x n float64 array of zeros for a Gram matrix of which only
+    the upper triangle is written, the triangle LAPACK reads of its
+    Fortran-ordered transpose.
+
+    It lies on private anonymous memory in 4 KB pages, so a page
+    becomes resident only when it is first written, and the pages that
+    hold nothing but the strict lower triangle never do. numpy would
+    ask for 2 MB transparent huge pages for an array of 4 MB or more,
+    and one huge page spans rows of both triangles: a triangle written
+    there makes the whole array resident. The memory is unmapped when
+    the last view of it is freed.
+    """
+    pages = mmap.mmap(-1, n * n * 8, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        pages.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(pages, dtype=np.float64).reshape(n, n)
 
 
 def _block_gram(x: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
-    """``S @ S.T`` for the stack S of the L blocks B_a = x[:, s_a : s_a + width],
-    s_a = starts[a] = starts[0] + a, columns read modulo T.
+    """The upper block triangle of ``S @ S.T`` for the stack S of the L
+    blocks B_a = x[:, s_a : s_a + width], s_a = starts[a] = starts[0] +
+    a, columns read modulo T. The blocks below the block diagonal are
+    left unwritten (see :func:`_triangle`).
 
     Block (a, a + m) is B_a B_{a+m}.T. The first block on each block
     diagonal m is one N x width x N product, and each later one is its
@@ -273,17 +338,14 @@ def _block_gram(x: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     n, t = x.shape
     blocks = len(starts)
     first = 0 if width == t else int(starts[0])
-    # row j of xt is column j of x: every window is a Fortran-ordered view
-    xt = np.ascontiguousarray(x.T)
-    g = np.empty((blocks, n, blocks, n))
+    xt = _columns_as_rows(x, blocks == 1 and width == t)
+    g = _triangle(blocks * n).reshape(blocks, n, blocks, n)
     for m in range(blocks):
         # column first + j meets column first + m + j, which may wrap
         head = min(width, t - first - m)
-        lag = blas.dgemm(1.0, xt[first : first + head].T, xt[first + m : first + m + head].T,
-                         trans_b=1)
+        lag = dot(xt[first : first + head].T, xt[first + m : first + m + head])
         if head < width:
-            lag += blas.dgemm(1.0, xt[first + head : first + width].T, xt[: width - head].T,
-                              trans_b=1)
+            lag += dot(xt[first + head : first + width].T, xt[: width - head])
         g[0, :, m, :] = lag
     enter = x[:, (starts[:-1] + width) % t]
     leave = x[:, starts[:-1]]
@@ -292,8 +354,6 @@ def _block_gram(x: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
         row[...] = g[a - 1, :, a - 1 : blocks - 1, :]
         row += enter[:, a - 1, None, None] * enter[:, a - 1 :].T
         row -= leave[:, a - 1, None, None] * leave[:, a - 1 :].T
-    for a in range(blocks - 1):
-        g[a + 1 :, :, a, :] = g[a, :, a + 1 :, :].transpose(1, 2, 0)
     return g.reshape(blocks * n, blocks * n)
 
 

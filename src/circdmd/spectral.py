@@ -146,14 +146,18 @@ class _SymmetricEigen:
     time, last panel first. The matrix is reduced in place, so the
     caller must not reuse it; beside it the solve holds the n x r
     vectors and one panel, never a second n x n array.
+
+    Only the matrix's upper triangle is read, a C-ordered array's upper
+    triangle being the lower triangle of its Fortran-ordered transpose,
+    which LAPACK reads; the strict lower triangle is neither read nor
+    written. Every Gram is built as that triangle alone.
     """
 
     def __init__(self, matrix: np.ndarray):
         self.n = n = matrix.shape[0]
         work, info = lapack.dsytrd_lwork(n, lower=1)
         _check("dsytrd", info)
-        # LAPACK reads the lower triangle of a Fortran-ordered array; every
-        # Gram is C-ordered and symmetric, its own Fortran-ordered transpose
+        # LAPACK reads the lower triangle of the Fortran-ordered matrix.T
         self._reflectors, self._diag, self._off, self._tau, info = lapack.dsytrd(
             matrix.T, lower=1, lwork=int(work), overwrite_a=1
         )

@@ -275,8 +275,13 @@ def fit_total_least_squares(data: SpeedMatrix, config: VariantConfig) -> Dynamic
         copies[[0, -1]] = 1.0
         scale = np.repeat(np.sqrt(copies), n)
         gram = _block_gram(x, np.arange(tau + 1), w)
-        gram *= scale
-        gram *= scale[:, None]
+        # row by row of blocks, over the written upper block triangle
+        # alone: the pages of the rest never become resident. No view
+        # outlives the loop, so that del gram frees the array
+        for a in range(tau + 1):
+            rows = slice(a * n, (a + 1) * n)
+            gram[rows, a * n :] *= scale[a * n :]
+            gram[rows, a * n :] *= scale[rows, None]
         sing, u = _top_singular(gram, z_rank, 2 * n * tau, w)
         del gram
         # V = rows.T U / sigma, so B V = diag(1/sqrt(m)) U diag(sigma), and
@@ -331,21 +336,23 @@ def predict(
     run = min(tau, width)
     for first in range(0, tau, run):
         part = blocks[first : first + run]
-        acc[:, first : first + len(part) + width - 1] += _delay_sum(
-            part, spectrum.eigenvalues, width
-        )
+        _delay_sum(part, spectrum.eigenvalues, width, acc[:, first : first + len(part) + width - 1])
     if circular:
         acc[:, : tau - 1] += acc[:, out:]
-        return acc[:, :out] / tau
+        acc = acc[:, :out]
+        acc /= tau
+        return acc
     column = np.arange(out)
     count = np.minimum(column, tau - 1) - np.maximum(column - width + 1, 0) + 1
-    return acc / count
+    acc /= count
+    return acc
 
 
-def _delay_sum(blocks: np.ndarray, eigenvalues: np.ndarray, width: int) -> np.ndarray:
-    """Column c of the n x (L + w - 1) result is the sum over blocks i of
-    Re(blocks[i] psi[:, c - i]), for the L <= w blocks (L x n x r) and
-    the r x w Vandermonde matrix ``psi`` of ``eigenvalues``, w = ``width``.
+def _delay_sum(blocks: np.ndarray, eigenvalues: np.ndarray, width: int, result: np.ndarray):
+    """Add into column c of the n x (L + w - 1) ``result`` the sum over
+    blocks i of Re(blocks[i] psi[:, c - i]), for the L <= w blocks
+    (L x n x r) and the r x w Vandermonde matrix ``psi`` of
+    ``eigenvalues``, w = ``width``.
 
     Since l^(c-i) = l^(c-L+1) l^(L-1-i), the columns c = L-1 .. w-1,
     which every block reaches, are one product M psi with
@@ -362,7 +369,6 @@ def _delay_sum(blocks: np.ndarray, eigenvalues: np.ndarray, width: int) -> np.nd
     """
     length, n, r = blocks.shape
     w = width
-    result = np.empty((n, length + w - 1))
     [head] = _power_blocks(eigenvalues, [slice(0, length)], w)
     # M = sum over i of blocks[i] l^(L-1-i), added from i = L-1 down
     weighted = blocks[-1] * head[:, 0]
@@ -379,18 +385,17 @@ def _delay_sum(blocks: np.ndarray, eigenvalues: np.ndarray, width: int) -> np.nd
     bounds = _column_blocks(max(n, r), w - length + 1)
     powers = _power_blocks(eigenvalues, bounds + [slice(w - length + 1, w)], w)
     for cols, block in zip(bounds, powers):
-        steady[:, cols] = dot(m_pairs, block.T.view(float).T)
+        steady[:, cols] += dot(m_pairs, block.T.view(float).T)
     # column w - 1 + m is reached by blocks m .. L-1 at l^(w-1+m-i), and
     # the sum over blocks m .. L-1 is M's suffix, added from L-1 down again
     if length > 1:
         tail = next(powers)  # zip stopped at the end of bounds, before it
         suffix = blocks[-1] * head[:, 0]
         for m in range(length - 1, 0, -1):
-            result[:, w - 1 + m] = dot(suffix, tail[:, m - 1]).real
+            result[:, w - 1 + m] += dot(suffix, tail[:, m - 1]).real
             suffix += blocks[m - 1] * head[:, length - m]
     # column c < L - 1 is reached by blocks 0 .. c at l^(c-i)
     running = np.zeros((n, r), dtype=complex)
     for c in range(length - 1):
         running = running * head[:, 1] + blocks[c]
-        result[:, c] = np.real(running.sum(axis=1))
-    return result
+        result[:, c] += np.real(running.sum(axis=1))

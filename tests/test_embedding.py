@@ -1,5 +1,9 @@
+import os
+import re
+
 import numpy as np
 import pytest
+from scipy.linalg import blas
 
 from circdmd import (
     DataError,
@@ -16,6 +20,7 @@ from circdmd import (
     inverse_hankel,
     snapshot_svd,
 )
+from circdmd import embedding, spectral
 from circdmd.embedding import DelayStack, _window_gram
 
 
@@ -258,6 +263,20 @@ def _relative(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
+def _upper(g):
+    """A Gram's upper triangle, once its strict lower triangle is seen
+    to be unwritten: all zero."""
+    assert not np.tril(g, -1).any()
+    return np.triu(g)
+
+
+def _below_blocks(size, n):
+    """The cells of a size x size matrix of n x n blocks that lie in the
+    blocks below its block diagonal."""
+    below = np.tril(np.ones((size // n, size // n), dtype=bool), -1)
+    return np.kron(below, np.ones((n, n), dtype=bool))
+
+
 def _dense_stack(stack):
     """The (N*tau) x width stack as an array: block i is the width
     columns of x from starts[i] on, read modulo T."""
@@ -301,7 +320,7 @@ def test_circular_stack_gram_on_the_smaller_side(n, t, tau, wrap, offset):
     x, dense = _dense_pair(n, t, tau, seed=2 * n + t, wrap=wrap)
     dense = dense[offset]
     stack = DelayStack(x, tau, offset, wrap)
-    assert _relative(stack.gram(), dense.T @ dense) <= 1e-10
+    assert _relative(_upper(stack.gram()), np.triu(dense.T @ dense)) <= 1e-10
     rows, cols = dense.shape
     if cols > rows:
         svd = snapshot_svd(stack, rank=rows)
@@ -316,12 +335,29 @@ STACK_SIDE_CASES = CASES + [
 ]
 
 
-def _two_buffer_gram(stack):
-    """``gram()`` as it was with D and G in separate T x T arrays: the
-    same window sums in the same order, so the same bits."""
+def _syrk(x):
+    """K = x.T x in full, with the bits of ``dsyrk``."""
+    k = blas.dsyrk(1.0, x.T, lower=1)
+    return np.tril(k) + np.tril(k, -1).T
+
+
+def _rows_of(k):
+    """A stand-in for ``embedding._lag_rows`` that reads D's rows off K."""
+    t = len(k)
+
+    def rows(x, start, stop, width):
+        for i in range(start, stop):
+            yield np.roll(k[i % t], -(i % t))[: min(width, stop - i)]
+
+    return rows
+
+
+def _two_buffer_gram(stack, k):
+    """``gram()`` as it was with D and G in separate T x T arrays, D read
+    off K: the same window sums in the same order, so the same bits."""
     t = stack.x.shape[1]
     w = stack.width
-    d = stack.x.T @ stack.x
+    d = k.copy()
     for j in range(t):
         d[j] = np.roll(d[j], -j)
     g = np.empty((w, w))
@@ -343,13 +379,18 @@ def _two_buffer_gram(stack):
     pytest.param(1, 1, 1, True, id="1-1-1"),
 ])
 @pytest.mark.parametrize("offset", [0, 1])
-def test_gram_over_its_own_buffer_matches_the_two_buffer_gram(n, t, tau, wrap, offset):
-    # G written over D keeps every addition of the two-buffer form, and a
-    # Hankel stack's W x W result owns its memory, not a T x T buffer
+def test_gram_over_its_own_buffer_matches_the_two_buffer_gram(monkeypatch, n, t, tau, wrap, offset):
+    # the ring of D's rows and the triangle keep every addition of the
+    # two-buffer form: the same bits from the same K, and within 1e-15 of
+    # it from the kernel's own K, whose rows are dgemm's
     stack = DelayStack(_matrix(n, t, seed=t + tau).values, tau, offset, wrap)
+    k = _syrk(stack.x)
+    want = np.triu(_two_buffer_gram(stack, k))
     g = stack.gram()
-    assert np.array_equal(g, _two_buffer_gram(stack))
-    assert g.flags.owndata and g.flags.c_contiguous and g.base is None
+    assert g.shape == (stack.width, stack.width) and g.flags.c_contiguous
+    assert _relative(_upper(g), want) <= 1e-15
+    monkeypatch.setattr(embedding, "_lag_rows", _rows_of(k))
+    assert np.array_equal(_upper(stack.gram()), want)
 
 
 @pytest.mark.parametrize("n,t,tau,wrap", CASES + [
@@ -357,16 +398,23 @@ def test_gram_over_its_own_buffer_matches_the_two_buffer_gram(n, t, tau, wrap, o
     pytest.param(3, 64, 17, False, id="3-64-17-nowrap-compacted"),
     pytest.param(1, 2, 1, True, id="1-2-1"),
 ])
-def test_pair_gram_is_the_sum_of_the_two_grams(n, t, tau, wrap):
+def test_pair_gram_is_the_sum_of_the_two_grams(monkeypatch, n, t, tau, wrap):
     # the source's and target's window sums in one buffer: the same bits
-    # as adding the target's Gram to the source's, in one W x W array
+    # as adding the target's Gram to the source's when all three read D's
+    # rows off one K, and within 1e-15 with the kernel's own rows
     x = _matrix(n, t, seed=t + tau).values
     source, target = DelayStack(x, tau, 0, wrap), DelayStack(x, tau, 1, wrap)
-    want = source.gram()
-    want += target.gram()
-    g = _window_gram(x, tau, source.width, (0, 1))
+
+    def both():
+        want = source.gram()
+        want += target.gram()
+        return _upper(want), _upper(_window_gram(x, tau, source.width, (0, 1)))
+
+    want, g = both()
+    assert g.shape == want.shape and _relative(g, want) <= 1e-15
+    monkeypatch.setattr(embedding, "_lag_rows", _rows_of(_syrk(x)))
+    want, g = both()
     assert np.array_equal(g, want)
-    assert g.flags.owndata and g.flags.c_contiguous and g.base is None
 
 
 @pytest.mark.parametrize("n,t,tau,wrap", STACK_SIDE_CASES)
@@ -377,8 +425,56 @@ def test_stack_gram_and_left_product_match_dense_stack(n, t, tau, wrap, offset):
     dense = dense[offset]
     stack = DelayStack(x, tau, offset, wrap)
     u = np.random.default_rng(tau).normal(size=(dense.shape[0], 3))
-    assert _relative(stack.stack_gram(), dense @ dense.T) <= 1e-12
+    g = stack.stack_gram()
+    below = _below_blocks(len(g), n)
+    assert not g[below].any()  # only the upper block triangle is written
+    assert _relative(g, np.where(below, 0.0, dense @ dense.T)) <= 1e-12
     assert _relative((u.T @ stack).T, dense.T @ u) <= 1e-12
+
+
+def _resident(array):
+    """(size, Rss) in bytes of the mapping in /proc/self/smaps that holds
+    the array's data."""
+    address = array.__array_interface__["data"][0]
+    found = None
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            span = re.match(r"([0-9a-f]+)-([0-9a-f]+) ", line)
+            if span:
+                low, high = int(span[1], 16), int(span[2], 16)
+                found = high - low if low <= address < high else None
+            elif found is not None and line.startswith("Rss:"):
+                return found, int(line.split()[1]) * 1024
+    raise AssertionError("no mapping holds the array")
+
+
+def _upper_triangle_pages(n, page=4096):
+    """The pages an n x n float64 array's upper triangle touches, row j
+    spanning bytes 8 (j n + j) .. 8 (j + 1) n - 1."""
+    rows = np.arange(n)
+    touched = np.zeros(-(-8 * n * n // page), dtype=bool)
+    for first, last in zip(8 * (rows * n + rows) // page, (8 * (rows + 1) * n - 1) // page):
+        touched[first : last + 1] = True
+    return int(touched.sum()) * page
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="reads Linux's smaps")
+@pytest.mark.parametrize("tau", [1, 8])
+def test_gram_pages_that_hold_only_its_lower_triangle_never_become_resident(tau):
+    # the Gram has a mapping of its own in 4 KB pages, and neither its
+    # kernel (dsyrk for one block, window sums for more) nor dsytrd writes
+    # a page that holds only strict lower triangle. A row's strict lower
+    # triangle fills a page only from row 512 on, so at n = 2048 the upper
+    # triangle touches 72 % of the array, 8 n^2 - 4 (n - 512)^2 bytes
+    n = 2048
+    g = DelayStack(_matrix(4, n, seed=tau).values, tau, 0, True).gram()
+    size, rss = _resident(g)
+    touched = _upper_triangle_pages(n)
+    assert size == g.nbytes
+    assert rss <= touched < 0.75 * g.nbytes, (rss, touched, g.nbytes)
+    if tau > 1:
+        spectral._SymmetricEigen(g)
+        assert _resident(g)[1] <= touched
 
 
 @pytest.mark.parametrize("wrap", [True, False])
