@@ -131,7 +131,6 @@ class DelayStack:
         self.tau = tau
         self.width = t if wrap else t - tau
         self.starts = np.arange(offset, offset + tau) % t  # each block's first column
-        self._whole = tau == 1 and wrap and offset == 0  # the one block is x itself
 
     @property
     def shape(self):
@@ -148,7 +147,7 @@ class DelayStack:
 
     def __matmul__(self, y):
         y = np.asarray(y)
-        n, xt = self.x.shape[0], _columns_as_rows(self.x, self._whole)
+        n, xt = self.x.shape[0], _columns_as_rows(self.x, self.starts, self.width)
         out = np.zeros((n * self.tau,) + y.shape[1:], dtype=np.result_type(y, self.x))
         for i, start in enumerate(self.starts):
             for cols, rows in self._pieces(start):
@@ -157,7 +156,7 @@ class DelayStack:
 
     def __rmatmul__(self, z):
         z = np.asarray(z)
-        n, xt = self.x.shape[0], _columns_as_rows(self.x, self._whole)
+        n, xt = self.x.shape[0], _columns_as_rows(self.x, self.starts, self.width)
         out = np.zeros(z.shape[:-1] + (self.width,), dtype=np.result_type(z, self.x))
         for i, start in enumerate(self.starts):
             for cols, rows in self._pieces(start):
@@ -181,11 +180,13 @@ class DelayStack:
         return _block_gram(self.x, self.starts, self.width)
 
 
-def _columns_as_rows(x: np.ndarray, whole: bool) -> np.ndarray:
-    """x.T, whose row j is column j of x, made for one product: a
-    C-ordered copy, so that every run of columns is a Fortran-ordered
-    view that BLAS reads without a copy, unless the product reads x
-    ``whole`` as its one block, which BLAS reads as it is."""
+def _columns_as_rows(x: np.ndarray, starts, width: int) -> np.ndarray:
+    """x.T, whose row j is column j of x, for the products of the stack
+    whose blocks of ``width`` columns start at ``starts``: a C-ordered
+    copy, so that every run of columns is a Fortran-ordered view that
+    BLAS reads without a copy, unless the stack's one block is x itself,
+    which BLAS reads as it is."""
+    whole = len(starts) == 1 and starts[0] == 0 and width == x.shape[1]
     return x.T if whole else np.ascontiguousarray(x.T)
 
 
@@ -208,94 +209,70 @@ def _window_gram(x: np.ndarray, tau: int, width: int, leads) -> np.ndarray:
     ``leads``: the same bits as summing the stacks' separate Gram
     matrices.
 
-    D's rows come from :func:`_lag_rows` in order, and a ring keeps the
-    last ones, from the row that leaves the next window to the last row
-    any current window reads. A circular stack's last windows read D's
-    first rows again; they are formed afresh, not kept. A one-block
-    stack whose block is a run of x's columns has K's block for its
-    Gram: one ``dsyrk``, written straight into the triangle.
+    ``dsyrk`` writes the upper triangle of K's W x W block from column
+    ``low`` on into the triangle (low is 0 for a circular stack and the
+    first lead for a Hankel one), so D's row i starts in its row i -
+    low. Where the row runs past the block it goes on in ``strip``, K's
+    rows against the columns after the block: a Hankel stack's last
+    columns of x, formed by one product, or a circular stack's first
+    ones again, copied from the block's first rows. The strip's columns
+    also hold the first rows of D that a circular stack's last windows
+    read again. Row j of G is written over the block's row j, which no
+    later window reads, save as the row that leaves the next window of
+    a stack that leads at ``low``: that one is copied first. A one-block
+    stack that leads at ``low`` has the block itself for its Gram.
     """
     t = x.shape[1]
     w = width
+    low = 0 if w == t else min(leads)
     g = _triangle(w)
-    if tau == 1 and len(leads) == 1 and leads[0] + w <= t:
-        block = x[:, leads[0] : leads[0] + w]
-        # dsyrk fills the lower triangle of g.T, which is g's upper triangle
-        blas.dsyrk(1.0, block.T, lower=1, c=g.T, overwrite_c=1)
+    # dsyrk fills the lower triangle of g.T, which is g's upper triangle
+    blas.dsyrk(1.0, x[:, low : low + w].T, lower=1, c=g.T, overwrite_c=1)
+    if tau == 1 and tuple(leads) == (low,):
         return g
-    reach = max(leads) + tau - 1  # window j reads D's rows up to j + reach
-    low = min(leads) - 1  # and from j + low, the row that leaves it
-    ring = np.empty((reach - low + 1, w))
-    rows = _lag_rows(x, low + 1, w + reach, w)
-    formed = low + 1  # the rows below this one are in the ring
+    if w == t:  # strip[i, c] = K[c, i] for i > c, read off the block's upper triangle
+        strip = g[: max(leads) + tau - 1].T.copy()
+    else:  # strip[i, c] = K[low + i, low + w + c]
+        strip = dot(x[:, low:].T, x[:, low + w :])
 
-    def row(i):
-        return ring[i % len(ring)]
+    joined = np.empty(w)  # a row of D that is read from two runs
+    left = np.empty(w)  # D's row that leaves the next window of a stack leading at low
+    sums = np.empty((len(leads), w))  # each stack's window
 
-    windows = [None] * len(leads)
+    def row(i, size):
+        """D's row i, its first ``size`` cells."""
+        r = i - low
+        if r >= t:  # a circular stack's last windows wrap round to D's row r - T
+            r -= t
+            return np.concatenate((strip[r:, r], strip[r, :r]), out=joined)[:size]
+        head = g[r, r : r + size] if r < w else strip[r, :0]
+        if len(head) == size:
+            return head
+        start = max(r - w, 0)
+        tail = strip[r, start : start + size - len(head)]
+        return np.concatenate((head, tail), out=joined[:size])
+
+    windows = list(sums)
     for j in range(w):
-        for i, d in zip(range(formed, j + reach + 1), rows):
-            row(i)[: len(d)] = d
-        formed = j + reach + 1
         size = w - j  # window j reaches D's columns 0 .. w - j - 1
         for k, lead in enumerate(leads):
             first = j + lead
+            windows[k] = windows[k][:size]
             if j % tau == 0:
                 # added row by row in order: the bits of a sum over axis 0
-                windows[k] = row(first)[:size].copy()
+                windows[k][:] = row(first, size)
                 for i in range(first + 1, first + tau):
-                    windows[k] += row(i)[:size]
+                    windows[k] += row(i, size)
             else:
-                windows[k] = windows[k][:size]
-                windows[k] += row(first + tau - 1)[:size]
-                windows[k] -= row(first - 1)[:size]
+                windows[k] += row(first + tau - 1, size)
+                windows[k] -= left[:size] if lead == low else row(first - 1, size)
+        if low in leads:
+            left[:size] = g[j, j:]
         out = g[j, j:]
         out[:] = windows[0]
         for window in windows[1:]:
             out += window
     return g
-
-
-# D's rows are formed this many at a time, as one product
-_LAG_BLOCK = 64
-
-
-def _lag_rows(x: np.ndarray, start: int, stop: int, width: int):
-    """Yield D's rows start .. stop - 1, D[i, d] = x_i . x_{i+d} with x's
-    columns read modulo T, row i cut to d < min(width, stop - i).
-
-    The rows come ``_LAG_BLOCK`` at a time, from one product of the
-    columns a .. a + 63 with the columns they reach from a on: row k of
-    it is x_{a+k} against columns a, a + 1, ..., so D's row a + k is
-    that row from its column k on, a skewed view with no copy. The block
-    always has ``_LAG_BLOCK`` rows and its reach is rounded up to a
-    multiple of ``_LAG_BLOCK`` columns, so no cell that is yielded falls
-    in the edge kernels of OpenBLAS's blocked ``dgemm``. The cells then
-    have the bits of ``dsyrk``'s K, as they do at the benchmark's
-    shapes; at a few hundred columns or fewer, where OpenBLAS takes
-    other paths, they may differ from them in the last bit. Each
-    operand is a copy of runs of x's rows, each row's run contiguous.
-    """
-    for a in range(start, stop, _LAG_BLOCK):
-        reached = min(a + _LAG_BLOCK - 1 + width, stop) - a
-        cols = _wrapped_columns(x, a, a + -(-reached // _LAG_BLOCK) * _LAG_BLOCK)
-        block = np.ascontiguousarray(cols[:, :_LAG_BLOCK])
-        # the product's transpose, F-ordered, is its C-ordered rows
-        lags = blas.dgemm(1.0, cols.T, block.T, trans_b=1).T
-        for k in range(min(_LAG_BLOCK, stop - a)):
-            yield lags[k, k : k + min(width, stop - a - k)]
-
-
-def _wrapped_columns(x: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """x's columns start .. stop - 1, read modulo T, as a C-ordered copy."""
-    t = x.shape[1]
-    runs = []
-    while start < stop:
-        first = start % t
-        last = min(first + stop - start, t)
-        runs.append(x[:, first:last])
-        start += last - first
-    return np.concatenate(runs, axis=1)
 
 
 def _triangle(n: int) -> np.ndarray:
@@ -309,9 +286,11 @@ def _triangle(n: int) -> np.ndarray:
     ask for 2 MB transparent huge pages for an array of 4 MB or more,
     and one huge page spans rows of both triangles: a triangle written
     there makes the whole array resident. The memory is unmapped when
-    the last view of it is freed.
+    the last view of it is freed. Where ``mmap`` has no ``MAP_PRIVATE``
+    (Windows), its default anonymous mapping serves.
     """
-    pages = mmap.mmap(-1, n * n * 8, flags=mmap.MAP_PRIVATE)
+    private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+    pages = mmap.mmap(-1, n * n * 8, **private)
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         pages.madvise(mmap.MADV_NOHUGEPAGE)
     return np.frombuffer(pages, dtype=np.float64).reshape(n, n)
@@ -338,7 +317,7 @@ def _block_gram(x: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     n, t = x.shape
     blocks = len(starts)
     first = 0 if width == t else int(starts[0])
-    xt = _columns_as_rows(x, blocks == 1 and width == t)
+    xt = _columns_as_rows(x, starts, width)
     g = _triangle(blocks * n).reshape(blocks, n, blocks, n)
     for m in range(blocks):
         # column first + j meets column first + m + j, which may wrap

@@ -20,7 +20,8 @@ from circdmd import (
     inverse_hankel,
     snapshot_svd,
 )
-from circdmd import embedding, spectral
+from circdmd import spectral
+from circdmd._linalg import dot
 from circdmd.embedding import DelayStack, _window_gram
 
 
@@ -341,35 +342,47 @@ def _syrk(x):
     return np.tril(k) + np.tril(k, -1).T
 
 
-def _rows_of(k):
-    """A stand-in for ``embedding._lag_rows`` that reads D's rows off K."""
+def _kernel_k(x, width, low):
+    """K's upper triangle as the window kernel forms it: ``dsyrk``'s K
+    for a circular stack; for a Hankel one, ``dsyrk``'s K of its block
+    of ``width`` columns from column ``low`` on, and K's rows against
+    the later columns from one product."""
+    k = _syrk(x)
+    if width < x.shape[1]:
+        block = slice(low, low + width)
+        k[block, block] = _syrk(x[:, block])
+        k[low:, low + width :] = dot(x[:, low:].T, x[:, low + width :])
+    return k
+
+
+def _d_of(k):
+    """D's row i, K[i, i + d] for every d, indices read modulo T."""
     t = len(k)
-
-    def rows(x, start, stop, width):
-        for i in range(start, stop):
-            yield np.roll(k[i % t], -(i % t))[: min(width, stop - i)]
-
-    return rows
+    return lambda i: np.roll(k[i % t], -(i % t))
 
 
-def _two_buffer_gram(stack, k):
-    """``gram()`` as it was with D and G in separate T x T arrays, D read
-    off K: the same window sums in the same order, so the same bits."""
-    t = stack.x.shape[1]
-    w = stack.width
-    d = k.copy()
-    for j in range(t):
-        d[j] = np.roll(d[j], -j)
-    g = np.empty((w, w))
+def _two_buffer_gram(stack, row):
+    """The upper triangle of ``gram()`` as it was with D and G in
+    separate arrays, D's row i being ``row(i)``: the same window sums
+    in the same order, so the same bits."""
+    w, tau = stack.width, stack.tau
+    g = np.zeros((w, w))
     for j in range(w):
         first = j + stack.starts[0]
-        if j % stack.tau == 0:
-            window = d.take(range(first, first + stack.tau), axis=0, mode="wrap").sum(axis=0)
+        size = w - j
+        if j % tau == 0:
+            window = np.array([row(i)[:size] for i in range(first, first + tau)]).sum(axis=0)
         else:
-            window += d[(first + stack.tau - 1) % t]
-            window -= d[(first - 1) % t]
-        g[j, j:] = window[: w - j]
-        g[j, :j] = window[t - j :]
+            window = window[:size] + row(first + tau - 1)[:size]
+            window -= row(first - 1)[:size]
+        g[j, j:] = window
+    return g
+
+
+def _mapping(g):
+    """The buffer under the views that g is: a Gram's own mapping."""
+    while isinstance(g, np.ndarray):
+        g = g.base
     return g
 
 
@@ -379,18 +392,18 @@ def _two_buffer_gram(stack, k):
     pytest.param(1, 1, 1, True, id="1-1-1"),
 ])
 @pytest.mark.parametrize("offset", [0, 1])
-def test_gram_over_its_own_buffer_matches_the_two_buffer_gram(monkeypatch, n, t, tau, wrap, offset):
-    # the ring of D's rows and the triangle keep every addition of the
-    # two-buffer form: the same bits from the same K, and within 1e-15 of
-    # it from the kernel's own K, whose rows are dgemm's
+def test_gram_over_its_own_buffer_matches_the_two_buffer_gram(n, t, tau, wrap, offset):
+    # G written over K's block keeps every addition of the two-buffer
+    # form: the same bits from the same K, which for a Hankel stack is
+    # within 1e-15 of dsyrk's. A Hankel stack's W x W Gram has a mapping
+    # of its own, no T x T one
     stack = DelayStack(_matrix(n, t, seed=t + tau).values, tau, offset, wrap)
-    k = _syrk(stack.x)
-    want = np.triu(_two_buffer_gram(stack, k))
     g = stack.gram()
     assert g.shape == (stack.width, stack.width) and g.flags.c_contiguous
-    assert _relative(_upper(g), want) <= 1e-15
-    monkeypatch.setattr(embedding, "_lag_rows", _rows_of(k))
-    assert np.array_equal(_upper(stack.gram()), want)
+    assert len(_mapping(g)) == g.nbytes
+    k = _kernel_k(stack.x, stack.width, int(stack.starts[0]))
+    assert np.array_equal(_upper(g), _two_buffer_gram(stack, _d_of(k)))
+    assert _relative(g, _two_buffer_gram(stack, _d_of(_syrk(stack.x)))) <= 1e-15
 
 
 @pytest.mark.parametrize("n,t,tau,wrap", CASES + [
@@ -398,23 +411,22 @@ def test_gram_over_its_own_buffer_matches_the_two_buffer_gram(monkeypatch, n, t,
     pytest.param(3, 64, 17, False, id="3-64-17-nowrap-compacted"),
     pytest.param(1, 2, 1, True, id="1-2-1"),
 ])
-def test_pair_gram_is_the_sum_of_the_two_grams(monkeypatch, n, t, tau, wrap):
+def test_pair_gram_is_the_sum_of_the_two_grams(n, t, tau, wrap):
     # the source's and target's window sums in one buffer: the same bits
-    # as adding the target's Gram to the source's when all three read D's
-    # rows off one K, and within 1e-15 with the kernel's own rows
+    # as adding the target's Gram to the source's when both read the same
+    # K, and within 1e-15 of the sum of the two Grams as each stack forms
+    # them (a Hankel target's K starts one column later)
     x = _matrix(n, t, seed=t + tau).values
     source, target = DelayStack(x, tau, 0, wrap), DelayStack(x, tau, 1, wrap)
-
-    def both():
-        want = source.gram()
-        want += target.gram()
-        return _upper(want), _upper(_window_gram(x, tau, source.width, (0, 1)))
-
-    want, g = both()
-    assert g.shape == want.shape and _relative(g, want) <= 1e-15
-    monkeypatch.setattr(embedding, "_lag_rows", _rows_of(_syrk(x)))
-    want, g = both()
-    assert np.array_equal(g, want)
+    want = source.gram()
+    want += target.gram()
+    g = _window_gram(x, tau, source.width, (0, 1))
+    assert g.shape == want.shape and len(_mapping(g)) == g.nbytes
+    d = _d_of(_kernel_k(x, source.width, 0))
+    assert np.array_equal(_upper(g), _two_buffer_gram(source, d) + _two_buffer_gram(target, d))
+    assert _relative(g, _upper(want)) <= 1e-15
+    if wrap:  # both stacks read dsyrk's K
+        assert np.array_equal(g, want)
 
 
 @pytest.mark.parametrize("n,t,tau,wrap", STACK_SIDE_CASES)
@@ -470,7 +482,7 @@ def test_gram_pages_that_hold_only_its_lower_triangle_never_become_resident(tau)
     g = DelayStack(_matrix(4, n, seed=tau).values, tau, 0, True).gram()
     size, rss = _resident(g)
     touched = _upper_triangle_pages(n)
-    assert size == g.nbytes
+    assert size == len(_mapping(g)) == g.nbytes
     assert rss <= touched < 0.75 * g.nbytes, (rss, touched, g.nbytes)
     if tau > 1:
         spectral._SymmetricEigen(g)
