@@ -110,7 +110,12 @@ def _read_complex_matrix(path) -> np.ndarray:
 
 
 def input_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """The sha256 of a file, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def save_bundle(outdir, spectrum: DynamicSpectrum, digest: str, split_index=None):
@@ -274,6 +279,26 @@ def _load_train(args):
     return data, None
 
 
+def _load_fitted(args):
+    """``_load_train(args)`` once ``--input`` and ``--split-index`` are
+    those the bundle was fit from; a DataError names both if not."""
+    manifest = load_manifest(args.bundle)
+    fitted = manifest.get("input_digest")
+    digest = input_digest(args.input)
+    if fitted is not None and digest != fitted:
+        raise DataError(
+            f"{args.input}: sha256 {digest}, but {args.bundle} was fit from "
+            f"input with sha256 {fitted}"
+        )
+    fitted = manifest.get("split_index")
+    if fitted is not None and args.split_index != fitted:
+        raise DataError(
+            f"--split-index {args.split_index}, but {args.bundle} was fit "
+            f"with --split-index {fitted}"
+        )
+    return _load_train(args)
+
+
 def _grid_names(gammas) -> list:
     """The bundle name gamma_<g> of each grid value, in order; a
     UsageError names two values that would write the same bundle."""
@@ -362,7 +387,7 @@ def _report_admm(spectrum) -> None:
 def cmd_reconstruct(args) -> int:
     _require(args, "input", "out")
     spectrum = load_bundle(args.bundle)
-    train, _ = _load_train(args)
+    train, _ = _load_fitted(args)
     estimate = predict(spectrum, (train.n_sensors, train.n_time), 0)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -378,7 +403,7 @@ def cmd_reconstruct(args) -> int:
 def cmd_forecast(args) -> int:
     _require(args, "input", "out")
     spectrum = load_bundle(args.bundle)
-    train, dataset = _load_train(args)
+    train, dataset = _load_fitted(args)
     horizon = args.horizon
     if horizon is None and dataset is not None:
         horizon = dataset.test.n_time
@@ -441,17 +466,16 @@ def cmd_analyze(args) -> int:
                 f"--mode-indices {outside} outside 0..{meta.rank - 1}, "
                 f"the modes of this rank-{meta.rank} bundle"
             )
-    outdir.mkdir(parents=True, exist_ok=True)
-
     needs_residuals = {"acf", "residual-corr", "per-sensor-mape"}
     residuals = truth = None
     if needs_residuals & set(requested):
         if not args.input:
             raise UsageError("residual analyses need --input (and --split-index if used)")
-        train, _ = _load_train(args)
+        train, _ = _load_fitted(args)
         truth = train.values
         estimate = predict(spectrum, (train.n_sensors, train.n_time), 0)
         residuals = truth - estimate
+    outdir.mkdir(parents=True, exist_ok=True)
 
     failures = []
     for name in requested:

@@ -9,6 +9,7 @@ imputation is deliberately out of scope and happens upstream.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from typing import Optional
 
@@ -186,8 +187,9 @@ def save_matrix(matrix: SpeedMatrix, path, layout: str = LAYOUT_ROWS) -> None:
 
 
 # Rows go out in blocks of about this many cells (a row at least): a
-# block's floats and text take a few hundred kB, and at 1 << 16 the heap
-# they left behind already raised the peak RSS of a later fit by 3 MB.
+# block's arrays, floats and text take at most about 2 MB, and at 1 << 16
+# the heap they left behind already raised the peak RSS of a later fit
+# by 3 MB.
 _BLOCK_CELLS = 1 << 13
 
 
@@ -196,18 +198,170 @@ def _write_csv(path, values: np.ndarray, cells="%.17g", header=None) -> None:
 
     ``cells`` is one %-format for every cell or a list of one per
     column; "%.17g" is the text of ``f"{v:.17g}"``, which reads back
-    bit-exactly. Each block of rows is formatted by a single ``%``.
-    ``header``, if given, is a first row of strings.
+    bit-exactly. Float64 "%.17g" cells are formatted by
+    :func:`_g17_block` in array arithmetic; any other block by a single
+    ``%``. ``header``, if given, is a first row of strings.
     """
     n_rows, width = values.shape
     line = ",".join([cells] * width if isinstance(cells, str) else cells) + "\r\n"
     step = max(1, _BLOCK_CELLS // max(1, width))
-    with open(path, "w", newline="") as fh:
+    exact = cells == "%.17g" and values.dtype == np.float64 and width > 0
+    with open(path, "wb") as fh:
         if header is not None:
-            csv.writer(fh).writerow(header)
+            row = io.StringIO()
+            csv.writer(row).writerow(header)
+            fh.write(row.getvalue().encode())
         for start in range(0, n_rows, step):
             block = values[start : start + step]
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+            if exact:
+                fh.write(_g17_block(block))
+            else:
+                fh.write((line * len(block) % tuple(block.ravel().tolist())).encode())
+
+
+# -- "%.17g" in array arithmetic ---------------------------------------------
+#
+# A cell v with 1e-4 <= |v| < 1e16 prints in fixed notation: its 17
+# significant digits D, 10**16 <= D < 10**17, are |v| * 10**k rounded half
+# to even with k = 16 - X, X = floor(log10 |v|) in -4..15, and 10**k is an
+# exact double (k <= 22). Dekker's product gives |v| * 10**k = p + e
+# exactly (Dekker 1971, Numer. Math. 18). Then p >= 2**53 is an even
+# integer, so D = p + rint(e). Trailing zeros of the fraction go, and with
+# them the point. Zero is "0" and "-0". Any other cell (exponent notation,
+# NaN, inf) takes Python's own formatting.
+
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into 26- and 27-bit halves
+_POW10 = 10.0 ** np.arange(23)
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+# "0000".."9999" as one uint32 each, so a 4-digit group is one gather
+_DIGITS4 = np.frombuffer("".join(f"{i:04d}" for i in range(10**4)).encode(), np.uint32)
+_TRAILING4 = np.array([4] + [len(f"{i}") - len(f"{i}".rstrip("0")) for i in range(1, 10**4)])
+
+# A cell's text is laid out in a row of _WIDTH bytes: column 0 the sign,
+# columns 1-22 the body (at most "0.000" and 17 digits), column 24 "," or
+# CR, column 25 LF; a cell in Python's formatting takes columns 0-23.
+# ``_digit_rows`` puts digit j of D at column 7 + j of a row of the same
+# width, and a body column c takes the byte at c + m of it for one shift
+# m: for X >= 0, m = 6 up to the point and 5 past it; for X < 0, m = 5 + X,
+# which also brings the zeros ahead of the digits.
+_WIDTH = 28
+_SEPARATOR = 24
+
+
+def _layout_tables():
+    """By X + 4: the columns each shift m fills (0xFF), and the bytes
+    that do not come from the digits. By body length: the columns kept."""
+    takes = np.zeros((7, 20, _WIDTH), dtype=np.uint8)
+    fixed = np.zeros((20, _WIDTH), dtype=np.uint8)
+    fixed[:, [0, _SEPARATOR, _SEPARATOR + 1]] = np.frombuffer(b"-,\n", np.uint8)
+    for x in range(-4, 16):
+        point = max(x, 0) + 2
+        fixed[x + 4, point] = ord(".")
+        if x >= 0:
+            takes[6, x + 4, 1:point] = 0xFF
+            takes[5, x + 4, point + 1 : 23] = 0xFF
+        else:
+            takes[5 + x, x + 4, [1, *range(3, 23)]] = 0xFF
+    keep = np.zeros((23, _WIDTH), dtype=bool)
+    keep[:, _SEPARATOR] = True
+    for n in range(23):
+        keep[n, 1 : n + 1] = True
+    return takes, fixed, keep
+
+
+_TAKES, _FIXED, _KEEP = _layout_tables()
+
+
+def _g17_block(block: np.ndarray) -> bytes:
+    """The CSV bytes of a float64 block of rows with ``f"{v:.17g}"`` cells."""
+    width = block.shape[1]
+    v = block.ravel()
+    a = np.abs(v)
+    zero = a == 0
+    other = ~((a >= 1e-4) & (a < 1e16) | zero)  # NaN fails both tests
+    a[zero | other] = 1.0  # X = 0
+    d, x = _digits17(a)
+    d[zero] = 0
+    digits, trailing = _digit_rows(d)
+    integer = np.maximum(x, 0) + 1
+    fraction = np.maximum(16 - x - trailing, 0)
+    body = integer + (fraction > 0) * (fraction + 1)
+
+    code = x + 4
+    n = v.size
+    text = _FIXED.take(code, axis=0)
+    flat = text.reshape(-1)
+    present = np.bincount(code, minlength=20) > 0
+    for m in np.flatnonzero(_TAKES[:, present].any(axis=(1, 2))):
+        shifted = digits.reshape(-1)[m : m + n * _WIDTH]
+        flat |= shifted & _TAKES[m].take(code, axis=0).reshape(-1)
+    keep = _KEEP.take(body, axis=0)
+    keep[:, 0] = np.signbit(v)
+    keep[width - 1 :: width, _SEPARATOR + 1] = True
+    text[width - 1 :: width, _SEPARATOR] = ord("\r")
+    if other.any():
+        at = np.flatnonzero(other)
+        cells = [f"{c:.17g}" for c in v[at].tolist()]
+        chars = np.array(cells, dtype=f"S{_SEPARATOR}").view(np.uint8)
+        text[at, :_SEPARATOR] = chars.reshape(-1, _SEPARATOR)
+        keep[at, :_SEPARATOR] = np.arange(_SEPARATOR) < np.array([len(c) for c in cells])[:, None]
+    return text[keep].tobytes()
+
+
+def _digits17(a: np.ndarray):
+    """(D, X) for positive ``a``: D = a * 10**(16 - X) rounded half to
+    even, with X chosen so that 10**16 <= D < 10**17.
+
+    log10 may put X one off next to a power of ten; such a cell is
+    redone with X moved toward the right one. The tests are on the
+    exact product p + e, not on p alone: the double below 0.1 times
+    10**17 is 9999999999999999.17, whose p is 1e16.
+    """
+    x = np.floor(np.log10(a)).astype(np.int64)
+    p, e = _times_pow10(a, 16 - x)
+    d = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    while True:
+        low = (p < 1e16) | ((p == 1e16) & (e < 0))  # a * 10**k < 10**16
+        high = d >= 10**17  # rounds to 18 digits: only when X is too small
+        redo = np.flatnonzero(low | high)
+        if redo.size == 0:
+            return d, x
+        x[redo] += np.where(high[redo], 1, -1)
+        p[redo], e[redo] = _times_pow10(a[redo], 16 - x[redo])
+        d[redo] = p[redo].astype(np.int64) + np.rint(e[redo]).astype(np.int64)
+
+
+def _times_pow10(a: np.ndarray, k: np.ndarray):
+    """(p, e) with p = fl(a * 10**k) and p + e = a * 10**k exactly (Dekker)."""
+    b, b_hi, b_lo = _POW10.take(k), _POW10_HI.take(k), _POW10_LO.take(k)
+    c = a * _SPLIT
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    p = a * b
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return p, e
+
+
+def _digit_rows(d: np.ndarray):
+    """The 17 digits of each D as ASCII at columns 7-23 of a row of
+    _WIDTH bytes, "0" elsewhere (one zero row more, so that a row may be
+    read shifted), and the number of trailing zeros of each D."""
+    high = d // 10**8
+    low = d - high * 10**8
+    lead = high // 10**8
+    middle = high - lead * 10**8
+    g1 = middle // 10**4
+    g2 = middle - g1 * 10**4
+    g3 = low // 10**4
+    g4 = low - g3 * 10**4
+    words = np.full((d.size + 1, _WIDTH // 4), _DIGITS4[0])
+    for j, group in enumerate((lead, g1, g2, g3, g4), start=1):
+        words[:-1, j] = _DIGITS4.take(group)
+    t = _TRAILING4
+    trailing = t.take(g4) + (g4 == 0) * (
+        t.take(g3) + (g3 == 0) * (t.take(g2) + (g2 == 0) * t.take(g1)))
+    return words.view(np.uint8), trailing
 
 
 def split(data: SpeedMatrix, split_index: int) -> Dataset:

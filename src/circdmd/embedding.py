@@ -27,7 +27,7 @@ from scipy.linalg import blas
 
 from ._linalg import dot
 from .datamodel import SpeedMatrix
-from .errors import DataError, KindError, RangeError, ShapeError
+from .errors import ConfigError, DataError, KindError, RangeError, ShapeError
 
 ANTI_CIRCULANT = "anti-circulant"
 HANKEL = "hankel"
@@ -287,10 +287,16 @@ def _triangle(n: int) -> np.ndarray:
     and one huge page spans rows of both triangles: a triangle written
     there makes the whole array resident. The memory is unmapped when
     the last view of it is freed. Where ``mmap`` has no ``MAP_PRIVATE``
-    (Windows), its default anonymous mapping serves.
+    (Windows), its default anonymous mapping serves. A mapping the
+    system refuses is a ConfigError that names the Gram and its size.
     """
     private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
-    pages = mmap.mmap(-1, n * n * 8, **private)
+    try:
+        pages = mmap.mmap(-1, n * n * 8, **private)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot map the {n} x {n} Gram matrix ({n * n * 8} bytes): {exc.strerror}"
+        ) from None
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         pages.madvise(mmap.MADV_NOHUGEPAGE)
     return np.frombuffer(pages, dtype=np.float64).reshape(n, n)

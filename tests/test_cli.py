@@ -1,4 +1,6 @@
 import csv
+import errno
+import hashlib
 import io
 import json
 import warnings
@@ -119,6 +121,66 @@ def test_gamma_grid_digest_guard(tmp_path, fixture_csv, capsys):
     digest = cli.input_digest(str(other))
     for name in ("gamma_0", "gamma_10"):
         assert load_manifest(grid / name)["input_digest"] == digest
+
+
+# each command that predicts from --input, with the arguments of its run
+PREDICTING = {
+    "forecast": ["--split-days", "0"],
+    "reconstruct": [],
+    "analyze": ["--run", "acf,residual-corr,per-sensor-mape"],
+}
+
+
+@pytest.mark.parametrize("command", PREDICTING)
+def test_commands_refuse_an_input_the_bundle_was_not_fit_from(tmp_path, fixture_csv, capsys,
+                                                              command):
+    bundle = _fit(tmp_path, fixture_csv, "--split-index", "192")
+    other = tmp_path / "other.csv"
+    other.write_text(fixture_csv.read_text().replace("30", "31", 1))  # one cell, same shape
+
+    def run(path, split, out):
+        return main([
+            command, "--input", str(path), "--dt", str(1 / 12), "--split-index", split,
+            "--bundle", str(bundle), "--out", str(tmp_path / out), *PREDICTING[command],
+        ])
+
+    assert run(fixture_csv, "192", "same") == 0
+    capsys.readouterr()
+    assert run(other, "192", "other") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {other}: sha256 {cli.input_digest(other)}, but {bundle}")
+    assert cli.input_digest(fixture_csv) in err
+    assert run(fixture_csv, "191", "split") == 1
+    assert "--split-index 191, but" in capsys.readouterr().err
+    assert not (tmp_path / "other").exists() and not (tmp_path / "split").exists()
+
+
+def test_input_digest_streams_the_sha256_of_the_whole_file(tmp_path):
+    path = tmp_path / "big.bin"
+    path.write_bytes(np.random.default_rng(0).bytes(5 * (1 << 19) + 3))  # 2.5 MiB and 3 bytes
+    assert cli.input_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+    path.write_bytes(b"")
+    assert cli.input_digest(path) == hashlib.sha256(b"").hexdigest()
+
+
+def test_fit_that_cannot_map_its_gram_exits_1_naming_it(tmp_path, fixture_csv, capsys,
+                                                        monkeypatch):
+    import mmap
+
+    def refuse(*args, **kwargs):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    capsys.readouterr()
+    assert main([
+        "fit", "--input", str(fixture_csv), "--dt", str(1 / 12),
+        "--method", "circ", "--tau", "48", "--out", str(tmp_path / "bundle"),
+    ]) == 1
+    err = capsys.readouterr().err
+    # circ at T = 288, N * tau = 192: the 192 x 192 stack-side Gram
+    assert err == ("error: cannot map the 192 x 192 Gram matrix (294912 bytes): "
+                   "Cannot allocate memory\n")
+    assert not (tmp_path / "bundle").exists()
 
 
 def test_bundle_round_trip_preserves_spectrum(tmp_path, fixture_csv):

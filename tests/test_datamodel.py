@@ -1,5 +1,6 @@
 import csv
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from circdmd import (
     save_matrix,
     split,
 )
+from circdmd.datamodel import _g17_block
 
 
 def test_load_simple_rows(tmp_path):
@@ -202,6 +204,72 @@ def test_save_matrix_quotes_sensor_ids_like_csv_writer(tmp_path):
     back = load_matrix(path, layout="cols")
     assert back.sensor_ids == m.sensor_ids
     assert np.array_equal(back.values, values)
+
+
+# -- the "%.17g" kernel: each block's bytes against f"{v:.17g}" --------------
+
+def _kernel_matches(values):
+    assert _g17_block(values) == _csv_writer_text(values).encode()
+
+
+in_fixed_range = st.floats(min_value=1e-4, max_value=1e16, exclude_max=True)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(values=arrays(float, st.tuples(st.integers(1, 5), st.integers(1, 40)),
+                     elements=st.builds(lambda v, s: s * v, in_fixed_range,
+                                        st.sampled_from([1.0, -1.0]))))
+def test_kernel_text_of_fixed_notation_cells(values):
+    _kernel_matches(values)
+
+
+def _ulps(v, count):
+    """``v`` and ``count`` doubles on either side of it."""
+    out, up, down = [v], v, v
+    for _ in range(count):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+        out += [up, down]
+    return out
+
+
+def _ties():
+    """Doubles whose product with 10**k, k = 16 - floor(log10 v), ends in
+    exactly .5: v = j / 2**(k + 1) with j odd, so v * 10**k = j * 5**k / 2."""
+    out = []
+    for x in range(-4, 16):
+        q = 17 - x
+        j = int(np.ceil(10.0**x * 2.0**q)) | 1
+        out += [np.ldexp(float(j + 2 * i), -q) for i in range(4)]
+    return out
+
+
+def test_kernel_text_of_edge_cells():
+    # The range tests in _digits17 are on the exact product p + e, and so
+    # are exact. A test on p alone would not be: a double lies within
+    # 1.1e-16 relative of 0.1 and of 1e-4 without being that power (the
+    # power is no double), and the double below 0.1 times 10**17 rounds
+    # to p = 1e16, though its 17 digits are 9999999999999999.2.
+    below = np.nextafter(0.1, 0.0)
+    assert abs(Fraction(below) / Fraction(1, 10) - 1) < 1.1e-16 and below * 1e17 == 1e16
+    cells = [c for x in range(-4, 16) for c in _ulps(10.0**x, 4)]
+    cells += _ulps(1e-4, 0) + [np.nextafter(1e16, 0.0), 9999999999999998.0, 0.0, -0.0]
+    cells += _ties()
+    cells += [1.0 + 2.0**-52, 0.5, 0.25, 0.1, 1 / 3, 2 / 3, 123456789012345.67, 1e15 + 0.25]
+    values = np.array(cells)
+    values = np.concatenate([values, -values])
+    _kernel_matches(values[None, :])
+    _kernel_matches(values.reshape(-1, 2))  # each pair one row, CRLF after each
+
+
+@pytest.mark.parametrize("outside", [5e-324, -2.2250738585072014e-308, 1e-5, 9.99e-5, 1e16,
+                                     -1e300, 1.7976931348623157e308, np.nan, np.inf, -np.inf])
+def test_kernel_formats_cells_outside_its_range_as_python_does(outside):
+    # Python formats the cell (exponent notation, nan, inf) in place; the
+    # in-range cells around it keep the kernel's text
+    values = np.random.default_rng(2).normal(scale=40.0, size=(3, 7))
+    values[0, 0] = values[1, 3] = values[2, 6] = outside
+    _kernel_matches(values)
+    _kernel_matches(np.full((2, 3), outside))
 
 
 @pytest.mark.parametrize(
