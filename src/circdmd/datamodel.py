@@ -234,9 +234,12 @@ _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into 26- and 27-bit halves
 _POW10 = 10.0 ** np.arange(23)
 _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
-# "0000".."9999" as one uint32 each, so a 4-digit group is one gather
+# "0000".."9999" as one uint32 each, so a 4-digit group is one gather,
+# and the trailing zeros of each group (4 for "0000")
 _DIGITS4 = np.frombuffer("".join(f"{i:04d}" for i in range(10**4)).encode(), np.uint32)
-_TRAILING4 = np.array([4] + [len(f"{i}") - len(f"{i}".rstrip("0")) for i in range(1, 10**4)])
+_TRAILING4 = np.array(
+    [4] + [len(f"{i}") - len(f"{i}".rstrip("0")) for i in range(1, 10**4)], dtype=np.int8
+)
 
 # A cell's text is laid out in a row of _WIDTH bytes: column 0 the sign,
 # columns 1-22 the body (at most "0.000" and 17 digits), column 24 "," or
@@ -300,7 +303,7 @@ def _g17_block(block: np.ndarray) -> bytes:
     keep[:, 0] = np.signbit(v)
     keep[width - 1 :: width, _SEPARATOR + 1] = True
     text[width - 1 :: width, _SEPARATOR] = ord("\r")
-    if other.any():
+    if other.any():  # at most 24 bytes: "-2.2250738585072014e-308"
         at = np.flatnonzero(other)
         cells = [f"{c:.17g}" for c in v[at].tolist()]
         chars = np.array(cells, dtype=f"S{_SEPARATOR}").view(np.uint8)
