@@ -617,6 +617,17 @@ def _at_least(low: int, auto: bool = False):
     return parse
 
 
+def _positive(text: str) -> float:
+    """The argparse type of a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite float > 0, got {text!r}")
+    return value
+
+
 def _comma_list(kind):
     """The argparse type of a comma list of ``kind`` values."""
     def parse(text: str) -> list:
@@ -670,8 +681,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit_cmd.add_argument("--gamma", type=float, default=0.0)
     fit_cmd.add_argument("--gamma-grid", type=_comma_list(float), default=None,
                          help="comma list; fit one bundle per value with warm starts")
-    fit_cmd.add_argument("--admm-rho", type=float, default=1.0)
-    fit_cmd.add_argument("--admm-max-iter", type=int, default=10000)
+    fit_cmd.add_argument("--admm-rho", type=_positive, default=1.0)
+    fit_cmd.add_argument("--admm-max-iter", type=_at_least(1), default=10000)
     fit_cmd.add_argument("--out", default="", help="bundle output directory")
     fit_cmd.add_argument("--force", action="store_true",
                          help="overwrite a bundle fit from different input")

@@ -163,9 +163,9 @@ class DelayStack:
                 out[..., rows] += dot(z[..., i * n : (i + 1) * n], xt[cols].T)
         return out
 
-    def first_column(self) -> np.ndarray:
-        """Column 0: block i holds x_{i+offset}, 0-based and wrapped."""
-        return self.x[:, self.starts].ravel(order="F")
+    def column(self, j: int) -> np.ndarray:
+        """Column j: block i holds x_{i+offset+j}, 0-based and wrapped."""
+        return self.x[:, (self.starts + j) % self.x.shape[1]].ravel(order="F")
 
     def gram(self) -> np.ndarray:
         """The upper triangle of the width x width ``S.T @ S``: G[j, l] =

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, lapack
 
 from ._linalg import dot, solve
 from .errors import NumericalError, RangeError, ShapeError
@@ -108,8 +108,12 @@ def _soft_threshold(v: np.ndarray, kappa: float) -> np.ndarray:
 
 
 def _admm_iterate(form, gamma, rho, max_iter, eps_abs, eps_rel, state=None):
+    """The ADMM loop. Each b-update is LAPACK's ``potrs`` on the Cholesky
+    factor, the call ``cho_solve`` makes after checking its operands,
+    which the loop's own operands need not repeat."""
     r = form.q.shape[0]
-    lhs = cho_factor(form.p + (rho / 2.0) * np.eye(r))
+    factor, lower = cho_factor(form.p + (rho / 2.0) * np.eye(r))
+    potrs = lapack.get_lapack_funcs("potrs", (factor,))
     if state is None:
         b = np.zeros(r, dtype=complex)
         beta = np.zeros(r, dtype=complex)
@@ -120,7 +124,9 @@ def _admm_iterate(form, gamma, rho, max_iter, eps_abs, eps_rel, state=None):
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        b = cho_solve(lhs, form.q + (rho / 2.0) * (beta - u))
+        b, info = potrs(factor, form.q + (rho / 2.0) * (beta - u), lower=lower)
+        if info != 0:
+            raise NumericalError(f"LAPACK potrs failed (info = {info})")
         beta_prev = beta
         beta = _soft_threshold(b + u, gamma / rho)
         u = u + b - beta

@@ -3,11 +3,13 @@
 The reduced SVD goes through the method of snapshots: the Gram matrix
 of the smaller dimension is eigendecomposed and the long-side factor is
 recovered by one projection, so the (N*tau) x (N*tau) product is never
-formed. The eigensolve yields every eigenvalue, which the rank rule
-needs, but eigenvectors only for the rank kept. Rank selection
-combines the aspect-ratio hard threshold with a numerical-rank guard
-so that exactly low-rank inputs do not drag round-off directions into
-the spectrum.
+formed. The eigensolve yields only the eigenvalues the rank rule
+reads (the largest, the median and those kept) and eigenvectors only
+for the rank kept. Rank selection combines the aspect-ratio hard
+threshold with a numerical-rank guard so that exactly low-rank inputs
+do not drag round-off directions into the spectrum. A delay stack's
+next-snapshot matrix is the stack shifted by one column, so its
+propagator follows from the right singular vectors alone.
 """
 
 from __future__ import annotations
@@ -116,11 +118,17 @@ def optimal_rank(singular_values: np.ndarray, m: int, n: int) -> int:
     s = np.asarray(singular_values, dtype=float)
     if s.size == 0:
         raise RangeError("empty singular value vector")
+    delta = _hard_threshold(float(np.median(s)), m, n)
+    return max(int(np.sum(s > delta)), 1)
+
+
+def _hard_threshold(median: float, m: int, n: int) -> float:
+    """The threshold of :func:`optimal_rank` for singular values of an
+    m x n matrix whose median is ``median``."""
     if m <= 0 or n <= 0:
         raise RangeError(f"matrix dimensions must be positive, got {m} x {n}")
     beta = min(m, n) / max(m, n)
-    delta = hard_threshold_factor(beta) * float(np.median(s))
-    return max(int(np.sum(s > delta)), 1)
+    return hard_threshold_factor(beta) * median
 
 
 def _check(routine: str, info: int) -> None:
@@ -133,19 +141,31 @@ def _check(routine: str, info: int) -> None:
 # reflectors in blocks of at most 64 in any case, so no blocking is lost.
 _PANEL = 64
 
+# Bisection takes k eigenvalues in about the time dsterf takes all n when
+# k is near n / 16: a request for more takes every eigenvalue instead.
+_BISECT_SHARE = 16
+
+# dstebz's absolute tolerance for the most accurate eigenvalues it gives
+# (as LAPACK's dsyevx documents it): twice the smallest normal float.
+_BISECT_TOL = 2 * _TINY
+
 
 class _SymmetricEigen:
-    """Every eigenvalue of a symmetric matrix, and eigenvectors on request.
+    """Eigenvalues of a symmetric matrix on request, and the top eigenvectors.
 
-    One Householder reduction to tridiagonal form (``dsytrd``) is shared,
-    and ``dsterf`` gives every eigenvalue from it. The eigenvectors of
-    the top ``r`` come from inverse iteration (``dstein``) on the whole
-    tridiagonal at those r eigenvalues, which reorthogonalises the
-    vectors of clustered eigenvalues, followed by the back-transform
-    (``dormqr``), one F-contiguous panel of at most 64 reflectors at a
-    time, last panel first. The matrix is reduced in place, so the
-    caller must not reuse it; beside it the solve holds the n x r
-    vectors and one panel, never a second n x n array.
+    One Householder reduction to tridiagonal form (``dsytrd``) is shared.
+    A run of k consecutive eigenvalues, in order of size, comes from
+    bisection on the tridiagonal (``dstebz``, as ``dsyevx`` takes them),
+    unless k exceeds n / 16: then ``dsterf`` gives every eigenvalue,
+    which is kept for every later request. A count of the eigenvalues
+    above a value is one Sturm count. The eigenvectors of the top ``r``
+    come from inverse iteration (``dstein``) on the whole tridiagonal at
+    those r eigenvalues, which reorthogonalises the vectors of clustered
+    eigenvalues, followed by the back-transform (``dormqr``), one
+    F-contiguous panel of at most 64 reflectors at a time, last panel
+    first. The matrix is reduced in place, so the caller must not reuse
+    it; beside it the solve holds the n x r vectors and one panel, never
+    a second n x n array.
 
     Only the matrix's upper triangle is read, a C-ordered array's upper
     triangle being the lower triangle of its Fortran-ordered transpose,
@@ -162,15 +182,49 @@ class _SymmetricEigen:
             matrix.T, lower=1, lwork=int(work), overwrite_a=1
         )
         _check("dsytrd", info)
-        if n == 1:
-            self._ascending = self._diag.copy()
-        else:
-            self._ascending, info = lapack.dsterf(self._diag, self._off)
-            _check("dsterf", info)
+        # every eigenvalue, ascending, once dsterf has run (at once for n = 1)
+        self._ascending = self._diag.copy() if n == 1 else None
+        self._top = np.empty(0)  # the largest eigenvalues taken so far, decreasing
 
     def values(self) -> np.ndarray:
         """All eigenvalues, in decreasing order."""
+        if self._ascending is None:
+            self._ascending, info = lapack.dsterf(self._diag, self._off)
+            _check("dsterf", info)
         return self._ascending[::-1]
+
+    def ranked(self, low: int, high: int) -> np.ndarray:
+        """The eigenvalues of ranks low..high in increasing order (1-based,
+        the smallest being rank 1), increasing."""
+        if self._ascending is None and (high - low + 1) * _BISECT_SHARE <= self.n:
+            m, w, _, _, info = lapack.dstebz(
+                self._diag, self._off, 2, 0.0, 0.0, low, high, _BISECT_TOL, "E"
+            )
+            _check("dstebz", info)
+            return w[:m]
+        return self.values()[::-1][low - 1 : high]
+
+    def top_values(self, k: int) -> np.ndarray:
+        """The k largest eigenvalues, in decreasing order."""
+        if len(self._top) < k:
+            self._top = self.ranked(self.n - k + 1, self.n)[::-1]
+        return self._top[:k]
+
+    def count_above(self, value: float) -> int:
+        """The number of eigenvalues greater than ``value``."""
+        if self._ascending is not None:
+            return int(np.sum(self._ascending > value))
+        # Gershgorin's bound on every |eigenvalue|: dstebz counts the ones
+        # in (value, bound], and a tolerance as wide as that interval ends
+        # its bisection before the first step, at the two Sturm counts
+        bound = np.max(np.abs(self._diag)) + 2.0 * np.max(np.abs(self._off))
+        if value >= bound:
+            return 0
+        m, *_, info = lapack.dstebz(
+            self._diag, self._off, 1, value, bound, 0, 0, bound - value, "E"
+        )
+        _check("dstebz", info)
+        return int(m)
 
     def top_vectors(self, r: int) -> np.ndarray:
         """Orthonormal eigenvectors of the r largest eigenvalues, largest first."""
@@ -180,7 +234,9 @@ class _SymmetricEigen:
         # one block: every eigenvalue belongs to the block of rows 1..n
         block = np.ones(n, dtype=np.int32)
         split = np.full(n, n, dtype=np.int32)
-        z, info = lapack.dstein(self._diag, self._off, self._ascending[n - r :], block, split)
+        z, info = lapack.dstein(
+            self._diag, self._off, self.top_values(r)[::-1], block, split
+        )
         _check("dstein", info)
         z = np.asfortranarray(z[:, ::-1])
         # Q = H(1) ... H(n-1) leaves row 1 alone, and reflector i acts on
@@ -204,6 +260,19 @@ class _SymmetricEigen:
         _check("dormqr", info)
 
 
+def _median_singular(eigen: _SymmetricEigen, size: int) -> float:
+    """``np.median`` of the ``size`` singular values whose squares are
+    ``eigen``'s eigenvalues, clipped at 0, and size - n zeros: the one or
+    two middle order statistics alone."""
+    pad = size - eigen.n  # the zeros, below every clipped eigenvalue
+    middle = np.zeros(2 - size % 2)
+    ranks = [p - pad + 1 for p in range((size - 1) // 2, size // 2 + 1) if p >= pad]
+    if ranks:
+        found = eigen.ranked(ranks[0], ranks[-1])
+        middle[len(middle) - len(found) :] = np.sqrt(np.clip(found, 0.0, None))
+    return float(np.median(middle))
+
+
 def _top_singular(gram: np.ndarray, rank, rows: int, cols: int):
     """The rank rule: (singular values, Gram eigenvectors) of the rank kept.
 
@@ -215,30 +284,40 @@ def _top_singular(gram: np.ndarray, rank, rows: int, cols: int):
     carries no signal: squaring into the Gram puts a floor under the
     singular values it resolves. A fixed rank must lie in 1..min(rows,
     cols) (RangeError) and above that floor (RankDeficiencyError).
+
+    The rule reads only lambda_1, the median singular value and the
+    eigenvalues it keeps, so only those are computed: the median from
+    its one or two order statistics, and the count above the threshold
+    delta by a Sturm count at delta^2. The threshold and the floor are
+    then applied to the top eigenvalues themselves, one more than the
+    count, so that the rank is :func:`optimal_rank`'s of every
+    eigenvalue.
     """
     eigen = _SymmetricEigen(gram)
-    eigvals = np.clip(eigen.values(), 0.0, None)
-    if eigvals[0] <= 0.0:
+    if eigen.top_values(1)[0] <= 0.0:
         raise RankDeficiencyError("matrix is numerically zero")
+    n = eigen.n
     floor = max(rows, cols) * _EPS
-    num_rank = int(np.sum(eigvals > eigvals[0] * floor))
     size = min(rows, cols)
     if rank == RANK_AUTO:
-        sing = np.zeros(size)
-        sing[: len(eigvals)] = np.sqrt(eigvals)
-        r = min(optimal_rank(sing, rows, cols), max(num_rank, 1))
+        delta = _hard_threshold(_median_singular(eigen, size), rows, cols)
+        top = np.clip(eigen.top_values(min(eigen.count_above(delta**2) + 1, n)), 0.0, None)
+        kept = max(int(np.sum(np.sqrt(top) > delta)), 1)
+        r = min(kept, max(int(np.sum(top > top[0] * floor)), 1))
     else:
         r = int(rank)
         if not 1 <= r <= size:
             raise RangeError(f"fixed rank {r} outside 1..{size}")
-        if r > num_rank:
-            ratio = np.sqrt(eigvals[r - 1] / eigvals[0]) if r <= len(eigvals) else 0.0
+        top = np.clip(eigen.top_values(min(r, n)), 0.0, None)
+        if r > n or top[r - 1] <= top[0] * floor:
+            num_rank = eigen.count_above(top[0] * floor)
+            ratio = np.sqrt(top[r - 1] / top[0]) if r <= n else 0.0
             raise RankDeficiencyError(
                 f"rank {r} requested but only {num_rank} nonzero singular values: "
                 f"sigma_{r}/sigma_1 = {ratio:.3g} is below the Gram's squaring "
                 f"floor sqrt(eps * {max(rows, cols)}) = {np.sqrt(floor):.3g}"
             )
-    return np.sqrt(eigvals[:r]), eigen.top_vectors(r)
+    return np.sqrt(top[:r]), eigen.top_vectors(r)
 
 
 def snapshot_svd(matrix, rank=RANK_AUTO) -> ReducedSvd:
@@ -251,8 +330,8 @@ def snapshot_svd(matrix, rank=RANK_AUTO) -> ReducedSvd:
     or a fixed positive integer. A fixed rank that reaches into
     numerically zero singular values raises RankDeficiencyError,
     because the snapshot path cannot produce meaningful vectors for
-    them. Every eigenvalue is computed, for the rank rule, but
-    eigenvectors only for the ``rank`` kept.
+    them. Eigenvectors are computed only for the ``rank`` kept, and
+    eigenvalues only as far as the rank rule reads them.
     """
     a = matrix if isinstance(matrix, DelayStack) else DelayStack(matrix, 1, 0, wrap=True)
     return _snapshot_svd(a, rank, *a.shape)
@@ -287,6 +366,28 @@ def projected_dynamics(target, svd_of_source: ReducedSvd) -> np.ndarray:
             f"{u.shape[0]} x {v.shape[0]}"
         )
     return dot(u.conj().T, dot(target, v / s))
+
+
+def _shift_dynamics(svd: ReducedSvd, edge=None, backward: bool = False) -> np.ndarray:
+    """The propagator U* T V inv(S) of a target T that is the matrix
+    M = U S V* of ``svd`` shifted by one column, from the factors alone:
+    U* M = S V*, so U* (M J) V inv(S) is S (V* J V) inv(S).
+
+    ``edge`` None: the circular shift, column j of T being column j + 1
+    of M modulo W, so (J V)[k] = V[k-1 mod W]. Otherwise a Hankel shift,
+    whose entering column ``edge`` adds (U* edge)(V[k] inv(S)) for the
+    column k of T it fills: forward, column j of T is column j + 1 of M
+    and k = W - 1, so (J V)[k] = V[k-1] and (J V)[0] = 0; ``backward``,
+    column j of T is column j - 1 of M and k = 0, so (J V)[k] = V[k+1]
+    and (J V)[W-1] = 0. O(W r^2) work, and O(rows r) for U* edge.
+    """
+    u, s, v = svd.left, svd.singular, svd.right
+    shifted = dot(v[:-1].T, v[1:]) if backward else dot(v[1:].T, v[:-1])
+    if edge is None:
+        shifted += np.outer(v[0], v[-1])
+    else:
+        shifted += np.outer(dot(edge, u) / s, v[0] if backward else v[-1])
+    return s[:, None] * shifted / s
 
 
 def eigendecompose(a_tilde: np.ndarray):

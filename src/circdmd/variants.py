@@ -30,6 +30,7 @@ from .errors import (
 from .sparsity import build_quadratic, gamma_path
 from .spectral import (
     RANK_AUTO,
+    _shift_dynamics,
     _snapshot_svd,
     _top_singular,
     DynamicSpectrum,
@@ -82,6 +83,10 @@ class VariantConfig:
         if self.gamma > 0 and self.method != "circ-sp":
             raise ConfigError("gamma applies to method 'circ-sp' only")
         self.gamma = float(self.gamma)
+        if not 0.0 < self.admm_rho < np.inf:
+            raise RangeError(f"admm_rho must be finite and > 0, got {self.admm_rho}")
+        if self.admm_max_iter < 1:
+            raise RangeError(f"admm_max_iter must be >= 1, got {self.admm_max_iter}")
 
 
 def _spectrum(
@@ -97,11 +102,18 @@ def _spectrum(
     Eigendecomposes ``a_tilde``, lifts the eigenvectors to the one mode
     flavour the method reads (projected for circ-sp, whose amplitude
     selection optimizes over them; exact otherwise) and fits their
-    amplitudes to ``initial``.
+    amplitudes to ``initial``. For projected modes U W, ``initial`` is
+    the source's first column, whose POD coordinates U* x_0 are S V[0]*:
+    the fit is the r x r least squares W b = S V[0]*, the same minimiser
+    as over the stack's rows, since U is orthonormal.
     """
     flavor = "projected" if config.method == "circ-sp" else "exact"
     eigs, w = eigendecompose(a_tilde)
     modes = dynamic_modes(target, svd, w, flavor)
+    if flavor == "projected":
+        weights = amplitudes(w, svd.singular * svd.right[0])
+    else:
+        weights = amplitudes(modes, initial)
     meta = SpectrumMeta(
         method=config.method,
         tau=config.tau,
@@ -115,16 +127,29 @@ def _spectrum(
     return DynamicSpectrum(
         eigenvalues=eigs,
         modes=modes,
-        amplitudes=amplitudes(modes, initial),
+        amplitudes=weights,
         meta=meta,
         _source_svd=svd,
     )
 
 
 def _regress(data, config, source, target, initial) -> DynamicSpectrum:
-    """Regress ``target`` on ``source`` in the source's POD basis."""
+    """Regress ``target`` on ``source`` in the source's POD basis, the
+    target being the source shifted by one column (see
+    :func:`_forward_dynamics`)."""
     svd = snapshot_svd(source, config.rank)
-    return _spectrum(data, config, svd, projected_dynamics(target, svd), target, initial)
+    a_tilde = _forward_dynamics(config, svd, target)
+    return _spectrum(data, config, svd, a_tilde, target, initial)
+
+
+def _forward_dynamics(config, svd, target) -> np.ndarray:
+    """``projected_dynamics(target, svd)`` of the source's ``svd``, from
+    the shift: a circular target is the source's columns rotated by
+    one, and a Hankel target is the source's columns from the second
+    on, then its own last column."""
+    if config.method in _CIRC_METHODS:
+        return _shift_dynamics(svd)
+    return _shift_dynamics(svd, edge=target.column(target.width - 1))
 
 
 def _snapshot_pair(data: SpeedMatrix, config: VariantConfig):
@@ -134,7 +159,7 @@ def _snapshot_pair(data: SpeedMatrix, config: VariantConfig):
     wrap = config.method in _CIRC_METHODS
     source = DelayStack(data.values, config.tau, 0, wrap)
     target = DelayStack(data.values, config.tau, 1, wrap)
-    return source, target, source.first_column()
+    return source, target, source.column(0)
 
 
 def _sparsify(base: DynamicSpectrum, config: VariantConfig, gammas) -> list:
@@ -228,7 +253,9 @@ def fit_forward_backward(data: SpeedMatrix, config: VariantConfig) -> DynamicSpe
     auto/fixed ranks) so the propagators conform before combining. The
     sign of a singular pair is arbitrary, so each backward POD vector is
     flipped to point the way of its forward counterpart: the two
-    propagators then act in the same coordinates.
+    propagators then act in the same coordinates. Each propagator comes
+    from its own leg's shift: the source is the target shifted back by
+    one column, with the source's first column entering.
     """
     source, target, initial = _snapshot_pair(data, config)
     svd1 = snapshot_svd(source, config.rank)
@@ -238,8 +265,8 @@ def fit_forward_backward(data: SpeedMatrix, config: VariantConfig) -> DynamicSpe
     svd2 = svd2.truncate(r)
     flip = np.where(np.sum(svd1.left * svd2.left, axis=0) < 0, -1.0, 1.0)
     svd2 = replace(svd2, left=svd2.left * flip, right=svd2.right * flip)
-    a_forward = projected_dynamics(target, svd1)
-    a_backward = projected_dynamics(source, svd2)
+    a_forward = _forward_dynamics(config, svd1, target)
+    a_backward = _shift_dynamics(svd2, edge=initial, backward=True)
     a_tilde = forward_backward_combine(a_forward, a_backward)
     return _spectrum(data, config, svd1, a_tilde, target, initial)
 

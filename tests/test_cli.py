@@ -423,6 +423,16 @@ BAD_VALUES = {
     "split-days": (["forecast", "--input", "{csv}", "--bundle", "{bundle}", "--horizon", "10",
                     "--out", "{out}"], "split_days", "-1",
                    "argument --split-days: expected an integer >= 0, got '-1'"),
+    # a cap of 0 ran no iteration and wrote all-zero amplitudes, with exit 0
+    "admm-max-iter": (["fit", "--input", "{csv}", "--method", "circ-sp", "--tau", "48",
+                       "--gamma", "10", "--out", "{out}"], "admm_max_iter", "0",
+                      "argument --admm-max-iter: expected an integer >= 1, got '0'"),
+    "admm-rho": (["fit", "--input", "{csv}", "--method", "circ-sp", "--tau", "48",
+                  "--gamma", "10", "--out", "{out}"], "admm_rho", "-1",
+                 "argument --admm-rho: expected a finite float > 0, got '-1'"),
+    "admm-rho-zero": (["fit", "--input", "{csv}", "--method", "circ-sp", "--tau", "48",
+                       "--gamma", "10", "--out", "{out}"], "admm_rho", "0",
+                      "argument --admm-rho: expected a finite float > 0, got '0'"),
     # both values print as 1 under %g, so both would write gamma_1
     "gamma-grid-clash": (["fit", "--input", "{csv}", "--method", "circ-sp", "--tau", "48",
                           "--out", "{out}"], "gamma_grid", "1,1.0000001",

@@ -309,7 +309,8 @@ def test_circular_stack_matches_dense_stack(n, t, tau, wrap, offset):
     assert stack.shape == dense.shape
     assert _relative(stack @ y, dense @ y) <= 1e-10
     assert _relative(stack @ y[:, 0], dense @ y[:, 0]) <= 1e-10
-    assert np.array_equal(stack.first_column(), dense[:, 0])
+    assert np.array_equal(stack.column(0), dense[:, 0])
+    assert np.array_equal(stack.column(width - 1), dense[:, -1])
     assert np.array_equal(_dense_stack(stack), dense)
 
 
@@ -518,7 +519,7 @@ def test_circular_stack_offsets_are_the_regression_pair():
         source, target = DelayStack(x, 4, 0, wrap), DelayStack(x, 4, 1, wrap)
         eye = np.eye(source.shape[1])
         assert np.array_equal((source @ eye)[:, 1:], (target @ eye)[:, :-1])
-        assert np.array_equal(source.first_column(), x[:, :4].T.ravel())
+        assert np.array_equal(source.column(0), x[:, :4].T.ravel())
 
 
 def test_circular_stack_validates():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from circdmd import (
     NumericalError,
@@ -12,6 +13,7 @@ from circdmd import (
     snapshot_svd,
     vandermonde,
 )
+from circdmd.sparsity import _soft_threshold
 
 
 def _direct_loss(g, phi_pod, psi, b):
@@ -235,3 +237,47 @@ def test_gamma_path_warm_start_consistency():
         cold = admm_sparsify(form, solution.gamma)
         assert np.array_equal(cold.support, solution.support)
         assert np.max(np.abs(cold.amplitudes_polished - solution.amplitudes_polished)) <= 1e-6
+
+
+def _admm_through_cho_solve(form, gamma, state, rho=1.0, max_iter=10000,
+                            eps_abs=1e-6, eps_rel=1e-4):
+    """The ADMM loop with each b-update taken by scipy.linalg.cho_solve."""
+    r = form.q.shape[0]
+    lhs = cho_factor(form.p + (rho / 2.0) * np.eye(r))
+    if state is None:
+        b = beta = u = np.zeros(r, dtype=complex)
+    else:
+        b, beta, u = (np.array(x, dtype=complex) for x in state)
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        b = cho_solve(lhs, form.q + (rho / 2.0) * (beta - u))
+        beta_prev = beta
+        beta = _soft_threshold(b + u, gamma / rho)
+        u = u + b - beta
+        r_primal = np.linalg.norm(b - beta)
+        r_dual = np.linalg.norm(rho * (beta - beta_prev))
+        eps_pri = np.sqrt(r) * eps_abs + eps_rel * max(np.linalg.norm(b), np.linalg.norm(beta))
+        eps_dual = np.sqrt(r) * eps_abs + eps_rel * np.linalg.norm(rho * u)
+        if r_primal <= eps_pri and r_dual <= eps_dual:
+            converged = True
+            break
+    return (b, beta, u), iterations, converged
+
+
+def test_admm_path_is_bit_identical_to_a_cho_solve_loop():
+    modes, psi, svd, _ = _random_instance(r=8, t=40, seed=3)
+    form = build_quadratic(modes, psi, svd)
+    scale = float(np.max(np.abs(form.q)))
+    gammas = [0.0, 0.05 * scale, 0.3 * scale, 3.0 * scale]
+    state = None
+    counts = []
+    for gamma, solution in zip(gammas, gamma_path(form, gammas)):
+        state, iterations, converged = _admm_through_cho_solve(form, gamma, state)
+        assert all(np.array_equal(got, want) for got, want in zip(solution._state, state))
+        assert (solution.iterations, solution.converged) == (iterations, converged)
+        support = np.abs(state[1]) > 0 if gamma > 0 else np.ones(8, dtype=bool)
+        polished = polish(form, support) if support.any() else np.zeros(8, dtype=complex)
+        assert np.array_equal(solution.amplitudes_polished, polished)
+        counts.append(solution.nonzero_count)
+    # the path prunes and warm-starts: not every level is all or nothing
+    assert any(0 < count < 8 for count in counts), counts

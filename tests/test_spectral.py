@@ -96,6 +96,124 @@ def test_optimal_rank_symmetric_in_dimensions():
 
 
 # ----------------------------------------------------------------------
+# the rank rule on a Gram's order statistics
+# ----------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _gram(eigenvalues, seed=0):
+    """The upper triangle of a symmetric matrix with these eigenvalues,
+    the triangle every Gram is written as."""
+    n = len(eigenvalues)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    return np.triu((q * np.asarray(eigenvalues, dtype=float)) @ q.T)
+
+
+def _planted(n, r, seed=0):
+    """r eigenvalues from 100 down to 10 above a bulk from 1 down to 0.01."""
+    bulk = np.sort(np.random.default_rng(seed).uniform(0.01, 1.0, size=n - r))[::-1]
+    return np.concatenate([np.geomspace(100.0, 10.0, r), bulk])
+
+
+def _rank_rule_from_every_eigenvalue(gram, rank, rows, cols):
+    """The rule read off all of ``values()``: (singular values kept, None),
+    or (None, (numerical rank, sigma_r / sigma_1)) for a fixed rank above
+    the numerical rank."""
+    eigvals = np.clip(spectral._SymmetricEigen(gram.copy()).values(), 0.0, None)
+    num_rank = int(np.sum(eigvals > eigvals[0] * max(rows, cols) * EPS))
+    size = min(rows, cols)
+    if rank == "auto":
+        sing = np.zeros(size)
+        sing[: len(eigvals)] = np.sqrt(eigvals)
+        return np.sqrt(eigvals[: min(optimal_rank(sing, rows, cols), max(num_rank, 1))]), None
+    if rank > num_rank:
+        ratio = np.sqrt(eigvals[rank - 1] / eigvals[0]) if rank <= len(eigvals) else 0.0
+        return None, (num_rank, ratio)
+    return np.sqrt(eigvals[:rank]), None
+
+
+_LOW_RANK = np.concatenate([[9.0, 4.0, 1.0], np.zeros(93)])
+
+# (eigenvalues, rank, rows, cols, whether the eigenvalues read come from
+# dsterf): bisection takes at most n / 16 of them at a time
+RANK_RULE_CASES = {
+    "planted-even": (_planted(160, 4), "auto", 400, 160, False),
+    "planted-odd": (_planted(161, 4, seed=1), "auto", 161, 500, False),
+    "flat": (np.ones(64), "auto", 64, 90, False),
+    # the median is round-off, so most eigenvalues lie above the threshold
+    "exactly-low-rank": (_LOW_RANK, "auto", 96, 300, True),
+    "n-is-1": (np.array([4.0]), "auto", 7, 1, False),
+    # min(rows, cols) - n padded zeros: the middle pair straddles them,
+    # the middle one is the smallest eigenvalue, or the median is 0. Only
+    # a bulk within 3.7 times the smallest eigenvalue lies below the
+    # threshold the smallest one sets at this aspect ratio
+    "padded-straddle": (_planted(64, 3), "auto", 128, 400, True),
+    "padded-odd": (np.concatenate([[100.0, 50.0, 10.0], np.linspace(3.0, 1.0, 61)]),
+                   "auto", 127, 400, False),
+    "padded-median-zero": (_planted(64, 3), "auto", 129, 400, True),
+    "fixed-at-numerical-rank": (_LOW_RANK, 3, 96, 300, False),
+    "fixed-above-numerical-rank": (_LOW_RANK, 4, 96, 300, False),
+    "fixed-above-gram-size": (_planted(64, 3), 65, 100, 400, True),
+    # n = 320: the count kept plus one, and a fixed rank, on either side of 20
+    "kept-below-n-over-16": (_planted(320, 10), "auto", 320, 640, False),
+    "kept-above-n-over-16": (_planted(320, 30), "auto", 320, 640, True),
+    "fixed-at-n-over-16": (_planted(320, 30), 20, 320, 640, False),
+    "fixed-above-n-over-16": (_planted(320, 30), 21, 320, 640, True),
+}
+
+
+@pytest.mark.parametrize("case", RANK_RULE_CASES)
+def test_rank_rule_reads_order_statistics_as_every_eigenvalue_gives(monkeypatch, case):
+    eigenvalues, rank, rows, cols, takes_dsterf = RANK_RULE_CASES[case]
+    gram = _gram(eigenvalues)
+    want, error = _rank_rule_from_every_eigenvalue(gram, rank, rows, cols)
+    calls = {"dsterf": 0, "dstebz": 0}
+
+    def counting(name):
+        real = getattr(spectral.lapack, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(spectral.lapack, name, counting(name))
+    if error is None:
+        got, vectors = spectral._top_singular(gram.copy(), rank, rows, cols)
+        assert len(got) == len(want)
+        assert np.max(np.abs(got - want)) <= 1e-14 * want[0]
+        assert vectors.shape == (len(eigenvalues), len(want))
+    else:
+        num_rank, ratio = error
+        with pytest.raises(RankDeficiencyError) as raised:
+            spectral._top_singular(gram.copy(), rank, rows, cols)
+        assert f"only {num_rank} nonzero singular values" in str(raised.value)
+        assert f"sigma_{rank}/sigma_1 = {ratio:.3g} is below" in str(raised.value)
+    assert calls["dsterf"] == int(takes_dsterf), calls
+    assert (calls["dstebz"] > 0) == (len(eigenvalues) >= 16), calls
+    if case == "padded-odd":
+        assert len(want) == 3
+
+
+def test_symmetric_eigen_answers_each_request_on_its_own():
+    # values, order statistics, counts and vectors agree in any order
+    gram = _gram(_planted(200, 5))
+    every = spectral._SymmetricEigen(gram.copy()).values()
+    eigen = spectral._SymmetricEigen(gram.copy())
+    vectors = eigen.top_vectors(3)
+    full = gram + np.triu(gram, 1).T
+    assert np.max(np.abs(full @ vectors - vectors * every[:3])) <= 1e-12 * every[0]
+    assert np.max(np.abs(eigen.top_values(5) - every[:5])) <= 4 * EPS * every[0]
+    assert np.max(np.abs(eigen.ranked(100, 101) - every[[100, 99]])) <= 4 * EPS * every[0]
+    middle = (every[4] + every[5]) / 2
+    assert eigen.count_above(middle) == 5 and eigen.count_above(every[0] * 2) == 0
+    assert np.array_equal(eigen.values(), spectral._SymmetricEigen(gram.copy()).values())
+
+
+# ----------------------------------------------------------------------
 # snapshot SVD
 # ----------------------------------------------------------------------
 
@@ -266,11 +384,17 @@ def _split_tridiagonal_matrix():
     return a
 
 
-@pytest.mark.parametrize("routine", ["dsytrd", "dsterf", "dstein", "dormqr"])
+@pytest.mark.parametrize("routine", ["dsytrd", "dsterf", "dstebz", "dstein", "dormqr"])
 def test_snapshot_svd_names_a_failing_lapack_routine(monkeypatch, routine):
+    # a 6 x 6 Gram takes every eigenvalue from dsterf; at 48 x 48, rank 2
+    # is within 48 / 16, so its eigenvalues come from bisection
+    if routine == "dstebz":
+        matrix = np.random.default_rng(16).normal(size=(80, 48))
+    else:
+        matrix = _split_tridiagonal_matrix()
     monkeypatch.setattr(spectral.lapack, routine, _failing(getattr(spectral.lapack, routine)))
     with pytest.raises(NumericalError, match=f"LAPACK {routine} failed"):
-        snapshot_svd(_split_tridiagonal_matrix(), rank=2)
+        snapshot_svd(matrix, rank=2)
 
 
 def test_snapshot_svd_top_vectors_across_a_split_tridiagonal():
@@ -332,6 +456,38 @@ def test_projected_dynamics_recovers_known_spectrum():
     got = np.sort_complex(np.linalg.eigvals(a_tilde))
     want = np.sort_complex(np.linalg.eigvals(a_true))
     assert np.max(np.abs(got - want)) <= 1e-8
+
+
+# (tau, wrap) for a 3 x 40 matrix: N tau >= W takes the time-side Gram,
+# N tau < W the stack side
+SHIFT_STACKS = [
+    pytest.param(20, True, id="circular-time-side"),  # 60 x 40
+    pytest.param(5, True, id="circular-stack-side"),  # 15 x 40
+    pytest.param(16, False, id="hankel-time-side"),  # 48 x 24
+    pytest.param(5, False, id="hankel-stack-side"),  # 15 x 35
+]
+
+
+@pytest.mark.parametrize("tau, wrap", SHIFT_STACKS)
+def test_shift_dynamics_match_projected_dynamics(tau, wrap):
+    # three oscillations (rank 6) and a little noise, fit at rank 6
+    rng = np.random.default_rng(tau)
+    hours = np.arange(40.0)
+    x = sum(np.outer(rng.normal(size=3), np.cos(2 * np.pi * hours / period + rng.uniform()))
+            for period in (12.0, 8.0, 5.0))
+    x = x + 1e-3 * rng.normal(size=x.shape)
+    source, target = DelayStack(x, tau, 0, wrap), DelayStack(x, tau, 1, wrap)
+
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    svd = snapshot_svd(source, rank=6)
+    edge = None if wrap else target.column(target.width - 1)
+    assert_close(spectral._shift_dynamics(svd, edge), projected_dynamics(target, svd))
+    if not wrap:  # fb-hankel's backward leg, in the target's factors
+        svd2 = snapshot_svd(target, rank=6)
+        assert_close(spectral._shift_dynamics(svd2, source.column(0), backward=True),
+                     projected_dynamics(source, svd2))
 
 
 def test_projected_dynamics_scalar_formula():

@@ -56,6 +56,16 @@ def test_config_validation():
     assert cfg.tau == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("admm_max_iter", 0), ("admm_max_iter", -5),
+    ("admm_rho", 0.0), ("admm_rho", -1.0), ("admm_rho", np.inf), ("admm_rho", np.nan),
+])
+def test_config_refuses_an_admm_setting_that_cannot_iterate(field, value):
+    # a cap below 1 ran no iteration and kept all-zero amplitudes
+    with pytest.raises(RangeError, match=field):
+        VariantConfig(method="circ-sp", tau=3, gamma=10.0, **{field: value})
+
+
 # ----------------------------------------------------------------------
 # plain and circular fits
 # ----------------------------------------------------------------------
@@ -213,8 +223,8 @@ def _dense_tls(data, config):
     """The stacked-pair oracle: the SVD of the dense [S; T], then the plain
     regression of (T V) V.T on (S V) V.T. Returns (spectrum, tls rank)."""
     from circdmd import hankel
-    from circdmd.spectral import RANK_AUTO, snapshot_svd
-    from circdmd.variants import _regress
+    from circdmd.spectral import RANK_AUTO, projected_dynamics, snapshot_svd
+    from circdmd.variants import _spectrum
 
     h = hankel(data, config.tau).values
     stacked = np.concatenate([h[:, :-1], h[:, 1:]])
@@ -225,7 +235,9 @@ def _dense_tls(data, config):
     v = snapshot_svd(stacked, z_rank).right
     source_bar = (source @ v) @ v.T
     target_bar = (target @ v) @ v.T
-    return _regress(data, config, source_bar, target_bar, source_bar[:, 0]), v.shape[1]
+    svd = snapshot_svd(source_bar, config.rank)
+    a_tilde = projected_dynamics(target_bar, svd)
+    return _spectrum(data, config, svd, a_tilde, target_bar, source_bar[:, 0]), v.shape[1]
 
 
 def _structured_tls(data, config, monkeypatch):
@@ -251,6 +263,40 @@ def noisy_periodic(n, t, seed):
     data = periodic_data(n=n, t=t, periods=(12.0, 8.0, 5.0), seed=seed)
     noise = 0.05 * np.random.default_rng(seed + 100).normal(size=(n, t))
     return SpeedMatrix(values=data.values + noise, delta_t=1.0)
+
+
+@pytest.mark.parametrize("tau", [pytest.param(20, id="time-side"),
+                                 pytest.param(5, id="stack-side")])
+def test_projected_amplitudes_solve_the_r_by_r_system(tau):
+    # U is orthonormal, so the fit of U W b to x_0 over the stack's rows is
+    # the fit of W b to U* x_0 = S V[0]*
+    from circdmd import amplitudes
+    from circdmd.variants import _regress, _snapshot_pair
+
+    data = noisy_periodic(3, 60, seed=tau)
+    config = VariantConfig(method="circ-sp", tau=tau)
+    source, target, initial = _snapshot_pair(data, config)
+    spectrum = _regress(data, config, source, target, initial)
+    want = amplitudes(spectrum.modes, initial)
+    assert np.max(np.abs(spectrum.amplitudes - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_circ_sp_fit_forms_one_stack_product(monkeypatch):
+    # U = S V / sigma is the one product with the N tau-row stack: the
+    # propagator comes from V's shift and the amplitudes from the r x r system
+    from circdmd.embedding import DelayStack
+
+    calls = []
+    real = DelayStack.__matmul__
+
+    def counting(stack, y):
+        calls.append(np.shape(y))
+        return real(stack, y)
+
+    monkeypatch.setattr(DelayStack, "__matmul__", counting)
+    data = noisy_periodic(4, 60, seed=3)
+    spectrum = fit(data, VariantConfig(method="circ-sp", tau=20, gamma=1.0))  # 80 x 60
+    assert calls == [(60, spectrum.meta.rank)]
 
 
 # N*(tau+1) against W = T - tau: the distinct rows or the time-side Gram
