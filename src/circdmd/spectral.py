@@ -194,8 +194,8 @@ class _SymmetricEigen:
         return self._ascending[::-1]
 
     def ranked(self, low: int, high: int) -> np.ndarray:
-        """The eigenvalues of ranks low..high in increasing order (1-based,
-        the smallest being rank 1), increasing."""
+        """The eigenvalues ranked low..high from the smallest (rank 1),
+        increasing."""
         if self._ascending is None and (high - low + 1) * _BISECT_SHARE <= self.n:
             m, w, _, _, info = lapack.dstebz(
                 self._diag, self._off, 2, 0.0, 0.0, low, high, _BISECT_TOL, "E"

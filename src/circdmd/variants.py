@@ -134,22 +134,13 @@ def _spectrum(
 
 
 def _regress(data, config, source, target, initial) -> DynamicSpectrum:
-    """Regress ``target`` on ``source`` in the source's POD basis, the
-    target being the source shifted by one column (see
-    :func:`_forward_dynamics`)."""
+    """Regress ``target`` on ``source`` in the source's POD basis. The
+    target is the source shifted by one column: rotated for a circular
+    stack, and with the target's own last column entering for a Hankel
+    one, so the propagator follows from the source's factors."""
     svd = snapshot_svd(source, config.rank)
-    a_tilde = _forward_dynamics(config, svd, target)
-    return _spectrum(data, config, svd, a_tilde, target, initial)
-
-
-def _forward_dynamics(config, svd, target) -> np.ndarray:
-    """``projected_dynamics(target, svd)`` of the source's ``svd``, from
-    the shift: a circular target is the source's columns rotated by
-    one, and a Hankel target is the source's columns from the second
-    on, then its own last column."""
-    if config.method in _CIRC_METHODS:
-        return _shift_dynamics(svd)
-    return _shift_dynamics(svd, edge=target.column(target.width - 1))
+    edge = None if config.method in _CIRC_METHODS else target.column(target.width - 1)
+    return _spectrum(data, config, svd, _shift_dynamics(svd, edge), target, initial)
 
 
 def _snapshot_pair(data: SpeedMatrix, config: VariantConfig):
@@ -254,8 +245,9 @@ def fit_forward_backward(data: SpeedMatrix, config: VariantConfig) -> DynamicSpe
     sign of a singular pair is arbitrary, so each backward POD vector is
     flipped to point the way of its forward counterpart: the two
     propagators then act in the same coordinates. Each propagator comes
-    from its own leg's shift: the source is the target shifted back by
-    one column, with the source's first column entering.
+    from its own leg's shift: the target is the source shifted forward
+    by one column, the target's last column entering, and the source is
+    the target shifted back, the source's first column entering.
     """
     source, target, initial = _snapshot_pair(data, config)
     svd1 = snapshot_svd(source, config.rank)
@@ -265,7 +257,7 @@ def fit_forward_backward(data: SpeedMatrix, config: VariantConfig) -> DynamicSpe
     svd2 = svd2.truncate(r)
     flip = np.where(np.sum(svd1.left * svd2.left, axis=0) < 0, -1.0, 1.0)
     svd2 = replace(svd2, left=svd2.left * flip, right=svd2.right * flip)
-    a_forward = _forward_dynamics(config, svd1, target)
+    a_forward = _shift_dynamics(svd1, edge=target.column(target.width - 1))
     a_backward = _shift_dynamics(svd2, edge=initial, backward=True)
     a_tilde = forward_backward_combine(a_forward, a_backward)
     return _spectrum(data, config, svd1, a_tilde, target, initial)
