@@ -315,6 +315,8 @@ def _grid_names(gammas) -> list:
 
 def cmd_fit(args) -> int:
     _require(args, "input", "out")
+    if args.gamma_grid and args.gamma:
+        raise UsageError(f"--gamma {args.gamma:g} with --gamma-grid: the grid sets every gamma")
     names = _grid_names(args.gamma_grid or [])
     train, _ = _load_train(args)
     digest = input_digest(args.input)

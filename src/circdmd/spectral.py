@@ -8,8 +8,8 @@ reads (the largest, the median and those kept) and eigenvectors only
 for the rank kept. Rank selection combines the aspect-ratio hard
 threshold with a numerical-rank guard so that exactly low-rank inputs
 do not drag round-off directions into the spectrum. A delay stack's
-next-snapshot matrix is the stack shifted by one column, so its
-propagator follows from the right singular vectors alone.
+next-snapshot matrix is the stack shifted by one column, so its forward
+and backward propagators follow from the stack's factors, with no product.
 """
 
 from __future__ import annotations
@@ -46,16 +46,6 @@ class ReducedSvd:
     singular: np.ndarray
     right: np.ndarray
     rank: int
-
-    def truncate(self, rank: int) -> "ReducedSvd":
-        if not 1 <= rank <= self.rank:
-            raise RangeError(f"cannot truncate rank {self.rank} to {rank}")
-        return ReducedSvd(
-            left=self.left[:, :rank],
-            singular=self.singular[:rank],
-            right=self.right[:, :rank],
-            rank=rank,
-        )
 
 
 @dataclass(frozen=True)
@@ -368,26 +358,36 @@ def projected_dynamics(target, svd_of_source: ReducedSvd) -> np.ndarray:
     return dot(u.conj().T, dot(target, v / s))
 
 
-def _shift_dynamics(svd: ReducedSvd, edge=None, backward: bool = False) -> np.ndarray:
+def _shift_dynamics(svd: ReducedSvd, edge=None) -> np.ndarray:
     """The propagator U* T V inv(S) of a target T that is the matrix
     M = U S V* of ``svd`` shifted by one column, from the factors alone:
     U* M = S V*, so U* (M J) V inv(S) is S (V* J V) inv(S).
 
     ``edge`` None: the circular shift, column j of T being column j + 1
-    of M modulo W, so (J V)[k] = V[k-1 mod W]. Otherwise a Hankel shift,
-    whose entering column ``edge`` adds (U* edge)(V[k] inv(S)) for the
-    column k of T it fills: forward, column j of T is column j + 1 of M
-    and k = W - 1, so (J V)[k] = V[k-1] and (J V)[0] = 0; ``backward``,
-    column j of T is column j - 1 of M and k = 0, so (J V)[k] = V[k+1]
-    and (J V)[W-1] = 0. O(W r^2) work, and O(rows r) for U* edge.
+    of M modulo W, so (J V)[k] = V[k-1 mod W]. Otherwise a Hankel shift:
+    column j of T is column j + 1 of M, so (J V)[k] = V[k-1] and
+    (J V)[0] = 0, and the entering column ``edge``, column W - 1 of T,
+    adds (U* edge)(V[W-1] inv(S)). O(W r^2) work, and O(rows r) for
+    U* edge.
     """
     u, s, v = svd.left, svd.singular, svd.right
-    shifted = dot(v[:-1].T, v[1:]) if backward else dot(v[1:].T, v[:-1])
+    shifted = dot(v[1:].T, v[:-1])
     if edge is None:
         shifted += np.outer(v[0], v[-1])
     else:
-        shifted += np.outer(dot(edge, u) / s, v[0] if backward else v[-1])
+        shifted += np.outer(dot(edge, u) / s, v[-1])
     return s[:, None] * shifted / s
+
+
+def _backward_dynamics(svd: ReducedSvd, edge) -> np.ndarray:
+    """The least-squares propagator (U* M)(U* T)^+ that takes the Hankel
+    shift T of :func:`_shift_dynamics` back to M = U S V* of ``svd``, in
+    M's POD coordinates: U* M = S V*, and U* T is its shift with U* ``edge``
+    last. One W x r least squares (``gelsd``) for the transpose, O(W r^2)."""
+    source = svd.singular * svd.right  # (U* M)*, W x r
+    target = np.vstack([source[1:], dot(edge, svd.left)])
+    transposed, *_ = scipy.linalg.lstsq(target, source, cond=1e-12, lapack_driver="gelsd")
+    return transposed.T
 
 
 def eigendecompose(a_tilde: np.ndarray):

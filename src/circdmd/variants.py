@@ -30,6 +30,7 @@ from .errors import (
 from .sparsity import build_quadratic, gamma_path
 from .spectral import (
     RANK_AUTO,
+    _backward_dynamics,
     _shift_dynamics,
     _snapshot_svd,
     _top_singular,
@@ -72,7 +73,8 @@ class VariantConfig:
             raise ConfigError(f"unknown method {self.method!r}; choose one of {METHODS}")
         if self.method == "dmd":
             if self.tau not in (None, 1):
-                warnings.warn("method 'dmd' forces tau = 1", stacklevel=2)
+                # the caller's line, past the __init__ that dataclasses generates
+                warnings.warn("method 'dmd' forces tau = 1", stacklevel=3)
             self.tau = 1
         elif self.tau is None:
             raise ConfigError(f"method {self.method!r} requires a delay length tau")
@@ -222,7 +224,8 @@ def forward_backward_combine(a_forward: np.ndarray, a_backward: np.ndarray) -> n
     singular = scipy.linalg.svdvals(a_backward)
     with np.errstate(divide="ignore", invalid="ignore"):
         condition = singular[0] / singular[-1]
-    if condition > 1.0 / np.finfo(float).eps:
+    # a zero propagator's condition is 0 / 0, NaN, which compares False
+    if not np.isfinite(condition) or condition > 1.0 / np.finfo(float).eps:
         raise SingularBackwardError("backward propagator is numerically singular")
     product = dot(a_forward, inv(a_backward))
     eigvals, eigvecs = scipy.linalg.eig(product)
@@ -238,29 +241,19 @@ def forward_backward_combine(a_forward: np.ndarray, a_backward: np.ndarray) -> n
 
 
 def fit_forward_backward(data: SpeedMatrix, config: VariantConfig) -> DynamicSpectrum:
-    """Debias by averaging forward and inverse-backward dynamics.
+    """Debias by averaging forward and inverse-backward dynamics (Dawson,
+    Hemati, Williams & Rowley 2016), both in the source's one POD basis.
 
-    Both legs are truncated to a common rank (the smaller of the two
-    auto/fixed ranks) so the propagators conform before combining. The
-    sign of a singular pair is arbitrary, so each backward POD vector is
-    flipped to point the way of its forward counterpart: the two
-    propagators then act in the same coordinates. Each propagator comes
-    from its own leg's shift: the target is the source shifted forward
-    by one column, the target's last column entering, and the source is
-    the target shifted back, the source's first column entering.
+    The forward propagator regresses the target on the source and the
+    backward one the source on the target, from the source's one SVD at
+    the method's rank, so A_f inv(A_b) combines maps in one coordinate
+    system.
     """
     source, target, initial = _snapshot_pair(data, config)
-    svd1 = snapshot_svd(source, config.rank)
-    svd2 = snapshot_svd(target, config.rank)
-    r = min(svd1.rank, svd2.rank)
-    svd1 = svd1.truncate(r)
-    svd2 = svd2.truncate(r)
-    flip = np.where(np.sum(svd1.left * svd2.left, axis=0) < 0, -1.0, 1.0)
-    svd2 = replace(svd2, left=svd2.left * flip, right=svd2.right * flip)
-    a_forward = _shift_dynamics(svd1, edge=target.column(target.width - 1))
-    a_backward = _shift_dynamics(svd2, edge=initial, backward=True)
-    a_tilde = forward_backward_combine(a_forward, a_backward)
-    return _spectrum(data, config, svd1, a_tilde, target, initial)
+    svd = snapshot_svd(source, config.rank)
+    edge = target.column(target.width - 1)
+    a_tilde = forward_backward_combine(_shift_dynamics(svd, edge), _backward_dynamics(svd, edge))
+    return _spectrum(data, config, svd, a_tilde, target, initial)
 
 
 def fit_total_least_squares(data: SpeedMatrix, config: VariantConfig) -> DynamicSpectrum:

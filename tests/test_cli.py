@@ -163,6 +163,21 @@ def test_input_digest_streams_the_sha256_of_the_whole_file(tmp_path):
     assert cli.input_digest(path) == hashlib.sha256(b"").hexdigest()
 
 
+def test_fit_with_a_singular_backward_propagator_exits_1(tmp_path, capsys):
+    # only column 0 is nonzero, so at tau = 4 the Hankel target is zero and
+    # so is fb-hankel's backward propagator
+    path = tmp_path / "spike.csv"
+    values = np.zeros((3, 40))
+    values[:, 0] = [1.0, 2.0, 3.0]
+    np.savetxt(path, values, delimiter=",")
+    capsys.readouterr()
+    assert main([
+        "fit", "--input", str(path), "--method", "fb-hankel", "--tau", "4",
+        "--out", str(tmp_path / "bundle"),
+    ]) == 1
+    assert capsys.readouterr().err == "error: backward propagator is numerically singular\n"
+
+
 def test_fit_that_cannot_map_its_gram_exits_1_naming_it(tmp_path, fixture_csv, capsys,
                                                         monkeypatch):
     import mmap
@@ -433,6 +448,10 @@ BAD_VALUES = {
     "admm-rho-zero": (["fit", "--input", "{csv}", "--method", "circ-sp", "--tau", "48",
                        "--gamma", "10", "--out", "{out}"], "admm_rho", "0",
                       "argument --admm-rho: expected a finite float > 0, got '0'"),
+    # the grid's fits took no notice of --gamma, and wrote one bundle per grid value
+    "gamma-with-grid": (["fit", "--input", "{csv}", "--method", "circ-sp", "--tau", "48",
+                         "--gamma-grid", "0,10", "--out", "{out}"], "gamma", "5",
+                        "--gamma 5 with --gamma-grid: the grid sets every gamma"),
     # both values print as 1 under %g, so both would write gamma_1
     "gamma-grid-clash": (["fit", "--input", "{csv}", "--method", "circ-sp", "--tau", "48",
                           "--out", "{out}"], "gamma_grid", "1,1.0000001",

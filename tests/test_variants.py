@@ -8,6 +8,7 @@ from circdmd import (
     ConfigError,
     RangeError,
     RankDeficiencyError,
+    SingularBackwardError,
     SpeedMatrix,
     VariantConfig,
     fit,
@@ -15,6 +16,7 @@ from circdmd import (
     fit_gamma_path,
     fit_total_least_squares,
     forward_backward_combine,
+    generate,
     generate_linear_system,
     predict,
     rotation_system,
@@ -51,9 +53,11 @@ def test_config_validation():
         VariantConfig(method="hankel")  # tau required
     with pytest.raises(ConfigError):
         VariantConfig(method="circ", tau=3, gamma=5.0)  # gamma is circ-sp only
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as caught:
         cfg = VariantConfig(method="dmd", tau=7)
     assert cfg.tau == 1
+    # the warning names the line that built the config, not dataclasses' __init__
+    assert [w.filename for w in caught] == [__file__]
 
 
 @pytest.mark.parametrize("field, value", [
@@ -113,6 +117,16 @@ def test_combine_scalar_square_root():
     assert np.allclose(a, [[2.0]])
 
 
+@pytest.mark.parametrize("a_backward", [
+    pytest.param(np.zeros((2, 2)), id="zero"),  # condition 0 / 0
+    pytest.param(np.diag([1.0, 0.0]), id="rank-one"),  # condition 1 / 0
+    pytest.param(np.diag([1.0, 1e-17]), id="below-eps"),
+])
+def test_combine_refuses_a_singular_backward_propagator(a_backward):
+    with pytest.raises(SingularBackwardError, match="numerically singular"):
+        forward_backward_combine(np.eye(2), a_backward)
+
+
 def test_combine_picks_branch_near_forward():
     # forward propagator with a negative eigenvalue: the root must keep it
     a_f = np.diag([-0.9, 0.5])
@@ -132,7 +146,7 @@ def test_fb_matches_plain_on_clean_data():
 
 def test_fb_is_independent_of_singular_vector_signs(monkeypatch):
     # each singular pair's sign is arbitrary; flipping the even pairs of
-    # the backward leg alone must not change the combined propagator
+    # the one SVD both legs share must not change the combined propagator
     from dataclasses import replace
 
     from circdmd import variants
@@ -146,14 +160,46 @@ def test_fb_is_independent_of_singular_vector_signs(monkeypatch):
     def flipped(matrix, rank):
         out = svd(matrix, rank)
         legs.append(out)
-        signs = np.where(np.arange(out.rank) % 2 < len(legs) - 1, -1.0, 1.0)
+        signs = np.where(np.arange(out.rank) % 2 == 0, -1.0, 1.0)
         return replace(out, left=out.left * signs, right=out.right * signs)
 
     monkeypatch.setattr(variants, "snapshot_svd", flipped)
     again = fit(data, config)
-    assert len(legs) == 2
+    assert len(legs) == 1
     assert eig_match_distance(base.eigenvalues, again.eigenvalues) <= 1e-10
     assert np.max(np.abs(predict(again, (4, 60), 10) - predict(base, (4, 60), 10))) <= 1e-9
+
+
+def test_fb_reduces_one_gram(monkeypatch):
+    # both legs take the source's one SVD: the target has no Gram of its own
+    from circdmd import spectral
+
+    calls = []
+    top = spectral._top_singular
+
+    def counting(gram, *args):
+        calls.append(gram.shape)
+        return top(gram, *args)
+
+    monkeypatch.setattr(spectral, "_top_singular", counting)
+    fit(noisy_periodic(4, 60, seed=5), VariantConfig(method="fb-hankel", tau=6))
+    assert calls == [(24, 24)]  # the 24 x 54 source's stack-side Gram
+
+
+def test_fb_recovers_the_acceptance_week_spectrum():
+    # mean, 24 h, 168 h and the faint 12 h and 6 h pairs, noiseless: both
+    # propagators in one basis leave no rotation between them inside a
+    # near-degenerate pair
+    from test_acceptance import WEEK
+
+    truth = [1.0]
+    for component in WEEK.components:
+        if np.isfinite(component.period):
+            z = np.exp(2j * np.pi * WEEK.delta_t / component.period)
+            truth += [z, np.conj(z)]
+    spectrum = fit(generate(WEEK), VariantConfig(method="fb-hankel", tau=288))
+    assert spectrum.meta.rank == 9
+    assert eig_match_distance(spectrum.eigenvalues, truth) <= 1e-12
 
 
 def test_fb_reachable_through_fit():
