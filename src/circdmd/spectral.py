@@ -9,7 +9,7 @@ for the rank kept. Rank selection combines the aspect-ratio hard
 threshold with a numerical-rank guard so that exactly low-rank inputs
 do not drag round-off directions into the spectrum. A delay stack's
 next-snapshot matrix is the stack shifted by one column, so its forward
-and backward propagators follow from the stack's factors, with no product.
+and backward propagators follow from its factors, with no stack product.
 """
 
 from __future__ import annotations
