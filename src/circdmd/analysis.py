@@ -159,15 +159,14 @@ def residual_acf(residuals: np.ndarray, max_lag: int):
     if not 0 <= max_lag < t:
         raise RangeError(f"max_lag must satisfy 0 <= lag < {t}, got {max_lag}")
     centered = residuals - residuals.mean()
-    # vector-only products (level-1 BLAS, no thread pool at a series' length),
-    # kept as numpy's: a scipy call per lag would cost more than its dot
-    denom = float(centered @ centered)
-    if denom == 0.0:
+    # every lag's sum of products at once, from one real FFT zero-padded
+    # past t + max_lag so that no lag wraps (numpy.fft wakes no BLAS pool)
+    size = 1 << (t + max_lag - 1).bit_length()
+    power = np.abs(np.fft.rfft(centered, size)) ** 2
+    sums = np.fft.irfft(power, size)[: max_lag + 1]
+    if not sums[0] > 0.0:
         raise DegenerateSeriesError("constant series has no autocorrelation")
-    acf = np.empty(max_lag + 1)
-    for lag in range(max_lag + 1):
-        acf[lag] = float(centered[lag:] @ centered[: t - lag]) / denom
-    return acf, 3.0 / np.sqrt(t)
+    return sums / sums[0], 3.0 / np.sqrt(t)
 
 
 def residual_lag_correlation(residuals: np.ndarray, lag: int):

@@ -3,10 +3,13 @@
 Subcommands: synth, fit, reconstruct, forecast, analyze, metrics.
 Options may also come from a flat key=value config file (``--config``),
 whose lines become the command's own flags ahead of the typed ones.
-Every output is UTF-8 CSV/JSON except a bundle's mode matrix,
-``modes.npy``: a complex128 array in NumPy's documented ``.npy``
-format, which writes and reads at memory speed. The bundle's
-eigenvalues and amplitudes stay CSV, as paired re/im columns.
+Every output is UTF-8 CSV/JSON except a bundle's two arrays in NumPy's
+documented ``.npy`` format, which write and read at memory speed:
+``modes.npy``, the complex128 mode matrix, and ``input.npy``, the
+float64 matrix parsed from ``--input``. ``forecast``, ``reconstruct``
+and ``analyze`` read ``input.npy`` once ``--input``'s sha256 matches the
+manifest's, so only ``fit`` parses the CSV. The bundle's eigenvalues
+and amplitudes stay CSV, as paired re/im columns.
 """
 
 from __future__ import annotations
@@ -34,14 +37,14 @@ from .analysis import (
     residual_acf,
     residual_lag_correlation,
 )
-from .datamodel import _write_csv, load_matrix, save_matrix, split
+from .datamodel import SpeedMatrix, _write_csv, load_matrix, save_matrix, split
 from .errors import ConfigError, DataError, ShapeError, ToolkitError, UsageError
 from .spectral import RANK_AUTO, DynamicSpectrum, SpectrumMeta
 from .synthgen import Component, SyntheticSpec, generate
 from .variants import METHODS, VariantConfig, fit, fit_gamma_path, predict
 
 ANALYSES = ("stability", "periods", "modes", "acf", "residual-corr", "per-sensor-mape")
-BUNDLE_FILES = ("manifest.json", "eigenvalues.csv", "amplitudes.csv", "modes.npy")
+BUNDLE_FILES = ("manifest.json", "eigenvalues.csv", "amplitudes.csv", "modes.npy", "input.npy")
 
 
 # ----------------------------------------------------------------------
@@ -118,13 +121,16 @@ def input_digest(path) -> str:
     return digest.hexdigest()
 
 
-def save_bundle(outdir, spectrum: DynamicSpectrum, digest: str, split_index=None):
-    """Write ``spectrum`` as a bundle in ``outdir``."""
+def save_bundle(outdir, spectrum: DynamicSpectrum, digest: str, values: np.ndarray,
+                layout: str = "rows", split_index=None):
+    """Write ``spectrum`` as a bundle in ``outdir``, with ``values``, the
+    whole matrix parsed from the input whose sha256 is ``digest``."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = {
         **dataclasses.asdict(spectrum.meta),
         "split_index": split_index,
+        "layout": layout,
         "input_digest": digest,
         "software_version": __version__,
     }
@@ -138,6 +144,7 @@ def save_bundle(outdir, spectrum: DynamicSpectrum, digest: str, split_index=None
     _write_complex_matrix(outdir / "amplitudes.csv", spectrum.amplitudes[None, :])
     np.save(outdir / "modes.npy", np.asarray(spectrum.modes, dtype=complex),
             allow_pickle=False)
+    np.save(outdir / "input.npy", np.asarray(values, dtype=float), allow_pickle=False)
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
@@ -157,29 +164,31 @@ def _read_bundle_matrix(path, shape) -> np.ndarray:
     return matrix
 
 
-def _read_bundle_modes(path, shape) -> np.ndarray:
-    """The bundle's complex128 mode matrix, checked against the shape its
-    manifest implies. Pickled data is refused, not run."""
+def _read_bundle_npy(path, dtype, shape, wider=False) -> np.ndarray:
+    """One ``.npy`` array of a bundle, of ``dtype`` and of the 2-D
+    ``shape`` its manifest implies (or, if ``wider``, of that many rows
+    and at least that many columns). Pickled data is refused, not run.
+    Bundles of earlier releases lack input.npy and held modes.csv in
+    place of modes.npy: a missing file asks for a re-fit."""
     try:
         with open(path, "rb") as fh:
-            modes = np.load(fh, allow_pickle=False)
+            array = np.load(fh, allow_pickle=False)
     except FileNotFoundError:
         legacy = path.with_suffix(".csv")
-        if legacy.exists():
-            raise DataError(
-                f"{path}: missing from the bundle, which holds {legacy.name}, "
-                "the text layout of earlier releases: re-fit it"
-            ) from None
-        raise DataError(f"{path}: missing from the bundle") from None
+        held = (f", which holds {legacy.name}, the text layout of earlier releases"
+                if legacy.exists() else "")
+        raise DataError(f"{path}: missing from the bundle{held}: re-fit it") from None
     except (ValueError, EOFError) as exc:
         raise DataError(f"{path}: not a .npy array ({exc})") from None
-    if not isinstance(modes, np.ndarray):  # an .npz archive
+    if not isinstance(array, np.ndarray):  # an .npz archive
         raise DataError(f"{path}: not a .npy array")
-    if modes.dtype != np.complex128:
-        raise DataError(f"{path}: dtype {modes.dtype}, expected complex128")
-    if modes.shape != shape:
-        raise ShapeError(f"{path}: shape {modes.shape}, manifest implies {shape}")
-    return modes
+    if array.dtype != dtype:
+        raise DataError(f"{path}: dtype {array.dtype}, expected {np.dtype(dtype)}")
+    if not (array.shape == shape or wider and array.ndim == 2
+            and array.shape[0] == shape[0] and array.shape[1] >= shape[1]):
+        implied = f"({shape[0]}, >= {shape[1]})" if wider else f"{shape}"
+        raise ShapeError(f"{path}: shape {array.shape}, manifest implies {implied}")
+    return array
 
 
 def load_bundle(bundle_dir) -> DynamicSpectrum:
@@ -201,8 +210,8 @@ def load_bundle(bundle_dir) -> DynamicSpectrum:
     rank = meta.rank
     return DynamicSpectrum(
         eigenvalues=_read_bundle_matrix(bundle_dir / "eigenvalues.csv", (1, rank)).ravel(),
-        modes=_read_bundle_modes(
-            bundle_dir / "modes.npy", (meta.n_sensors * meta.tau, rank)
+        modes=_read_bundle_npy(
+            bundle_dir / "modes.npy", np.complex128, (meta.n_sensors * meta.tau, rank)
         ),
         amplitudes=_read_bundle_matrix(bundle_dir / "amplitudes.csv", (1, rank)).ravel(),
         meta=meta,
@@ -271,17 +280,18 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_train(args):
-    data = load_matrix(args.input, layout=args.layout, delta_t=args.dt)
-    if args.split_index:
-        dataset = split(data, args.split_index)
+def _split(data, split_index):
+    """(train, dataset): ``data`` split at ``split_index``, or (data, None) at 0."""
+    if split_index:
+        dataset = split(data, split_index)
         return dataset.train, dataset
     return data, None
 
 
 def _load_fitted(args):
-    """``_load_train(args)`` once ``--input`` and ``--split-index`` are
-    those the bundle was fit from; a DataError names both if not."""
+    """``--input``'s (train, dataset), read from the bundle's input.npy
+    once ``--input``, ``--layout``, ``--dt`` and ``--split-index`` are
+    those the bundle was fit with; a DataError names both if not."""
     manifest = load_manifest(args.bundle)
     fitted = manifest.get("input_digest")
     digest = input_digest(args.input)
@@ -290,13 +300,15 @@ def _load_fitted(args):
             f"{args.input}: sha256 {digest}, but {args.bundle} was fit from "
             f"input with sha256 {fitted}"
         )
-    fitted = manifest.get("split_index")
-    if fitted is not None and args.split_index != fitted:
-        raise DataError(
-            f"--split-index {args.split_index}, but {args.bundle} was fit "
-            f"with --split-index {fitted}"
-        )
-    return _load_train(args)
+    for flag, given, key in (("--split-index", args.split_index, "split_index"),
+                             ("--layout", args.layout, "layout"),
+                             ("--dt", args.dt, "delta_t")):
+        fitted = manifest.get(key)
+        if fitted is not None and given != fitted:
+            raise DataError(f"{flag} {given}, but {args.bundle} was fit with {flag} {fitted}")
+    values = _read_bundle_npy(Path(args.bundle) / "input.npy", np.float64,
+                              (manifest["n_sensors"], manifest["n_time"]), wider=True)
+    return _split(SpeedMatrix(values=values, delta_t=manifest["delta_t"]), args.split_index)
 
 
 def _grid_names(gammas) -> list:
@@ -318,7 +330,8 @@ def cmd_fit(args) -> int:
     if args.gamma_grid and args.gamma:
         raise UsageError(f"--gamma {args.gamma:g} with --gamma-grid: the grid sets every gamma")
     names = _grid_names(args.gamma_grid or [])
-    train, _ = _load_train(args)
+    train, dataset = _split(load_matrix(args.input, layout=args.layout, delta_t=args.dt),
+                            args.split_index)
     digest = input_digest(args.input)
     outdir = Path(args.out)
     # a single fit writes <out>/manifest.json, a gamma grid <out>/gamma_*/
@@ -343,10 +356,11 @@ def cmd_fit(args) -> int:
     if args.gamma_grid:
         gammas = args.gamma_grid
         grid = fit_gamma_path(train, config, gammas)
+        values = _whole(train, dataset)
         _clear_out(outdir, BUNDLE_FILES, set(names))
         rows = []
         for name, (gamma, spectrum, solution) in zip(names, grid):
-            save_bundle(outdir / name, spectrum, digest, split_index=args.split_index)
+            save_bundle(outdir / name, spectrum, digest, values, args.layout, args.split_index)
             _report_admm(spectrum)
             rows.append((gamma, solution.nonzero_count, solution.loss))
         _write_csv(outdir / "sparsity_path.csv", np.array(rows, dtype=object), "%s",
@@ -356,13 +370,20 @@ def cmd_fit(args) -> int:
 
     spectrum = fit(train, config)
     _clear_out(outdir, ["sparsity_path.csv"])
-    save_bundle(outdir, spectrum, digest, split_index=args.split_index)
+    save_bundle(outdir, spectrum, digest, _whole(train, dataset), args.layout,
+                args.split_index)
     _report_admm(spectrum)
     print(
         f"fit method={spectrum.meta.method} tau={spectrum.meta.tau} "
         f"rank={spectrum.meta.rank} -> {outdir}"
     )
     return 0
+
+
+def _whole(train, dataset) -> np.ndarray:
+    """The parsed input matrix again, joined after the fit from the train
+    and held-out parts, so that the fit holds no third copy of it."""
+    return train.values if dataset is None else np.hstack([train.values, dataset.test.values])
 
 
 def _clear_out(outdir, files, kept=()) -> None:

@@ -210,6 +210,25 @@ def test_acf_ar1_coefficient():
     assert abs(acf[1] - 0.8) <= 0.05
 
 
+def _acf_by_lag(series, max_lag):
+    """The sample ACF as one dot product per lag: the FFT's oracle."""
+    centered = series - series.mean()
+    t = centered.size
+    return np.array([centered[lag:] @ centered[: t - lag] for lag in range(max_lag + 1)]) / (
+        centered @ centered)
+
+
+@pytest.mark.parametrize("t", [2, 3, 97, 288, 2016, 4032])
+def test_acf_from_the_fft_matches_the_lag_loop(t):
+    # every lag up to t - 1 (no padding may wrap), and the lags analyze asks for
+    rng = np.random.default_rng(t)
+    series = 50.0 + 10.0 * rng.normal(size=t)
+    for max_lag in sorted({0, 1, min(288, t - 1), t // 2, t - 1}):
+        acf, _ = residual_acf(series, max_lag)
+        assert acf.shape == (max_lag + 1,) and acf[0] == 1.0
+        assert np.max(np.abs(acf - _acf_by_lag(series, max_lag))) <= 1e-14
+
+
 def test_acf_constant_series():
     with pytest.raises(DegenerateSeriesError):
         residual_acf(np.full(50, 3.0), 5)

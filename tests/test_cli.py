@@ -69,10 +69,14 @@ def test_fit_writes_bundle(tmp_path, fixture_csv):
     assert spectrum.eigenvalues.shape[0] == manifest["rank"]
     assert spectrum.modes.shape == (4 * 48, manifest["rank"])
     assert sorted(p.name for p in bundle.iterdir()) == [
-        "amplitudes.csv", "eigenvalues.csv", "manifest.json", "modes.npy",
+        "amplitudes.csv", "eigenvalues.csv", "input.npy", "manifest.json", "modes.npy",
     ]
     modes = np.load(bundle / "modes.npy", allow_pickle=False)
     assert modes.dtype == np.complex128 and modes.shape == (4 * 48, manifest["rank"])
+    # the whole parsed input, held-out columns too
+    values = np.load(bundle / "input.npy", allow_pickle=False)
+    assert values.dtype == np.float64
+    assert np.array_equal(values, load_matrix(fixture_csv).values)
 
 
 def test_fit_digest_guard(tmp_path, fixture_csv):
@@ -138,10 +142,10 @@ def test_commands_refuse_an_input_the_bundle_was_not_fit_from(tmp_path, fixture_
     other = tmp_path / "other.csv"
     other.write_text(fixture_csv.read_text().replace("30", "31", 1))  # one cell, same shape
 
-    def run(path, split, out):
+    def run(path, split, out, *extra):
         return main([
             command, "--input", str(path), "--dt", str(1 / 12), "--split-index", split,
-            "--bundle", str(bundle), "--out", str(tmp_path / out), *PREDICTING[command],
+            "--bundle", str(bundle), "--out", str(tmp_path / out), *PREDICTING[command], *extra,
         ])
 
     assert run(fixture_csv, "192", "same") == 0
@@ -152,7 +156,44 @@ def test_commands_refuse_an_input_the_bundle_was_not_fit_from(tmp_path, fixture_
     assert cli.input_digest(fixture_csv) in err
     assert run(fixture_csv, "191", "split") == 1
     assert "--split-index 191, but" in capsys.readouterr().err
-    assert not (tmp_path / "other").exists() and not (tmp_path / "split").exists()
+    # another --layout makes another matrix of the same file; forecast sized
+    # its --split-days windows from --dt, the others read the bundle's
+    assert run(fixture_csv, "192", "layout", "--layout", "cols") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --layout cols, but {bundle} was fit with --layout rows\n"
+    assert run(fixture_csv, "192", "dt", "--dt", "0.5") == 1
+    assert capsys.readouterr().err == f"error: --dt 0.5, but {bundle} was fit with --dt {1 / 12}\n"
+    assert not any((tmp_path / out).exists() for out in ("other", "split", "layout", "dt"))
+
+
+@pytest.mark.parametrize("command", PREDICTING)
+def test_commands_after_fit_read_the_bundles_input_not_the_csv(tmp_path, fixture_csv, monkeypatch,
+                                                               command):
+    # fit parses --input once; a command after it reads the bundle's input.npy
+    # and writes the bytes it writes from a parse of the same file
+    parse = cli.load_matrix
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_matrix", counting)
+    bundle = _fit(tmp_path, fixture_csv, "--split-index", "192")
+    assert len(calls) == 1
+
+    def run(out):
+        assert main([
+            command, "--input", str(fixture_csv), "--dt", str(1 / 12), "--split-index", "192",
+            "--bundle", str(bundle), "--out", str(tmp_path / out), *PREDICTING[command],
+        ]) == 0
+        return {path.name: path.read_bytes() for path in (tmp_path / out).iterdir()}
+
+    read = run("read")
+    assert len(calls) == 1
+    monkeypatch.setattr(cli, "_load_fitted", lambda args: cli._split(
+        parse(args.input, layout=args.layout, delta_t=args.dt), args.split_index))
+    assert run("parsed") == read
 
 
 def test_input_digest_streams_the_sha256_of_the_whole_file(tmp_path):
@@ -524,7 +565,8 @@ def test_fit_leaves_one_bundle_kind_per_out(tmp_path, fixture_csv):
     # a single fit over a grid's --out, and a grid over a single bundle, leave
     # no bundle of the other kind behind; a fit that fails removes nothing
     outdir = tmp_path / "out"
-    single = ["amplitudes.csv", "eigenvalues.csv", "manifest.json", "modes.npy", "notes.txt"]
+    single = ["amplitudes.csv", "eigenvalues.csv", "input.npy", "manifest.json", "modes.npy",
+              "notes.txt"]
 
     def fit_out(*typed):
         return main(["fit", "--input", str(fixture_csv), "--dt", str(1 / 12), *typed,
@@ -563,6 +605,7 @@ def test_manifest_is_the_spectrum_meta_then_the_bundle_keys(tmp_path, fixture_cs
         "n_time": meta.n_time,
         "delta_t": meta.delta_t,
         "split_index": 0,
+        "layout": "rows",
         "input_digest": cli.input_digest(fixture_csv),
         "software_version": __version__,
         "nonzero_count": spectrum.sparsity.nonzero_count,
@@ -600,7 +643,7 @@ def test_interrupted_resave_leaves_an_unloadable_bundle(tmp_path, fixture_csv, m
 
     monkeypatch.setattr(cli, "_write_complex_matrix", failing)
     with pytest.raises(OSError):
-        cli.save_bundle(bundle, spectrum, "digest")
+        cli.save_bundle(bundle, spectrum, "digest", np.load(bundle / "input.npy"))
     with pytest.raises(DataError, match="manifest.json"):
         load_bundle(bundle)
 
@@ -645,6 +688,31 @@ def _npz_archive(bundle):
 
 def _misshapen_npy(bundle):
     np.save(bundle / "modes.npy", np.load(bundle / "modes.npy")[1:])
+
+
+def _no_input(bundle):
+    """A bundle of earlier releases, which held no input matrix."""
+    (bundle / "input.npy").unlink()
+    return "re-fit"
+
+
+def _pickled_input(bundle):
+    np.save(bundle / "input.npy", np.array([_Loud()], dtype=object), allow_pickle=True)
+
+
+def _float32_input(bundle):
+    np.save(bundle / "input.npy", np.load(bundle / "input.npy").astype(np.float32))
+    return "dtype float32, expected float64"
+
+
+def _input_missing_a_row(bundle):
+    np.save(bundle / "input.npy", np.load(bundle / "input.npy")[1:])
+    return "shape (3, 288), manifest implies (4, >= 288)"
+
+
+def _input_missing_a_column(bundle):
+    np.save(bundle / "input.npy", np.load(bundle / "input.npy")[:, 1:])
+    return "shape (4, 287), manifest implies (4, >= 288)"
 
 
 def _truncate_mid_line(bundle):
@@ -693,6 +761,11 @@ def _rank_mismatch(bundle):
     "corrupt, named",
     [
         (_parent_layout, "modes.npy"),
+        (_no_input, "input.npy"),
+        (_pickled_input, "input.npy"),
+        (_float32_input, "input.npy"),
+        (_input_missing_a_row, "input.npy"),
+        (_input_missing_a_column, "input.npy"),
         (_truncated_npy, "modes.npy"),
         (_float_npy, "modes.npy"),
         (_pickled_npy, "modes.npy"),
@@ -744,10 +817,11 @@ def test_gamma_path_bundles_match_a_lone_save(tmp_path, fixture_csv, monkeypatch
     ]) == 0
     monkeypatch.undo()
     assert sorted(saved) == ["gamma_0", "gamma_10", "gamma_100"]
+    values = load_matrix(fixture_csv).values
     for name, spectrum in saved.items():
         alone = tmp_path / "alone" / name
         digest = load_manifest(outdir / name)["input_digest"]
-        save_bundle(alone, spectrum, digest, split_index=0)
+        save_bundle(alone, spectrum, digest, values, split_index=0)
         assert sorted(p.name for p in alone.iterdir()) == sorted(
             p.name for p in (outdir / name).iterdir())
         for path in alone.iterdir():

@@ -114,10 +114,6 @@ def test_solve_raises_on_a_singular_matrix_without_a_condition_warning():
 GUARDED = (embedding, spectral, variants, sparsity, analysis)
 NUMPY_PRODUCTS = {"dot", "vdot", "matmul", "einsum", "tensordot", "inner"}
 NUMPY_LINALG_ALLOWED = {"norm", "LinAlgError"}
-# Vector-only products left on numpy, (module, function) -> count: short
-# level-1 dot products, which need no thread pool and which a scipy call
-# per lag would slow down.
-VECTOR_ONLY = {("analysis", "residual_acf"): 2}
 
 
 def _is_numpy(node):
@@ -178,14 +174,9 @@ def test_guard_flags_numpy_products():
 @pytest.mark.parametrize("module", GUARDED, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
 def test_products_and_factorisations_go_through_scipy(module):
     # every product of a pass goes through circdmd._linalg (scipy's BLAS)
-    # or a scipy.linalg routine; only the listed vector-only sites stay on numpy
-    name = module.__name__.rsplit(".", 1)[-1]
+    # or a scipy.linalg routine; none stays on numpy
     found = _violations(ast.parse(inspect.getsource(module)))
-    counts = {}
-    for function, _, _ in found:
-        counts[(name, function)] = counts.get((name, function), 0) + 1
-    allowed = {key: n for key, n in VECTOR_ONLY.items() if key[0] == name}
-    assert counts == allowed, found
+    assert found == [], found
 
 
 def test_the_helper_is_the_guarded_modules_route():
