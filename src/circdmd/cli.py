@@ -167,9 +167,11 @@ def _read_bundle_matrix(path, shape) -> np.ndarray:
 def _read_bundle_npy(path, dtype, shape, wider=False) -> np.ndarray:
     """One ``.npy`` array of a bundle, of ``dtype`` and of the 2-D
     ``shape`` its manifest implies (or, if ``wider``, of that many rows
-    and at least that many columns). Pickled data is refused, not run.
-    Bundles of earlier releases lack input.npy and held modes.csv in
-    place of modes.npy: a missing file asks for a re-fit."""
+    and at least that many columns), every entry finite: a DataError
+    names the file and the (row, column) indices, from 0, of the first
+    ten that are not. Pickled data is refused, not run. Bundles of
+    earlier releases lack input.npy and held modes.csv in place of
+    modes.npy: a missing file asks for a re-fit."""
     try:
         with open(path, "rb") as fh:
             array = np.load(fh, allow_pickle=False)
@@ -188,6 +190,10 @@ def _read_bundle_npy(path, dtype, shape, wider=False) -> np.ndarray:
             and array.shape[0] == shape[0] and array.shape[1] >= shape[1]):
         implied = f"({shape[0]}, >= {shape[1]})" if wider else f"{shape}"
         raise ShapeError(f"{path}: shape {array.shape}, manifest implies {implied}")
+    bad = np.argwhere(~np.isfinite(array))[:10]
+    if len(bad):
+        raise DataError(f"{path}: non-finite values",
+                        coordinates=[(int(i), int(j)) for i, j in bad])
     return array
 
 

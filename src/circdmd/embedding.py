@@ -146,7 +146,9 @@ class DelayStack:
             yield slice(0, self.width - head), slice(head, self.width)
 
     def __matmul__(self, y):
-        y = np.asarray(y)
+        # a C-ordered operand, whose row slices BLAS reads without a copy:
+        # an F-ordered one (an eigensolver's vectors) would be copied per block
+        y = np.ascontiguousarray(y)
         n, xt = self.x.shape[0], _columns_as_rows(self.x, self.starts, self.width)
         out = np.zeros((n * self.tau,) + y.shape[1:], dtype=np.result_type(y, self.x))
         for i, start in enumerate(self.starts):
@@ -275,10 +277,10 @@ def _window_gram(x: np.ndarray, tau: int, width: int, leads) -> np.ndarray:
     return g
 
 
-def _triangle(n: int) -> np.ndarray:
-    """An n x n float64 array of zeros for a Gram matrix of which only
-    the upper triangle is written, the triangle LAPACK reads of its
-    Fortran-ordered transpose.
+def _triangle(n: int, dtype=np.float64) -> np.ndarray:
+    """An n x n array of zeros (float64, or ``dtype``) for a Gram matrix
+    of which only the upper triangle is written, the triangle LAPACK
+    reads of its Fortran-ordered transpose.
 
     It lies on private anonymous memory in 4 KB pages, so a page
     becomes resident only when it is first written, and the pages that
@@ -291,15 +293,62 @@ def _triangle(n: int) -> np.ndarray:
     system refuses is a ConfigError that names the Gram and its size.
     """
     private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+    size = n * n * np.dtype(dtype).itemsize
     try:
-        pages = mmap.mmap(-1, n * n * 8, **private)
+        pages = mmap.mmap(-1, size, **private)
     except OSError as exc:
         raise ConfigError(
-            f"cannot map the {n} x {n} Gram matrix ({n * n * 8} bytes): {exc.strerror}"
+            f"cannot map the {n} x {n} Gram matrix ({size} bytes): {exc.strerror}"
         ) from None
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         pages.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(pages, dtype=np.float64).reshape(n, n)
+    return np.frombuffer(pages, dtype=dtype).reshape(n, n)
+
+
+# The float32 copy of a Gram is made this many bytes of float64 rows at a
+# time, so that the rounding error's temporary stays well under 1 MB.
+_ROUND_BYTES = 1 << 18
+
+
+def _single_triangle(g: np.ndarray):
+    """(f, error): the float32 rounding of the upper triangle of the
+    float64 Gram ``g``, in a :func:`_triangle` of its own, and the
+    Frobenius norm of its rounding error over the whole symmetric matrix
+    the triangle stands for (each cell off the diagonal counted twice).
+
+    The rows are rounded a block of about 256 KB at a time. Where ``g``
+    is a mapping of its own (a :func:`_triangle`), the pages of the rows
+    already rounded are released as the copy goes (``MADV_DONTNEED``):
+    a float32 row is half the float64 row it replaces, so the two
+    triangles together never hold more pages than ``g`` alone. ``g``'s
+    values are then lost (on Linux its released pages read as zeros).
+    """
+    n = len(g)
+    f = _triangle(n, np.float32)
+    pages = g
+    while isinstance(pages, np.ndarray):
+        pages = pages.base
+    pages = pages.obj if isinstance(pages, memoryview) else pages
+    release = (isinstance(pages, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED")
+               and g.flags.c_contiguous and len(pages) == g.nbytes)
+    step = max(1, _ROUND_BYTES // (8 * n))
+    squares = 0.0
+    released = 0
+    for j in range(0, n, step):
+        rows = slice(j, min(j + step, n))
+        b = rows.stop - j
+        f[rows, j:] = g[rows, j:]
+        error = f[rows, j:].astype(np.float64)
+        error -= g[rows, j:]
+        error[:, :b][np.tril_indices(b, -1)] = 0.0  # below the diagonal: not the triangle's
+        np.square(error, out=error)
+        squares += 2.0 * error.sum() - np.trace(error)
+        if release:
+            done = rows.stop * n * 8 // mmap.PAGESIZE * mmap.PAGESIZE
+            if done > released:
+                pages.madvise(mmap.MADV_DONTNEED, released, done - released)
+                released = done
+    return f, float(np.sqrt(squares))
 
 
 def _block_gram(x: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:

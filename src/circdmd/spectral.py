@@ -5,9 +5,13 @@ of the smaller dimension is eigendecomposed and the long-side factor is
 recovered by one projection, so the (N*tau) x (N*tau) product is never
 formed. The eigensolve yields only the eigenvalues the rank rule
 reads (the largest, the median and those kept) and eigenvectors only
-for the rank kept. Rank selection combines the aspect-ratio hard
-threshold with a numerical-rank guard so that exactly low-rank inputs
-do not drag round-off directions into the spectrum. A delay stack's
+for the rank kept. A large Gram with an auto rank is reduced in single
+precision: the float32 eigenvalues settle the rank wherever their error
+bound clears the cut, and the kept vectors are then refined in float64
+against the Gram formed again; the float64 reduction runs otherwise.
+Rank selection combines the aspect-ratio hard threshold with a
+numerical-rank guard so that exactly low-rank inputs do not drag
+round-off directions into the spectrum. A delay stack's
 next-snapshot matrix is the stack shifted by one column, so its forward
 and backward propagators follow from its factors, with no stack product.
 """
@@ -19,10 +23,10 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from ._linalg import dot
-from .embedding import DelayStack
+from .embedding import DelayStack, _single_triangle
 from .errors import (
     ConfigError,
     NumericalError,
@@ -135,10 +139,6 @@ _PANEL = 64
 # k is near n / 16: a request for more takes every eigenvalue instead.
 _BISECT_SHARE = 16
 
-# dstebz's absolute tolerance for the most accurate eigenvalues it gives
-# (as LAPACK's dsyevx documents it): twice the smallest normal float.
-_BISECT_TOL = 2 * _TINY
-
 
 class _SymmetricEigen:
     """Eigenvalues of a symmetric matrix on request, and the top eigenvectors.
@@ -155,7 +155,12 @@ class _SymmetricEigen:
     F-contiguous panel of at most 64 reflectors at a time, last panel
     first. The matrix is reduced in place, so the caller must not reuse
     it; beside it the solve holds the n x r vectors and one panel, never
-    a second n x n array.
+    a second n x n array. A float32 matrix is reduced in single
+    precision by the same routines' ``s`` forms (``ssytrd``, ``sstebz``,
+    ``sstein``, ``sormqr``), and its values and vectors are float32:
+    :func:`_top_singular` reduces a float32 copy of a large Gram, made
+    as the float64 pages are released, and forms the float64 Gram again
+    for the refinement, so the two are never held together.
 
     Only the matrix's upper triangle is read, a C-ordered array's upper
     triangle being the lower triangle of its Fortran-ordered transpose,
@@ -165,32 +170,41 @@ class _SymmetricEigen:
 
     def __init__(self, matrix: np.ndarray):
         self.n = n = matrix.shape[0]
-        work, info = lapack.dsytrd_lwork(n, lower=1)
-        _check("dsytrd", info)
+        self._prefix = "s" if matrix.dtype == np.float32 else "d"
+        # bisection's absolute tolerance for the most accurate eigenvalues
+        # it gives (as LAPACK's dsyevx documents it): twice the smallest
+        # normal number of the precision
+        self._tol = 2 * float(np.finfo(matrix.dtype).tiny)
+        work, = self._lapack("sytrd_lwork", n, lower=1)
         # LAPACK reads the lower triangle of the Fortran-ordered matrix.T
-        self._reflectors, self._diag, self._off, self._tau, info = lapack.dsytrd(
-            matrix.T, lower=1, lwork=int(work), overwrite_a=1
+        self._reflectors, self._diag, self._off, self._tau = self._lapack(
+            "sytrd", matrix.T, lower=1, lwork=int(work), overwrite_a=1
         )
-        _check("dsytrd", info)
         # every eigenvalue, ascending, once dsterf has run (at once for n = 1)
         self._ascending = self._diag.copy() if n == 1 else None
         self._top = np.empty(0)  # the largest eigenvalues taken so far, decreasing
 
+    def _lapack(self, name: str, *args, **kwargs) -> list:
+        """The outputs of LAPACK's ``name`` in the matrix's precision, but
+        the last, ``info``, which must be 0."""
+        routine = self._prefix + name
+        *out, info = getattr(lapack, routine)(*args, **kwargs)
+        _check(routine.removesuffix("_lwork"), info)
+        return out
+
     def values(self) -> np.ndarray:
         """All eigenvalues, in decreasing order."""
         if self._ascending is None:
-            self._ascending, info = lapack.dsterf(self._diag, self._off)
-            _check("dsterf", info)
+            self._ascending, = self._lapack("sterf", self._diag, self._off)
         return self._ascending[::-1]
 
     def ranked(self, low: int, high: int) -> np.ndarray:
         """The eigenvalues ranked low..high from the smallest (rank 1),
         increasing."""
         if self._ascending is None and (high - low + 1) * _BISECT_SHARE <= self.n:
-            m, w, _, _, info = lapack.dstebz(
-                self._diag, self._off, 2, 0.0, 0.0, low, high, _BISECT_TOL, "E"
+            m, w, _, _ = self._lapack(
+                "stebz", self._diag, self._off, 2, 0.0, 0.0, low, high, self._tol, "E"
             )
-            _check("dstebz", info)
             return w[:m]
         return self.values()[::-1][low - 1 : high]
 
@@ -210,10 +224,9 @@ class _SymmetricEigen:
         bound = np.max(np.abs(self._diag)) + 2.0 * np.max(np.abs(self._off))
         if value >= bound:
             return 0
-        m, *_, info = lapack.dstebz(
-            self._diag, self._off, 1, value, bound, 0, 0, bound - value, "E"
+        m, *_ = self._lapack(
+            "stebz", self._diag, self._off, 1, value, bound, 0, 0, bound - value, "E"
         )
-        _check("dstebz", info)
         return int(m)
 
     def top_vectors(self, r: int) -> np.ndarray:
@@ -224,10 +237,7 @@ class _SymmetricEigen:
         # one block: every eigenvalue belongs to the block of rows 1..n
         block = np.ones(n, dtype=np.int32)
         split = np.full(n, n, dtype=np.int32)
-        z, info = lapack.dstein(
-            self._diag, self._off, self.top_values(r)[::-1], block, split
-        )
-        _check("dstein", info)
+        z, = self._lapack("stein", self._diag, self._off, self.top_values(r)[::-1], block, split)
         z = np.asfortranarray(z[:, ::-1])
         # Q = H(1) ... H(n-1) leaves row 1 alone, and reflector i acts on
         # rows i+1..n through its column below the subdiagonal (as dormtr
@@ -242,28 +252,37 @@ class _SymmetricEigen:
         that is freed on return, before the next panel is copied."""
         panel = np.asfortranarray(self._reflectors[start + 1 :, start:stop])
         tau = self._tau[start:stop]
-        _, work, info = lapack.dormqr("L", "N", panel, tau, z[start + 1 :], -1)
-        _check("dormqr", info)
-        z[start + 1 :], _, info = lapack.dormqr(
-            "L", "N", panel, tau, z[start + 1 :], int(work[0])
+        _, work = self._lapack("ormqr", "L", "N", panel, tau, z[start + 1 :], -1)
+        z[start + 1 :], _ = self._lapack(
+            "ormqr", "L", "N", panel, tau, z[start + 1 :], int(work[0])
         )
-        _check("dormqr", info)
 
 
-def _median_singular(eigen: _SymmetricEigen, size: int) -> float:
+def _median_singular(eigen: _SymmetricEigen, size: int, shift: float = 0.0) -> float:
     """``np.median`` of the ``size`` singular values whose squares are
-    ``eigen``'s eigenvalues, clipped at 0, and size - n zeros: the one or
-    two middle order statistics alone."""
+    ``eigen``'s eigenvalues plus ``shift``, clipped at 0, and size - n
+    zeros: the one or two middle order statistics alone."""
     pad = size - eigen.n  # the zeros, below every clipped eigenvalue
     middle = np.zeros(2 - size % 2)
     ranks = [p - pad + 1 for p in range((size - 1) // 2, size // 2 + 1) if p >= pad]
     if ranks:
-        found = eigen.ranked(ranks[0], ranks[-1])
+        found = eigen.ranked(ranks[0], ranks[-1]) + shift
         middle[len(middle) - len(found) :] = np.sqrt(np.clip(found, 0.0, None))
     return float(np.median(middle))
 
 
-def _top_singular(gram: np.ndarray, rank, rows: int, cols: int):
+def _auto_rank(eigen: _SymmetricEigen, rows: int, cols: int) -> int:
+    """The auto rank of a rows x cols matrix whose Gram eigenvalues are
+    ``eigen``'s (see :func:`_top_singular`)."""
+    n = eigen.n
+    delta = _hard_threshold(_median_singular(eigen, min(rows, cols)), rows, cols)
+    top = np.clip(eigen.top_values(min(eigen.count_above(delta**2) + 1, n)), 0.0, None)
+    kept = max(int(np.sum(np.sqrt(top) > delta)), 1)
+    floor = max(rows, cols) * _EPS
+    return min(kept, max(int(np.sum(top > top[0] * floor)), 1))
+
+
+def _top_singular(gram: np.ndarray, rank, rows: int, cols: int, again=None):
     """The rank rule: (singular values, Gram eigenvectors) of the rank kept.
 
     ``gram`` (overwritten) is a Gram matrix of a rows x cols matrix,
@@ -282,19 +301,31 @@ def _top_singular(gram: np.ndarray, rank, rows: int, cols: int):
     then applied to the top eigenvalues themselves, one more than the
     count, so that the rank is :func:`optimal_rank`'s of every
     eigenvalue.
+
+    ``again``, if given, forms the same Gram again, bit for bit. An auto
+    rank of a Gram of order ``_SINGLE_MIN`` or more is then decided in
+    single precision (:func:`_single_start`) and its vectors refined in
+    float64 (:func:`_refine`) on the Gram formed again. Where float32
+    cannot certify the rank, or the refinement stalls, the float64 path
+    below runs on that Gram and gives its bits.
     """
+    if again is not None and rank == RANK_AUTO and len(gram) >= _SINGLE_MIN:
+        start = _single_start(gram, rows, cols)
+        gram = again()  # the first one's pages were released as it was rounded
+        if start is not None:
+            found = _refine(gram, *start)
+            if found is not None:
+                return found
     eigen = _SymmetricEigen(gram)
     if eigen.top_values(1)[0] <= 0.0:
         raise RankDeficiencyError("matrix is numerically zero")
     n = eigen.n
-    floor = max(rows, cols) * _EPS
-    size = min(rows, cols)
     if rank == RANK_AUTO:
-        delta = _hard_threshold(_median_singular(eigen, size), rows, cols)
-        top = np.clip(eigen.top_values(min(eigen.count_above(delta**2) + 1, n)), 0.0, None)
-        kept = max(int(np.sum(np.sqrt(top) > delta)), 1)
-        r = min(kept, max(int(np.sum(top > top[0] * floor)), 1))
+        r = _auto_rank(eigen, rows, cols)
+        top = np.clip(eigen.top_values(r), 0.0, None)
     else:
+        floor = max(rows, cols) * _EPS
+        size = min(rows, cols)
         r = int(rank)
         if not 1 <= r <= size:
             raise RangeError(f"fixed rank {r} outside 1..{size}")
@@ -308,6 +339,147 @@ def _top_singular(gram: np.ndarray, rank, rows: int, cols: int):
                 f"floor sqrt(eps * {max(rows, cols)}) = {np.sqrt(floor):.3g}"
             )
     return np.sqrt(top[:r]), eigen.top_vectors(r)
+
+
+# An auto rank is decided in single precision for Grams of this order or
+# more (see _top_singular). A fallback costs the float32 reduction on top
+# of the float64 one, about 1.5 times the float64 path. On the benchmark's
+# traffic-shaped inputs (2-core Xeon VM, OpenBLAS 0.3.30, fresh
+# processes) the path saved 0-8 % of the eigensolve at n = 2048-2560 and
+# 6-28 % at 3072-3584 where the rank stood, but fell back on 5 of the 8
+# inputs tried from 3072 to 3840; at 4032 it saved 35-39 % and the rank
+# stood on every seed tried (0-5).
+_SINGLE_MIN = 4000
+
+_EPS32 = float(np.finfo(np.float32).eps)
+
+# The float32 reduction's error bound on every eigenvalue is this many
+# times sqrt(n) eps32 lambda_1, besides the Gram's measured rounding:
+# LAPACK's approximate bound p(n) eps ||G||_2 for a symmetric eigensolve
+# (LAPACK Users' Guide, 4.7), with p(n) = sqrt(n) / 16, the growth that
+# rounding errors which do not all align give (Higham & Mary 2019). At
+# n = 4032 that is 3.97 eps32 lambda_1, where ssytrd and sstebz were
+# measured to err by at most 1.9 eps32 lambda_1 (seeds 0-5 of the
+# traffic-circ-sp Gram).
+_REDUCTION_ERROR = 1.0 / 16.0
+
+# float32 resolves a kept eigenvalue only if it is this many times its
+# error bound: it is then known to 1/16 of itself.
+_RESOLVE = 16.0
+
+# The float64 refinement starts from this many float32 vectors past the
+# rank. Beyond the cut the spectrum is the noise's flat bulk, so more do
+# not speed it: a step shrinks the error by about the bulk's top over
+# the last eigenvalue kept, whatever the count.
+_OVERSAMPLE = 4
+
+# The refinement gives up after this many steps.
+_REFINE_STEPS = 30
+
+# A refined residual at most this many times eps lambda_1 is at the
+# float64 path's own level (dstein's vectors reach 0.1-4.5 of it on the
+# traffic-circ-sp Gram, the refined ones 1-2 where they stop falling).
+_REFINED = 16.0
+
+
+def _single_start(gram: np.ndarray, rows: int, cols: int):
+    """The auto rank rule of :func:`_top_singular` in single precision,
+    certified: (float32 vectors of the top r + ``_OVERSAMPLE``
+    eigenvalues, the rank r, a shift for the refinement), or None where
+    float32 cannot settle the rank and the float64 path must.
+
+    ``gram`` is rounded to a float32 triangle, its pages released as they
+    are read (:func:`circdmd.embedding._single_triangle`), and reduced
+    by ``ssytrd``. By Weyl's inequality every eigenvalue of the float32
+    tridiagonal lies within ``bound`` of the float64 Gram's eigenvalue
+    of the same rank: the rounding's Frobenius norm plus the reduction's
+    error (``_REDUCTION_ERROR``). So the median singular value, which is
+    monotone in every eigenvalue, lies between the medians of the float32
+    eigenvalues less and plus ``bound``, and delta^2 between the two
+    thresholds those give. The rank r is certain when the r-th float32
+    eigenvalue lies more than ``bound`` above the higher and the next
+    below the lower, and it is then capped by no floor: the float64
+    squaring floor lies far below the float32 one. There is no answer
+    when the cut is within the bound, or when the r-th eigenvalue is
+    below ``_RESOLVE`` times the bound, the floor float32 resolves.
+    """
+    single, rounding = _single_triangle(gram)
+    eigen = _SymmetricEigen(single)
+    n = eigen.n
+    lambda_1 = float(eigen.top_values(1)[0])
+    if not lambda_1 > 0.0:
+        return None
+    bound = rounding + _REDUCTION_ERROR * np.sqrt(n) * _EPS32 * lambda_1
+    r = _auto_rank(eigen, rows, cols)
+    k = r + _OVERSAMPLE
+    if k >= n:
+        return None
+    top = eigen.top_values(k + 1).astype(np.float64)
+    size = min(rows, cols)
+    low, high = (_hard_threshold(_median_singular(eigen, size, s), rows, cols)
+                 for s in (-bound, bound))
+    if top[r - 1] - bound <= high**2 or top[r] + bound >= low**2:
+        return None  # the cut is within the bound
+    if top[r - 1] <= _RESOLVE * bound:
+        return None  # below the float32 floor
+    # the shift centres the bulk of eigenvalues left out on 0, which
+    # lowers the rate they leak in at: to half or less of the unshifted
+    bulk = (max(float(eigen.ranked(1, 1)[0]), 0.0), top[k])
+    return eigen.top_vectors(k), r, sum(bulk) / 2
+
+
+def _refine(gram: np.ndarray, start: np.ndarray, r: int, shift: float):
+    """The top r eigenpairs (values, vectors) of the float64 Gram
+    ``gram`` (its upper triangle, left intact), refined from the float32
+    vectors ``start`` of its top k, or None if the refinement stalls.
+
+    Each step is subspace iteration with Rayleigh-Ritz on V's span: one
+    product W = G V (``dsymm``), and the Ritz pairs (theta, V s) from the
+    k x k H = V.T W. Their residuals G V s - theta V s are E s, with
+    E = W - V H, so their norms come from the k x k E.T E. The next V is
+    an orthonormal basis (``dgeqrf``, ``dorgqr``) of (G - shift) V = E +
+    V (H - shift). An eigenvector's error outside the span shrinks by
+    about (lambda_{k+1} - shift) / (lambda_i - shift) a step. The steps
+    stop once the largest residual of the r kept falls by less than half
+    in a step: it has reached its rounding floor, which must be within
+    ``_REFINED`` eps lambda_1, or the refinement has stalled. Each Ritz
+    vector takes the sign of its float32 start. Beside the Gram and
+    ``start``, the steps hold two n x k arrays, each product written
+    over the one its operands no longer need.
+    """
+    v = start.astype(np.float64, order="F")
+    w = np.empty_like(v)
+    best = np.inf
+    for _ in range(_REFINE_STEPS):
+        # the lower triangle of gram.T is gram's upper one
+        w = blas.dsymm(1.0, gram.T, v, beta=0.0, c=w, lower=1, overwrite_c=1)
+        h = dot(v.T, w)
+        theta, s = scipy.linalg.eigh(h)
+        theta, s = theta[::-1], s[:, ::-1]
+        w = blas.dgemm(-1.0, v, h, beta=1.0, c=w, overwrite_c=1)  # E
+        kept = s[:, :r]
+        # squared norms, which rounding may take below 0 at the floor
+        residual = np.sqrt(max(np.max(np.sum(kept * dot(dot(w.T, w), kept), axis=0)), 0.0))
+        if residual > best / 2:
+            if residual > _REFINED * _EPS * theta[0]:
+                return None
+            vectors = blas.dgemm(1.0, v, kept, c=w[:, :r], overwrite_c=1)
+            vectors *= np.where(np.sum(vectors * start[:, :r], axis=0) < 0.0, -1.0, 1.0)
+            return np.sqrt(np.clip(theta[:r], 0.0, None)), vectors
+        best = residual
+        h[np.diag_indices(len(h))] -= shift
+        w = blas.dgemm(1.0, v, h, beta=1.0, c=w, overwrite_c=1)
+        v, w = _orthonormal(w), v
+    return None
+
+
+def _orthonormal(z: np.ndarray) -> np.ndarray:
+    """The Q of z = Q R, written over the F-ordered ``z``."""
+    qr, tau, _, info = lapack.dgeqrf(z, overwrite_a=1)
+    _check("dgeqrf", info)
+    q, _, info = lapack.dorgqr(qr, tau, overwrite_a=1)
+    _check("dorgqr", info)
+    return q
 
 
 def snapshot_svd(matrix, rank=RANK_AUTO) -> ReducedSvd:
@@ -331,9 +503,10 @@ def _snapshot_svd(a, rank, rows: int, cols: int) -> ReducedSvd:
     """:func:`snapshot_svd` of ``a``, whose rank rule reads a rows x cols
     matrix with the same nonzero singular values as ``a`` and no others."""
     gram_on_cols = a.shape[1] <= a.shape[0]
-    gram = a.gram() if gram_on_cols else a.stack_gram()
-    sing, vectors = _top_singular(gram, rank, rows, cols)
-    del gram  # reduced in place, and no longer needed beside the products
+    form = a.gram if gram_on_cols else a.stack_gram
+    # no reference to the Gram is kept here: it is reduced in place, or
+    # released as its float32 copy is made, and freed before the products
+    sing, vectors = _top_singular(form(), rank, rows, cols, form)
     if gram_on_cols:
         right = vectors
         left = dot(a, right) / sing

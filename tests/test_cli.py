@@ -705,6 +705,13 @@ def _float32_input(bundle):
     return "dtype float32, expected float64"
 
 
+def _non_finite_input(bundle):
+    values = np.load(bundle / "input.npy")
+    values[1, 5] = np.nan
+    np.save(bundle / "input.npy", values)
+    return "non-finite values: [(1, 5)]"
+
+
 def _input_missing_a_row(bundle):
     np.save(bundle / "input.npy", np.load(bundle / "input.npy")[1:])
     return "shape (3, 288), manifest implies (4, >= 288)"
@@ -764,6 +771,7 @@ def _rank_mismatch(bundle):
         (_no_input, "input.npy"),
         (_pickled_input, "input.npy"),
         (_float32_input, "input.npy"),
+        (_non_finite_input, "input.npy"),
         (_input_missing_a_row, "input.npy"),
         (_input_missing_a_column, "input.npy"),
         (_truncated_npy, "modes.npy"),

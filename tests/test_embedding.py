@@ -22,7 +22,7 @@ from circdmd import (
 )
 from circdmd import spectral
 from circdmd._linalg import dot
-from circdmd.embedding import DelayStack, _window_gram
+from circdmd.embedding import DelayStack, _single_triangle, _window_gram
 
 
 def _matrix(n, t, seed=0):
@@ -461,14 +461,63 @@ def _resident(array):
     raise AssertionError("no mapping holds the array")
 
 
-def _upper_triangle_pages(n, page=4096):
-    """The pages an n x n float64 array's upper triangle touches, row j
-    spanning bytes 8 (j n + j) .. 8 (j + 1) n - 1."""
+def _upper_triangle_pages(n, page=4096, item=8):
+    """The pages an n x n array's upper triangle touches, row j spanning
+    bytes item (j n + j) .. item (j + 1) n - 1 (float64, or float32 for
+    ``item`` 4)."""
     rows = np.arange(n)
-    touched = np.zeros(-(-8 * n * n // page), dtype=bool)
-    for first, last in zip(8 * (rows * n + rows) // page, (8 * (rows + 1) * n - 1) // page):
+    touched = np.zeros(-(-item * n * n // page), dtype=bool)
+    for first, last in zip(item * (rows * n + rows) // page,
+                           (item * (rows + 1) * n - 1) // page):
         touched[first : last + 1] = True
     return int(touched.sum()) * page
+
+
+def _resident_anonymous():
+    """The process's resident anonymous memory in bytes."""
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("RssAnon:"):
+                return int(line.split()[1]) * 1024
+    raise AssertionError("no RssAnon line")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's status")
+def test_single_triangle_releases_the_float64_pages_it_has_rounded():
+    # the float32 copy of a Gram's upper triangle is made a block of rows at
+    # a time, and the float64 rows are released as they are read: the
+    # process holds the float32 triangle's pages in place of the float64
+    # one's, and the rounding error is the symmetric matrix's, in full
+    n = 2048
+    g = DelayStack(_matrix(4, n, seed=9).values, 8, 0, True).gram()
+    upper = np.triu(g)
+    full = upper + np.triu(upper, 1).T
+    before = _resident_anonymous()
+    f, error = _single_triangle(g)
+    grown = _resident_anonymous() - before
+    saved = _upper_triangle_pages(n) - _upper_triangle_pages(n, item=4)
+    # a copy that released nothing would grow by the float32 pages, 14.7 MB;
+    # 2 MB allow for a heap page the temporaries may fault in as a huge page
+    assert grown <= -saved + 2 * 2**20, (grown, saved)
+    assert not g.any()  # its released pages read as zeros
+    assert f.dtype == np.float32 and np.array_equal(np.triu(f), upper.astype(np.float32))
+    single = np.triu(f).astype(np.float64)
+    single += np.triu(single, 1).T
+    assert error == pytest.approx(np.linalg.norm(single - full), rel=1e-9)
+    # a matrix that is no mapping of its own is read, not released
+    kept = upper.copy()
+    again, same = _single_triangle(kept)
+    assert np.array_equal(kept, upper) and np.array_equal(again, f) and same == error
+
+
+def test_stack_products_of_f_and_c_ordered_operands_are_equal():
+    # an eigensolver's vectors come F-ordered: the product copies them once
+    # to C order, so either order gives the same bits
+    x = _matrix(5, 300, seed=2).values
+    for wrap, offset in ((True, 0), (True, 1), (False, 0), (False, 1)):
+        stack = DelayStack(x, 12, offset, wrap)
+        y = np.random.default_rng(offset).normal(size=(stack.shape[1], 9))
+        assert np.array_equal(stack @ np.asfortranarray(y), stack @ np.ascontiguousarray(y))
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="reads Linux's smaps")

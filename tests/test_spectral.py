@@ -384,17 +384,24 @@ def _split_tridiagonal_matrix():
     return a
 
 
-@pytest.mark.parametrize("routine", ["dsytrd", "dsterf", "dstebz", "dstein", "dormqr"])
+@pytest.mark.parametrize("routine", ["dsytrd", "dsterf", "dstebz", "dstein", "dormqr",
+                                     "ssytrd", "sstebz", "sstein", "sormqr", "dgeqrf", "dorgqr"])
 def test_snapshot_svd_names_a_failing_lapack_routine(monkeypatch, routine):
     # a 6 x 6 Gram takes every eigenvalue from dsterf; at 48 x 48, rank 2
-    # is within 48 / 16, so its eigenvalues come from bisection
-    if routine == "dstebz":
+    # is within 48 / 16, so its eigenvalues come from bisection. An auto
+    # rank of a Gram of order _SINGLE_MIN or more is found in single
+    # precision and refined with dgeqrf and dorgqr
+    rank = 2
+    if routine[0] == "s" or routine in ("dgeqrf", "dorgqr"):
+        monkeypatch.setattr(spectral, "_SINGLE_MIN", 64)
+        matrix, rank = _low_rank_plus_noise(300, 200), "auto"
+    elif routine == "dstebz":
         matrix = np.random.default_rng(16).normal(size=(80, 48))
     else:
         matrix = _split_tridiagonal_matrix()
     monkeypatch.setattr(spectral.lapack, routine, _failing(getattr(spectral.lapack, routine)))
     with pytest.raises(NumericalError, match=f"LAPACK {routine} failed"):
-        snapshot_svd(matrix, rank=2)
+        snapshot_svd(matrix, rank=rank)
 
 
 def test_snapshot_svd_top_vectors_across_a_split_tridiagonal():
@@ -407,6 +414,121 @@ def test_snapshot_svd_top_vectors_across_a_split_tridiagonal():
     assert np.max(np.abs(overlap - 1.0)) <= 1e-12
     assert np.max(np.abs(svd.left.T @ svd.left - np.eye(2))) <= 1e-12
     assert np.max(np.abs(svd.singular - np.linalg.svd(a, compute_uv=False)[:2])) <= 1e-12
+
+
+# ----------------------------------------------------------------------
+# an auto rank in single precision
+# ----------------------------------------------------------------------
+
+def _low_rank_plus_noise(rows, cols, seed=0):
+    """Four singular values from 400 down to 100 above a noise bulk near 16."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(rows, 4)))
+    v, _ = np.linalg.qr(rng.normal(size=(cols, 4)))
+    return (u * np.geomspace(400.0, 100.0, 4)) @ v.T + 0.5 * rng.normal(size=(rows, cols))
+
+
+def _recording_refine(monkeypatch):
+    """Patch spectral._refine to record whether each call gave an answer."""
+    refined = []
+    refine = spectral._refine
+
+    def recording(*args):
+        found = refine(*args)
+        refined.append(found is not None)
+        return found
+
+    monkeypatch.setattr(spectral, "_refine", recording)
+    return refined
+
+
+@pytest.mark.parametrize("shape", [(300, 200), (200, 300)], ids=["time-side", "stack-side"])
+def test_single_precision_path_matches_a_dense_eigh(monkeypatch, shape):
+    # a float32 reduction decides the rank, and the float64 refinement
+    # gives the Gram's top eigenpairs as a dense eigh does, on either side
+    a = _low_rank_plus_noise(*shape)
+    gram = a.T @ a if shape[1] <= shape[0] else a @ a.T
+    values, vectors = np.linalg.eigh(gram)
+    values, vectors = values[::-1], vectors[:, ::-1]
+    double = snapshot_svd(a)
+    refined = _recording_refine(monkeypatch)
+    monkeypatch.setattr(spectral, "_SINGLE_MIN", 64)
+    svd = snapshot_svd(a)
+    assert refined == [True]
+    r = svd.rank
+    assert r == double.rank == 4
+    assert np.max(np.abs(svd.singular**2 - values[:r]) / values[:r]) <= 1e-12
+    got = svd.right if shape[1] <= shape[0] else svd.left
+    assert np.max(np.abs(np.abs(np.sum(got * vectors[:, :r], axis=0)) - 1.0)) <= 1e-12
+    assert np.max(np.abs(got.T @ got - np.eye(r))) <= 1e-14
+    residual = np.linalg.norm(gram @ got - got * svd.singular**2, axis=0)
+    assert np.max(residual) <= 16 * EPS * values[0]
+    assert np.max(np.abs(svd.singular - double.singular) / double.singular) <= 1e-12
+
+
+def _cut_within_the_bound():
+    """An eigenvalue a hair below the threshold: rank 3 in float64, which
+    float32's error bound cannot tell from 4."""
+    rows, cols = 400, 128
+    eigenvalues = _planted(cols, 4)
+    sing = np.sqrt(eigenvalues)
+    delta = spectral._hard_threshold(np.median(sing), rows, cols)
+    eigenvalues[3] = delta**2 * (1 - 1e-9)
+    return eigenvalues, rows, cols
+
+
+def _slow_refinement():
+    """A clear cut above a bulk that reaches 0.88 of the last eigenvalue
+    kept: the refinement's error shrinks by about 0.7 a step, so it stalls."""
+    rows, cols = 100_000, 100
+    eigenvalues = np.concatenate([[10.0, 5.0, 1.0], np.linspace(0.88, 0.01, cols - 3)])
+    delta = spectral._hard_threshold(np.median(np.sqrt(eigenvalues)), rows, cols)
+    assert 0.9 < delta**2 < 0.95
+    return eigenvalues, rows, cols
+
+
+@pytest.mark.parametrize("case", ["cut-within-the-bound", "float32-floor", "stalled-refinement"])
+def test_single_precision_fallbacks_give_the_float64_bits(monkeypatch, case):
+    # where float32 cannot certify the rank, or the refinement stalls, the
+    # float64 path runs on the Gram formed again and gives its bits
+    if case == "cut-within-the-bound":
+        eigenvalues, rows, cols = _cut_within_the_bound()
+    elif case == "stalled-refinement":
+        eigenvalues, rows, cols = _slow_refinement()
+    else:  # a clear cut, which the single path takes until its floor is raised
+        eigenvalues, rows, cols = _planted(128, 4), 400, 128
+    gram = _gram(eigenvalues)
+    want = spectral._top_singular(gram.copy(), "auto", rows, cols)
+    refined = _recording_refine(monkeypatch)
+    monkeypatch.setattr(spectral, "_SINGLE_MIN", 64)
+    if case == "float32-floor":
+        spectral._top_singular(gram.copy(), "auto", rows, cols, gram.copy)
+        assert refined == [True]
+        refined.clear()
+        monkeypatch.setattr(spectral, "_RESOLVE", 1e12)
+    got = spectral._top_singular(gram.copy(), "auto", rows, cols, gram.copy)
+    assert refined == ([False] if case == "stalled-refinement" else [])
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert len(want[0]) == (3 if case == "cut-within-the-bound" else len(got[0]))
+
+
+def test_single_precision_path_takes_only_an_auto_rank_with_a_gram_formed_again(monkeypatch):
+    # a fixed rank, a Gram below _SINGLE_MIN, or one that cannot be formed
+    # again (tls-hankel's scaled stack Gram) keeps the float64 path
+    a = _low_rank_plus_noise(300, 200)
+    gram = np.triu(a.T @ a)
+    refined = _recording_refine(monkeypatch)
+    single = []
+    monkeypatch.setattr(spectral, "_single_start",
+                        lambda *args: single.append(1) or None)
+    snapshot_svd(a, rank=4)
+    snapshot_svd(a)
+    monkeypatch.setattr(spectral, "_SINGLE_MIN", 64)
+    snapshot_svd(a, rank=4)
+    spectral._top_singular(gram.copy(), "auto", 300, 200)
+    assert single == [] and refined == []
+    snapshot_svd(a)
+    assert single == [1]
 
 
 def test_top_vectors_allocate_no_second_square_array():
