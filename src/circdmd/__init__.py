@@ -25,11 +25,8 @@ from .embedding import (
     EmbeddedMatrix,
     anti_circulant,
     apply_right_permutation,
-    circshift,
-    collapse_snapshot_reconstruction,
     hankel,
     inverse_anti_circulant,
-    inverse_hankel,
 )
 from .errors import (
     ConfigError,
@@ -42,7 +39,6 @@ from .errors import (
     RankDeficiencyError,
     ShapeError,
     SingularBackwardError,
-    SingularEigenvalueError,
     ToolkitError,
     UsageError,
 )
@@ -61,10 +57,8 @@ from .spectral import (
     amplitudes,
     dynamic_modes,
     eigendecompose,
-    extrapolate_continuous,
     hard_threshold_factor,
     optimal_rank,
-    projected_dynamics,
     reconstruct,
     snapshot_svd,
     vandermonde,
@@ -82,6 +76,5 @@ from .variants import (
     fit_forward_backward,
     fit_gamma_path,
     fit_total_least_squares,
-    forward_backward_combine,
     predict,
 )

@@ -50,27 +50,19 @@ def mae_rmse(truth: np.ndarray, estimate: np.ndarray):
     return mae, rmse
 
 
-def mape_per_sensor(
-    truth: np.ndarray, estimate: np.ndarray, zero_policy: str = "skip"
-) -> np.ndarray:
+def mape_per_sensor(truth: np.ndarray, estimate: np.ndarray) -> np.ndarray:
     """Mean absolute percentage error per sensor row.
 
-    Zero truth entries are undefined; ``zero_policy="skip"`` averages
-    over the remaining entries (warning when any were skipped, NaN when
-    a whole row is zero), ``"error"`` raises.
+    Zero truth entries are undefined, so each row averages over its
+    other entries: a warning counts the entries skipped, and a row of
+    zeros reads NaN.
     """
     truth = np.asarray(truth, dtype=float)
     estimate = np.asarray(estimate, dtype=float)
     if truth.shape != estimate.shape:
         raise ShapeError(f"shape mismatch: {truth.shape} vs {estimate.shape}")
-    if zero_policy not in ("skip", "error"):
-        raise RangeError(f"zero_policy must be skip|error, got {zero_policy!r}")
     zero = truth == 0.0
     if zero.any():
-        if zero_policy == "error":
-            raise DegenerateSeriesError(
-                f"{int(zero.sum())} zero truth entries make MAPE undefined"
-            )
         warnings.warn(f"skipping {int(zero.sum())} zero truth entries in MAPE")
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.abs((truth - estimate) / truth)
@@ -82,20 +74,18 @@ def mape_per_sensor(
     return out
 
 
-def predictability_groups(
-    mape_values: np.ndarray, low: float = 5.0, high: float = 10.0
-):
-    """Band each sensor by MAPE: below ``low``, between, above ``high``."""
+def predictability_groups(mape_values: np.ndarray):
+    """Band each sensor by MAPE: below 5 %, 5 to 10 %, or above 10 %."""
     labels = []
     for value in np.asarray(mape_values, dtype=float):
         if np.isnan(value):
             labels.append("undefined")
-        elif value < low:
-            labels.append(f"<{low:g}%")
-        elif value <= high:
-            labels.append(f"{low:g}-{high:g}%")
+        elif value < 5.0:
+            labels.append("<5%")
+        elif value <= 10.0:
+            labels.append("5-10%")
         else:
-            labels.append(f">{high:g}%")
+            labels.append(">10%")
     return labels
 
 

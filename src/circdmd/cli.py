@@ -37,7 +37,7 @@ from .analysis import (
     residual_acf,
     residual_lag_correlation,
 )
-from .datamodel import SpeedMatrix, _write_csv, load_matrix, save_matrix, split
+from .datamodel import Dataset, SpeedMatrix, _write_csv, load_matrix, save_matrix, split
 from .errors import ConfigError, DataError, ShapeError, ToolkitError, UsageError
 from .spectral import RANK_AUTO, DynamicSpectrum, SpectrumMeta
 from .synthgen import Component, SyntheticSpec, generate
@@ -201,11 +201,19 @@ def load_bundle(bundle_dir) -> DynamicSpectrum:
     """Read a bundle written by :func:`save_bundle`.
 
     Raises DataError naming a file that is missing or unreadable, or a
-    manifest that lacks a field or names an unknown method, and
-    ShapeError naming an array whose shape disagrees with the manifest.
+    manifest that lacks a field, names an unknown method or was written
+    by another version of circdmd, and ShapeError naming an array whose
+    shape disagrees with the manifest.
     """
-    bundle_dir = Path(bundle_dir)
-    manifest = load_manifest(bundle_dir)
+    return _read_spectrum(Path(bundle_dir), load_manifest(bundle_dir))
+
+
+def _read_spectrum(bundle_dir, manifest) -> DynamicSpectrum:
+    """The spectrum of the bundle in ``bundle_dir`` whose manifest is ``manifest``."""
+    version = manifest.get("software_version")
+    if version != __version__:
+        raise DataError(f"{bundle_dir / 'manifest.json'}: software_version {version!r}, "
+                        f"but this is circdmd {__version__}: re-fit the bundle")
     fields = [f.name for f in dataclasses.fields(SpectrumMeta)]
     missing = [name for name in fields if name not in manifest]
     if missing or manifest["method"] not in METHODS:
@@ -295,9 +303,10 @@ def _split(data, split_index):
 
 
 def _load_fitted(args):
-    """``--input``'s (train, dataset), read from the bundle's input.npy
-    once ``--input``, ``--layout``, ``--dt`` and ``--split-index`` are
-    those the bundle was fit with; a DataError names both if not."""
+    """The bundle's spectrum and ``--input``'s (train, dataset), read
+    from the bundle's input.npy once ``--input``, ``--layout``, ``--dt``
+    and ``--split-index`` are those the bundle was fit with; a DataError
+    names both if not."""
     manifest = load_manifest(args.bundle)
     fitted = manifest.get("input_digest")
     digest = input_digest(args.input)
@@ -312,9 +321,16 @@ def _load_fitted(args):
         fitted = manifest.get(key)
         if fitted is not None and given != fitted:
             raise DataError(f"{flag} {given}, but {args.bundle} was fit with {flag} {fitted}")
+    spectrum = _read_spectrum(Path(args.bundle), manifest)
+    meta = spectrum.meta
     values = _read_bundle_npy(Path(args.bundle) / "input.npy", np.float64,
-                              (manifest["n_sensors"], manifest["n_time"]), wider=True)
-    return _split(SpeedMatrix(values=values, delta_t=manifest["delta_t"]), args.split_index)
+                              (meta.n_sensors, meta.n_time), wider=True)
+    k = args.split_index or values.shape[1]
+    train = SpeedMatrix(values=values[:, :k], delta_t=meta.delta_t)
+    if not args.split_index:
+        return spectrum, train, None
+    test = SpeedMatrix(values=values[:, k:], delta_t=meta.delta_t)
+    return spectrum, train, Dataset(train=train, test=test, split_index=k)
 
 
 def _grid_names(gammas) -> list:
@@ -415,8 +431,7 @@ def _report_admm(spectrum) -> None:
 
 def cmd_reconstruct(args) -> int:
     _require(args, "input", "out")
-    spectrum = load_bundle(args.bundle)
-    train, _ = _load_fitted(args)
+    spectrum, train, _ = _load_fitted(args)
     estimate = predict(spectrum, (train.n_sensors, train.n_time), 0)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -431,8 +446,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_forecast(args) -> int:
     _require(args, "input", "out")
-    spectrum = load_bundle(args.bundle)
-    train, dataset = _load_fitted(args)
+    spectrum, train, dataset = _load_fitted(args)
     horizon = args.horizon
     if horizon is None and dataset is not None:
         horizon = dataset.test.n_time
@@ -479,15 +493,24 @@ def cmd_forecast(args) -> int:
 
 def cmd_analyze(args) -> int:
     _require(args, "out")
-    spectrum = load_bundle(args.bundle)
     outdir = Path(args.out)
-    meta = spectrum.meta
     requested = list(dict.fromkeys(name.strip() for name in args.run))
     for name in requested:
         if name not in ANALYSES:
             raise UsageError(f"unknown analysis {name!r}; choose from {ANALYSES}")
     if not requested:
         raise UsageError("no analyses requested")
+    residuals = truth = None
+    if {"acf", "residual-corr", "per-sensor-mape"} & set(requested):
+        if not args.input:
+            raise UsageError("residual analyses need --input (and --split-index if used)")
+        spectrum, train, _ = _load_fitted(args)
+        truth = train.values
+        estimate = predict(spectrum, (train.n_sensors, train.n_time), 0)
+        residuals = truth - estimate
+    else:
+        spectrum = load_bundle(args.bundle)
+    meta = spectrum.meta
     if "modes" in requested and args.mode_indices:
         outside = [i for i in args.mode_indices if not 0 <= i < meta.rank]
         if outside:
@@ -495,15 +518,6 @@ def cmd_analyze(args) -> int:
                 f"--mode-indices {outside} outside 0..{meta.rank - 1}, "
                 f"the modes of this rank-{meta.rank} bundle"
             )
-    needs_residuals = {"acf", "residual-corr", "per-sensor-mape"}
-    residuals = truth = None
-    if needs_residuals & set(requested):
-        if not args.input:
-            raise UsageError("residual analyses need --input (and --split-index if used)")
-        train, _ = _load_fitted(args)
-        truth = train.values
-        estimate = predict(spectrum, (train.n_sensors, train.n_time), 0)
-        residuals = truth - estimate
     outdir.mkdir(parents=True, exist_ok=True)
 
     failures = []
@@ -611,8 +625,8 @@ def _run_analysis(name, spectrum, meta, residuals, truth, args, outdir):
 
 
 def cmd_metrics(args) -> int:
-    truth = load_matrix(args.truth, layout=args.layout, delta_t=args.dt)
-    estimate = load_matrix(args.estimate, layout=args.layout, delta_t=args.dt)
+    truth = load_matrix(args.truth, layout=args.layout)
+    estimate = load_matrix(args.estimate, layout=args.layout)
     mae, rmse = mae_rmse(truth.values, estimate.values)
     payload = {"mae": mae, "rmse": rmse}
     if args.mape:
@@ -752,7 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
     met.add_argument("--truth", required=True)
     met.add_argument("--estimate", required=True)
     met.add_argument("--layout", choices=["rows", "cols"], default="rows")
-    met.add_argument("--dt", type=float, default=1.0 / 12.0)
     met.add_argument("--mape", action="store_true")
     met.add_argument("--out", default="")
     met.set_defaults(func=cmd_metrics)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -31,6 +30,9 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class SpeedMatrix:
     """Real N x T matrix of sensor readings on a uniform time grid.
 
+    Columns carry no calendar time: algorithms work on column indices
+    and ``delta_t``.
+
     Parameters
     ----------
     values : ndarray, shape (N, T)
@@ -39,15 +41,11 @@ class SpeedMatrix:
         Sampling interval in hours (e.g. 1/12 for 5-minute data).
     sensor_ids : sequence of str, optional
         One identifier per row; synthesized as "s0001", ... when absent.
-    start_timestamp : str, optional
-        Calendar anchor of column 0. Metadata only; algorithms work on
-        column indices and ``delta_t``.
     """
 
     values: np.ndarray
     delta_t: float
     sensor_ids: tuple = ()
-    start_timestamp: Optional[str] = None
 
     def __post_init__(self):
         values = _readonly(self.values)
@@ -376,12 +374,10 @@ def split(data: SpeedMatrix, split_index: int) -> Dataset:
         values=data.values[:, :split_index],
         delta_t=data.delta_t,
         sensor_ids=data.sensor_ids,
-        start_timestamp=data.start_timestamp,
     )
     test = SpeedMatrix(
         values=data.values[:, split_index:],
         delta_t=data.delta_t,
         sensor_ids=data.sensor_ids,
-        start_timestamp=None,
     )
     return Dataset(train=train, test=test, split_index=split_index)

@@ -2,11 +2,11 @@
 
 Conventions, fixed once for the whole package:
 
-* ``circshift(x, L)`` rotates the columns of ``x`` so that the column
-  at position j moves to position j + L (mod T); ``circshift(X, -1)``
-  therefore has columns (x2, ..., xT, x1).
+* A shift by L is ``np.roll(x, L, axis=1)``: the column at position j
+  moves to position j + L (mod T), so a shift by -1 has columns
+  (x2, ..., xT, x1).
 * The anti-circulant embedding stacks tau shifted copies, block i being
-  ``circshift(X, -i)``; its first block starts at x2.
+  ``np.roll(X, -i, axis=1)``; its first block starts at x2.
 * The right permutation reorders columns so block i starts at x_i; the
   permuted matrix is the snapshot sequence (c_1, ..., c_T).
 * The inverse embedding averages the tau shifted copies back; composed
@@ -44,38 +44,19 @@ class EmbeddedMatrix:
     values: np.ndarray
     kind: str
     tau: int
-    source_n: int
-    source_t: int
-
-    def block(self, i: int) -> np.ndarray:
-        """Rows of shift block i (1-based, each block has N rows)."""
-        if not 1 <= i <= self.tau:
-            raise RangeError(f"block index {i} outside 1..{self.tau}")
-        n = self.source_n
-        return self.values[(i - 1) * n : i * n, :]
-
-
-def circshift(x: np.ndarray, shift: int) -> np.ndarray:
-    """Rotate columns by ``shift`` positions (reduced modulo the width)."""
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise ShapeError(f"circshift expects a 2-D matrix, got ndim={x.ndim}")
-    return np.roll(x, shift, axis=1)
 
 
 def anti_circulant(x: SpeedMatrix, tau: int) -> EmbeddedMatrix:
     """Stack tau circularly shifted copies of the data into an (N*tau) x T matrix.
 
-    Block i (1-based) equals ``circshift(X, -i)``, so the first block's
+    Block i (1-based) equals ``np.roll(X, -i, axis=1)``, so the first block's
     leading column is x2 and the last block's is x_{tau+1}.
     """
-    n, t = x.values.shape
+    t = x.values.shape[1]
     if not 1 <= tau <= t:
         raise RangeError(f"tau must satisfy 1 <= tau <= {t}, got {tau}")
-    blocks = [circshift(x.values, -i) for i in range(1, tau + 1)]
-    return EmbeddedMatrix(
-        values=np.vstack(blocks), kind=ANTI_CIRCULANT, tau=tau, source_n=n, source_t=t
-    )
+    blocks = [np.roll(x.values, -i, axis=1) for i in range(1, tau + 1)]
+    return EmbeddedMatrix(values=np.vstack(blocks), kind=ANTI_CIRCULANT, tau=tau)
 
 
 def apply_right_permutation(c: EmbeddedMatrix) -> EmbeddedMatrix:
@@ -87,13 +68,7 @@ def apply_right_permutation(c: EmbeddedMatrix) -> EmbeddedMatrix:
     """
     if c.kind != ANTI_CIRCULANT:
         raise KindError(f"right permutation applies to anti-circulant matrices, got {c.kind}")
-    return EmbeddedMatrix(
-        values=circshift(c.values, 1),
-        kind=c.kind,
-        tau=c.tau,
-        source_n=c.source_n,
-        source_t=c.source_t,
-    )
+    return EmbeddedMatrix(values=np.roll(c.values, 1, axis=1), kind=c.kind, tau=c.tau)
 
 
 class DelayStack:
@@ -396,21 +371,19 @@ def hankel(x: SpeedMatrix, tau: int) -> EmbeddedMatrix:
 
     Block i holds columns x_i ... x_{T-tau+i}; no wrap-around occurs.
     """
-    n, t = x.values.shape
+    t = x.values.shape[1]
     if not 1 <= tau <= t:
         raise RangeError(f"tau must satisfy 1 <= tau <= {t}, got {tau}")
     width = t - tau + 1
     blocks = [x.values[:, i : i + width] for i in range(tau)]
-    return EmbeddedMatrix(
-        values=np.vstack(blocks), kind=HANKEL, tau=tau, source_n=n, source_t=t
-    )
+    return EmbeddedMatrix(values=np.vstack(blocks), kind=HANKEL, tau=tau)
 
 
 def inverse_anti_circulant(c: np.ndarray, n: int, tau: int) -> np.ndarray:
     """Collapse an anti-circulant stack back to N rows by averaging.
 
     Input blocks are expected in the unpermuted layout produced by
-    :func:`anti_circulant` (block i = ``circshift(X, -i)``); rotating
+    :func:`anti_circulant` (block i = ``np.roll(X, -i, axis=1)``); rotating
     block i back by +i and averaging recovers X exactly:
     ``inverse_anti_circulant(anti_circulant(X, tau).values, N, tau) == X``.
     """

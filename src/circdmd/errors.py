@@ -49,10 +49,6 @@ class SingularBackwardError(NumericalError):
     """The backward propagator is singular and cannot be inverted."""
 
 
-class SingularEigenvalueError(NumericalError):
-    """A zero eigenvalue has no continuous-time logarithm."""
-
-
 class DegenerateSeriesError(ToolkitError):
     """A series has zero variance where variability is required."""
 

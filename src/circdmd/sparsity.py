@@ -17,6 +17,13 @@ from ._linalg import dot, solve
 from .errors import NumericalError, RangeError, ShapeError
 from .spectral import ReducedSvd
 
+# ADMM's stopping tolerances, as in Boyd et al. 2011 (Distributed
+# optimization and statistical learning via ADMM), section 3.3.1. The
+# values, and sqrt(r) for Boyd's sqrt(p), are those of Jovanovic, Schmid &
+# Nichols 2014, though a complex b has p = 2r real coordinates.
+_EPS_ABS = 1e-6
+_EPS_REL = 1e-4
+
 
 @dataclass(frozen=True)
 class QuadraticForm:
@@ -35,12 +42,6 @@ class QuadraticForm:
         b_conj = b.conj()
         value = dot(b_conj, dot(self.p, b)) - dot(self.q.conj(), b) - dot(b_conj, self.q) + self.s
         return float(np.real(value))
-
-    def gradient(self, b: np.ndarray) -> np.ndarray:
-        return 2.0 * (dot(self.p, b) - self.q)
-
-    def unregularized_minimizer(self) -> np.ndarray:
-        return solve(self.p, self.q)
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ def _soft_threshold(v: np.ndarray, kappa: float) -> np.ndarray:
     return v * scale
 
 
-def _admm_iterate(form, gamma, rho, max_iter, eps_abs, eps_rel, state=None):
+def _admm_iterate(form, gamma, rho, max_iter, state=None):
     """The ADMM loop. Each b-update is LAPACK's ``potrs`` on the Cholesky
     factor, the call ``cho_solve`` makes after checking its operands,
     which the loop's own operands need not repeat."""
@@ -132,10 +133,10 @@ def _admm_iterate(form, gamma, rho, max_iter, eps_abs, eps_rel, state=None):
         u = u + b - beta
         r_primal = np.linalg.norm(b - beta)
         r_dual = np.linalg.norm(rho * (beta - beta_prev))
-        eps_pri = np.sqrt(r) * eps_abs + eps_rel * max(
+        eps_pri = np.sqrt(r) * _EPS_ABS + _EPS_REL * max(
             np.linalg.norm(b), np.linalg.norm(beta)
         )
-        eps_dual = np.sqrt(r) * eps_abs + eps_rel * np.linalg.norm(rho * u)
+        eps_dual = np.sqrt(r) * _EPS_ABS + _EPS_REL * np.linalg.norm(rho * u)
         if r_primal <= eps_pri and r_dual <= eps_dual:
             converged = True
             break
@@ -147,8 +148,6 @@ def admm_sparsify(
     gamma: float,
     rho: float = 1.0,
     max_iter: int = 10000,
-    eps_abs: float = 1e-6,
-    eps_rel: float = 1e-4,
     _state=None,
 ) -> SparsitySolution:
     """Determine the amplitude support for one penalty level.
@@ -165,7 +164,7 @@ def admm_sparsify(
     if rho <= 0:
         raise RangeError(f"rho must be positive, got {rho}")
     b, beta, u, iterations, converged = _admm_iterate(
-        form, gamma, rho, max_iter, eps_abs, eps_rel, _state
+        form, gamma, rho, max_iter, _state
     )
     support = np.ones(beta.shape, dtype=bool) if gamma == 0 else np.abs(beta) > 0
     polished = polish(form, support) if support.any() else np.zeros_like(beta)
@@ -186,8 +185,9 @@ def polish(form: QuadraticForm, support: np.ndarray) -> np.ndarray:
     """Minimize J(b) with off-support amplitudes pinned to zero.
 
     Solves the support's own system P[S, S] b_S = q_S, the same
-    minimiser as the KKT system [P, E; E*, 0] [b; nu] = [q; 0] whose E
-    holds the unit vectors of the off-support indices.
+    minimiser as Jovanovic et al. 2014's polishing KKT system
+    [P, E; E*, 0] [b; nu] = [q; 0], whose E holds the unit vectors of
+    the off-support indices.
     """
     support = np.asarray(support, dtype=bool)
     r = form.q.shape[0]
@@ -208,8 +208,6 @@ def gamma_path(
     gammas,
     rho: float = 1.0,
     max_iter: int = 10000,
-    eps_abs: float = 1e-6,
-    eps_rel: float = 1e-4,
 ) -> list:
     """Solve an ascending sequence of penalties with warm starts."""
     gammas = list(gammas)
@@ -218,10 +216,7 @@ def gamma_path(
     solutions = []
     state = None
     for gamma in gammas:
-        solution = admm_sparsify(
-            form, gamma, rho=rho, max_iter=max_iter,
-            eps_abs=eps_abs, eps_rel=eps_rel, _state=state,
-        )
+        solution = admm_sparsify(form, gamma, rho=rho, max_iter=max_iter, _state=state)
         state = solution._state
         solutions.append(solution)
     return solutions

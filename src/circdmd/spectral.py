@@ -33,7 +33,6 @@ from .errors import (
     RangeError,
     RankDeficiencyError,
     ShapeError,
-    SingularEigenvalueError,
 )
 
 _EPS = float(np.finfo(float).eps)
@@ -700,26 +699,3 @@ def reconstruct(spectrum: DynamicSpectrum, horizon: int) -> np.ndarray:
     """
     psi = vandermonde(spectrum.eigenvalues, horizon)
     return np.real(dot(spectrum.modes * spectrum.amplitudes, psi))
-
-
-def extrapolate_continuous(
-    spectrum: DynamicSpectrum, t: float, delta_t: float
-) -> np.ndarray:
-    """Evaluate the fitted evolution at a real-valued time index.
-
-    ``t`` is 1-based and grid-aligned at integers: t = 1 returns the
-    initial snapshot and integer t matches the corresponding
-    Vandermonde column. The result is that stacked snapshot: N*tau
-    rows, tau delayed copies of the N sensors, not the N sensor values;
-    on the grid, :func:`circdmd.variants.predict` averages the copies
-    into N rows. Uses the principal branch of the complex log;
-    eigenvalues at zero have no continuous-time rate.
-    """
-    if delta_t <= 0:
-        raise RangeError(f"delta_t must be positive, got {delta_t}")
-    eigs = spectrum.eigenvalues
-    if np.any(eigs == 0):
-        raise SingularEigenvalueError("zero eigenvalue has no logarithm")
-    rates = np.log(eigs) / delta_t
-    weights = np.exp(rates * (t - 1) * delta_t)
-    return np.real(dot(spectrum.modes * spectrum.amplitudes, weights))

@@ -63,13 +63,13 @@ def test_mape_perfect_and_constant():
 
 
 def test_mape_zero_policy():
-    truth = np.array([[100.0, 0.0, 100.0]])
-    estimate = np.array([[90.0, 5.0, 110.0]])
-    with pytest.raises(DegenerateSeriesError):
-        mape_per_sensor(truth, estimate, zero_policy="error")
-    with pytest.warns(UserWarning):
-        got = mape_per_sensor(truth, estimate, zero_policy="skip")
-    assert np.allclose(got, [10.0])  # two usable entries, 10% each
+    # zero truth entries are skipped with a warning; a row of zeros reads NaN
+    truth = np.array([[100.0, 0.0, 100.0], [0.0, 0.0, 0.0]])
+    estimate = np.array([[90.0, 5.0, 110.0], [1.0, 2.0, 3.0]])
+    with pytest.warns(UserWarning, match="skipping 4 zero truth entries"):
+        got = mape_per_sensor(truth, estimate)
+    assert np.allclose(got[0], 10.0)  # two usable entries, 10% each
+    assert np.isnan(got[1])
 
 
 def test_predictability_bands():

@@ -191,9 +191,33 @@ def test_commands_after_fit_read_the_bundles_input_not_the_csv(tmp_path, fixture
 
     read = run("read")
     assert len(calls) == 1
-    monkeypatch.setattr(cli, "_load_fitted", lambda args: cli._split(
-        parse(args.input, layout=args.layout, delta_t=args.dt), args.split_index))
+    monkeypatch.setattr(cli, "_load_fitted", lambda args: (load_bundle(args.bundle), *cli._split(
+        parse(args.input, layout=args.layout, delta_t=args.dt), args.split_index)))
     assert run("parsed") == read
+
+
+def test_commands_after_fit_hold_about_two_copies_of_the_input(tmp_path):
+    # the array loaded from input.npy, and the train and test matrices cut from it
+    import tracemalloc
+
+    from circdmd import SpeedMatrix, save_matrix
+
+    values = np.random.default_rng(0).normal(size=(8, 40000))
+    path = tmp_path / "wide.csv"
+    save_matrix(SpeedMatrix(values=values, delta_t=1 / 12), path)
+    bundle = tmp_path / "bundle"
+    common = ["--input", str(path), "--dt", str(1 / 12), "--split-index", "30000"]
+    assert main(["fit", *common, "--method", "dmd", "--rank", "4", "--out", str(bundle)]) == 0
+    args = cli.build_parser().parse_args(
+        ["forecast", *common, "--bundle", str(bundle), "--out", str(tmp_path / "fc")])
+    tracemalloc.start()
+    try:
+        _, train, dataset = cli._load_fitted(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(np.hstack([train.values, dataset.test.values]), values)
+    assert peak <= 2.2 * values.nbytes, peak / values.nbytes
 
 
 def test_input_digest_streams_the_sha256_of_the_whole_file(tmp_path):
@@ -758,6 +782,20 @@ def _manifest_unknown_method(bundle):
     (bundle / "manifest.json").write_text(json.dumps(manifest))
 
 
+def _manifest_of_another_version(bundle):
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    manifest["software_version"] = "0.0.1"
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    return f"software_version '0.0.1', but this is circdmd {cli.__version__}: re-fit the bundle"
+
+
+def _manifest_without_a_version(bundle):
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    del manifest["software_version"]
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    return f"software_version None, but this is circdmd {cli.__version__}: re-fit the bundle"
+
+
 def _rank_mismatch(bundle):
     manifest = json.loads((bundle / "manifest.json").read_text())
     manifest["rank"] += 1
@@ -787,6 +825,8 @@ def _rank_mismatch(bundle):
         (_manifest_not_json, "manifest.json"),
         (_manifest_lacks_a_key, "manifest.json"),
         (_manifest_unknown_method, "manifest.json"),
+        (_manifest_of_another_version, "manifest.json"),
+        (_manifest_without_a_version, "manifest.json"),
     ],
 )
 def test_unusable_bundle_is_an_error(tmp_path, fixture_csv, capsys, corrupt, named):

@@ -13,6 +13,7 @@ from circdmd import (
     snapshot_svd,
     vandermonde,
 )
+from circdmd import sparsity
 from circdmd.sparsity import _soft_threshold
 
 
@@ -55,7 +56,7 @@ def test_build_quadratic_scalar_case():
     assert abs(form.p[0, 0] - t) <= 1e-9
     assert abs(abs(form.q[0]) - t) <= 1e-9
     assert abs(form.s - t) <= 1e-9
-    b_star = form.unregularized_minimizer()
+    b_star = np.linalg.solve(form.p, form.q)
     assert abs(abs(b_star[0]) - 1.0) <= 1e-9
     assert abs(form.loss(b_star)) <= 1e-9
 
@@ -78,10 +79,15 @@ def test_build_quadratic_hermitian():
 
 
 def test_full_least_squares_is_stationary():
+    # J(b* + h) - J(b*) = h* P h at the minimiser b* = P^-1 q
     modes, psi, svd, _ = _random_instance(r=4, t=25, seed=4)
     form = build_quadratic(modes, psi, svd)
-    b_star = form.unregularized_minimizer()
-    assert np.max(np.abs(form.gradient(b_star))) <= 1e-8
+    b_star = np.linalg.solve(form.p, form.q)
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        h = 1e-3 * (rng.normal(size=4) + 1j * rng.normal(size=4))
+        rise = np.real(h.conj() @ form.p @ h)
+        assert abs(form.loss(b_star + h) - form.loss(b_star) - rise) <= 1e-8 * max(form.s, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -92,7 +98,7 @@ def test_admm_gamma_zero_matches_unregularized():
     modes, psi, svd, _ = _random_instance(r=4, t=25, seed=5)
     form = build_quadratic(modes, psi, svd)
     solution = admm_sparsify(form, gamma=0.0)
-    expected = form.unregularized_minimizer()
+    expected = np.linalg.solve(form.p, form.q)
     assert solution.support.all()
     assert np.max(np.abs(solution.amplitudes_sparse - expected)) <= 1e-6
     assert np.max(np.abs(solution.amplitudes_polished - expected)) <= 1e-9
@@ -115,12 +121,14 @@ def test_admm_diagonal_support_transitions():
     assert counts == [2, 1, 0]
 
 
-def test_admm_diagonal_solution_matches_soft_threshold_oracle():
+def test_admm_diagonal_solution_matches_soft_threshold_oracle(monkeypatch):
+    monkeypatch.setattr(sparsity, "_EPS_ABS", 1e-10)
+    monkeypatch.setattr(sparsity, "_EPS_REL", 1e-8)
     p_diag = np.array([2.0, 0.5, 1.0])
     q = np.array([4.0 * np.exp(0.3j), -1.0, 0.2j])
     form = _diagonal_form(p_diag, q)
     for gamma in (0.5, 1.5, 3.0):
-        solution = admm_sparsify(form, gamma=gamma, eps_abs=1e-10, eps_rel=1e-8)
+        solution = admm_sparsify(form, gamma=gamma)
         # closed form: b_i = (|q_i| - gamma/2)_+ / p_ii * phase(q_i)
         mags = np.maximum(np.abs(q) - gamma / 2.0, 0.0) / p_diag
         oracle = mags * np.exp(1j * np.angle(q))
@@ -152,7 +160,7 @@ def test_polish_full_support_is_unregularized():
     modes, psi, svd, _ = _random_instance(r=4, t=22, seed=7)
     form = build_quadratic(modes, psi, svd)
     b = polish(form, np.ones(4, dtype=bool))
-    assert np.max(np.abs(b - form.unregularized_minimizer())) <= 1e-9
+    assert np.max(np.abs(b - np.linalg.solve(form.p, form.q))) <= 1e-9
 
 
 def test_polish_single_coordinate_diagonal():

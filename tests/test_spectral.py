@@ -11,22 +11,20 @@ from circdmd import (
     RangeError,
     RankDeficiencyError,
     ShapeError,
-    SingularEigenvalueError,
     SpectrumMeta,
     DynamicSpectrum,
     amplitudes,
     dynamic_modes,
     eigendecompose,
-    extrapolate_continuous,
     hard_threshold_factor,
     optimal_rank,
-    projected_dynamics,
     reconstruct,
     snapshot_svd,
     vandermonde,
 )
 from circdmd import embedding, spectral
 from circdmd.embedding import DelayStack
+from circdmd.spectral import projected_dynamics
 
 
 def _spectrum(eigs, modes, amps, flavor="exact", delta_t=1.0):
@@ -835,44 +833,6 @@ def test_reconstruct_noise_free_linear_system():
     cp = apply_right_permutation(anti_circulant(data, 6))
     rec = reconstruct(spec, t)
     assert np.max(np.abs(rec - cp.values)) <= 1e-6
-
-
-def test_extrapolate_at_start_is_initial_combination():
-    rng = np.random.default_rng(17)
-    modes = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
-    amps = rng.normal(size=3) + 1j * rng.normal(size=3)
-    spec = _spectrum([1.0, 0.9, 0.5], modes, amps)
-    got = extrapolate_continuous(spec, 1.0, delta_t=1 / 12)
-    assert np.allclose(got, np.real(modes @ amps))
-
-
-def test_extrapolate_matches_grid():
-    rng = np.random.default_rng(18)
-    eigs = np.exp(1j * np.array([0.3, -0.3, 0.9]))
-    modes = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-    amps = rng.normal(size=3) + 1j * rng.normal(size=3)
-    spec = _spectrum(eigs, modes, amps, delta_t=0.25)
-    rec = reconstruct(spec, 8)
-    for t in range(1, 9):
-        vec = extrapolate_continuous(spec, float(t), delta_t=0.25)
-        assert np.max(np.abs(vec - rec[:, t - 1])) <= 1e-9
-
-
-def test_extrapolate_half_step_cosine():
-    omega = 0.5
-    spec = _spectrum(
-        [np.exp(1j * omega), np.exp(-1j * omega)],
-        np.ones((2, 2), dtype=complex),
-        [0.5, 0.5],
-    )
-    got = extrapolate_continuous(spec, 3.5, delta_t=1.0)
-    assert np.max(np.abs(got - np.cos(omega * 2.5))) <= 1e-12
-
-
-def test_extrapolate_zero_eigenvalue():
-    spec = _spectrum([0.0], np.ones((2, 1)), [1.0])
-    with pytest.raises(SingularEigenvalueError):
-        extrapolate_continuous(spec, 2.0, delta_t=1.0)
 
 
 # ----------------------------------------------------------------------

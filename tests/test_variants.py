@@ -15,12 +15,12 @@ from circdmd import (
     fit_forward_backward,
     fit_gamma_path,
     fit_total_least_squares,
-    forward_backward_combine,
     generate,
     generate_linear_system,
     predict,
     rotation_system,
 )
+from circdmd.variants import forward_backward_combine
 
 
 def eig_match_distance(a, b):
@@ -661,7 +661,8 @@ def _hand_built(spec, seed=31):
 @pytest.mark.parametrize("method,tau", [("circ", 1), ("circ", 6), ("circ-sp", 6), ("circ", 48)])
 def test_circular_predict_matches_dense_collapse(method, tau):
     # tau = 48 = T: out < 2 tau - 2 for every horizon but the longest
-    from circdmd import collapse_snapshot_reconstruction, reconstruct
+    from circdmd import reconstruct
+    from circdmd.embedding import collapse_snapshot_reconstruction
 
     data = periodic_data(n=3, t=48, seed=17)
     fitted = fit(data, VariantConfig(method=method, tau=tau, gamma=1.0 if method == "circ-sp" else 0.0))
@@ -705,7 +706,8 @@ def test_predict_never_holds_the_vandermonde_matrix(method):
 def test_predict_in_column_blocks_matches_dense_collapse(monkeypatch, method):
     # the smallest blocks (64 columns) split every power stream and
     # steady product here into several, the last one wider
-    from circdmd import collapse_snapshot_reconstruction, inverse_hankel, reconstruct
+    from circdmd import reconstruct
+    from circdmd.embedding import collapse_snapshot_reconstruction, inverse_hankel
     from circdmd import spectral
 
     data = periodic_data(n=3, t=300, seed=26)
@@ -811,7 +813,8 @@ def test_stack_side_fit_and_predict_never_form_the_stack(monkeypatch, method):
 def test_hankel_predict_matches_dense_collapse(method, tau):
     # tau = 47 = T - 1 and tau = 30: out < 2 tau - 2, no column is steady,
     # unless the horizon is the longest
-    from circdmd import inverse_hankel, reconstruct
+    from circdmd import reconstruct
+    from circdmd.embedding import inverse_hankel
 
     data = periodic_data(n=3, t=48, seed=23)
     fitted = fit(data, VariantConfig(method=method, tau=tau))
