@@ -6,26 +6,19 @@ sparsifies the amplitudes, and maps reconstructions and forecasts back
 to the original sensor space.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .analysis import (
-    PeriodReport,
-    StabilityReport,
     classify_stability,
     mae_rmse,
     mape_per_sensor,
     oscillation_periods,
-    predictability_groups,
-    reshape_mode,
     residual_acf,
-    residual_lag_correlation,
 )
-from .datamodel import Dataset, SpeedMatrix, load_matrix, save_matrix, split
+from .datamodel import SpeedMatrix, load_matrix, save_matrix, split
 from .embedding import (
-    EmbeddedMatrix,
     anti_circulant,
     apply_right_permutation,
-    hankel,
     inverse_anti_circulant,
 )
 from .errors import (
@@ -42,24 +35,11 @@ from .errors import (
     ToolkitError,
     UsageError,
 )
-from .sparsity import (
-    QuadraticForm,
-    SparsitySolution,
-    admm_sparsify,
-    build_quadratic,
-    gamma_path,
-    polish,
-)
+from .sparsity import build_quadratic
 from .spectral import (
     DynamicSpectrum,
-    ReducedSvd,
-    SpectrumMeta,
-    amplitudes,
-    dynamic_modes,
-    eigendecompose,
     hard_threshold_factor,
     optimal_rank,
-    reconstruct,
     snapshot_svd,
     vandermonde,
 )

@@ -122,7 +122,7 @@ def input_digest(path) -> str:
 
 
 def save_bundle(outdir, spectrum: DynamicSpectrum, digest: str, values: np.ndarray,
-                layout: str = "rows", split_index=None):
+                layout: str = "rows", split_index: int = 0):
     """Write ``spectrum`` as a bundle in ``outdir``, with ``values``, the
     whole matrix parsed from the input whose sha256 is ``digest``."""
     outdir = Path(outdir)
@@ -169,17 +169,12 @@ def _read_bundle_npy(path, dtype, shape, wider=False) -> np.ndarray:
     ``shape`` its manifest implies (or, if ``wider``, of that many rows
     and at least that many columns), every entry finite: a DataError
     names the file and the (row, column) indices, from 0, of the first
-    ten that are not. Pickled data is refused, not run. Bundles of
-    earlier releases lack input.npy and held modes.csv in place of
-    modes.npy: a missing file asks for a re-fit."""
+    ten that are not. Pickled data is refused, not run."""
     try:
         with open(path, "rb") as fh:
             array = np.load(fh, allow_pickle=False)
     except FileNotFoundError:
-        legacy = path.with_suffix(".csv")
-        held = (f", which holds {legacy.name}, the text layout of earlier releases"
-                if legacy.exists() else "")
-        raise DataError(f"{path}: missing from the bundle{held}: re-fit it") from None
+        raise DataError(f"{path}: missing from the bundle") from None
     except (ValueError, EOFError) as exc:
         raise DataError(f"{path}: not a .npy array ({exc})") from None
     if not isinstance(array, np.ndarray):  # an .npz archive
@@ -201,7 +196,7 @@ def load_bundle(bundle_dir) -> DynamicSpectrum:
     """Read a bundle written by :func:`save_bundle`.
 
     Raises DataError naming a file that is missing or unreadable, or a
-    manifest that lacks a field, names an unknown method or was written
+    manifest that lacks a key, names an unknown method or was written
     by another version of circdmd, and ShapeError naming an array whose
     shape disagrees with the manifest.
     """
@@ -209,13 +204,16 @@ def load_bundle(bundle_dir) -> DynamicSpectrum:
 
 
 def _read_spectrum(bundle_dir, manifest) -> DynamicSpectrum:
-    """The spectrum of the bundle in ``bundle_dir`` whose manifest is ``manifest``."""
+    """The spectrum of the bundle in ``bundle_dir`` whose manifest is
+    ``manifest``, which must be of this version of circdmd and hold every
+    key that the commands after fit read: a DataError names the file if not."""
     version = manifest.get("software_version")
     if version != __version__:
         raise DataError(f"{bundle_dir / 'manifest.json'}: software_version {version!r}, "
                         f"but this is circdmd {__version__}: re-fit the bundle")
     fields = [f.name for f in dataclasses.fields(SpectrumMeta)]
-    missing = [name for name in fields if name not in manifest]
+    keys = [*fields, "input_digest", "split_index", "layout"]
+    missing = [name for name in keys if name not in manifest]
     if missing or manifest["method"] not in METHODS:
         problem = (f"lacks {', '.join(missing)}" if missing
                    else f"unknown method {manifest['method']!r}")
@@ -307,10 +305,12 @@ def _load_fitted(args):
     from the bundle's input.npy once ``--input``, ``--layout``, ``--dt``
     and ``--split-index`` are those the bundle was fit with; a DataError
     names both if not."""
-    manifest = load_manifest(args.bundle)
-    fitted = manifest.get("input_digest")
+    bundle = Path(args.bundle)
+    manifest = load_manifest(bundle)
+    spectrum = _read_spectrum(bundle, manifest)
+    fitted = manifest["input_digest"]
     digest = input_digest(args.input)
-    if fitted is not None and digest != fitted:
+    if digest != fitted:
         raise DataError(
             f"{args.input}: sha256 {digest}, but {args.bundle} was fit from "
             f"input with sha256 {fitted}"
@@ -318,12 +318,11 @@ def _load_fitted(args):
     for flag, given, key in (("--split-index", args.split_index, "split_index"),
                              ("--layout", args.layout, "layout"),
                              ("--dt", args.dt, "delta_t")):
-        fitted = manifest.get(key)
-        if fitted is not None and given != fitted:
+        fitted = manifest[key]
+        if given != fitted:
             raise DataError(f"{flag} {given}, but {args.bundle} was fit with {flag} {fitted}")
-    spectrum = _read_spectrum(Path(args.bundle), manifest)
     meta = spectrum.meta
-    values = _read_bundle_npy(Path(args.bundle) / "input.npy", np.float64,
+    values = _read_bundle_npy(bundle / "input.npy", np.float64,
                               (meta.n_sensors, meta.n_time), wider=True)
     k = args.split_index or values.shape[1]
     train = SpeedMatrix(values=values[:, :k], delta_t=meta.delta_t)
@@ -335,7 +334,10 @@ def _load_fitted(args):
 
 def _grid_names(gammas) -> list:
     """The bundle name gamma_<g> of each grid value, in order; a
-    UsageError names two values that would write the same bundle."""
+    UsageError names a grid that is not ascending, or two values that
+    would write the same bundle."""
+    if any(b < a for a, b in zip(gammas, gammas[1:])):
+        raise UsageError(f"--gamma-grid values must be sorted ascending, got {gammas}")
     names = {}
     for gamma in gammas:
         name = f"gamma_{gamma:g}"
@@ -379,7 +381,7 @@ def cmd_fit(args) -> int:
         gammas = args.gamma_grid
         grid = fit_gamma_path(train, config, gammas)
         values = _whole(train, dataset)
-        _clear_out(outdir, BUNDLE_FILES, set(names))
+        _clear_out(outdir)
         rows = []
         for name, (gamma, spectrum, solution) in zip(names, grid):
             save_bundle(outdir / name, spectrum, digest, values, args.layout, args.split_index)
@@ -391,7 +393,7 @@ def cmd_fit(args) -> int:
         return 0
 
     spectrum = fit(train, config)
-    _clear_out(outdir, ["sparsity_path.csv"])
+    _clear_out(outdir)
     save_bundle(outdir, spectrum, digest, _whole(train, dataset), args.layout,
                 args.split_index)
     _report_admm(spectrum)
@@ -408,14 +410,14 @@ def _whole(train, dataset) -> np.ndarray:
     return train.values if dataset is None else np.hstack([train.values, dataset.test.values])
 
 
-def _clear_out(outdir, files, kept=()) -> None:
+def _clear_out(outdir) -> None:
     """One bundle kind per --out: remove, before a fit's bundles are
-    written, the ``files`` and the gamma_*/ bundles outside ``kept``
-    that it would not replace."""
-    for name in files:
+    written, every bundle entry of an earlier fit: the bundle's files,
+    sparsity_path.csv and the gamma_*/ bundles."""
+    for name in [*BUNDLE_FILES, "sparsity_path.csv"]:
         (outdir / name).unlink(missing_ok=True)
     for bundle in outdir.glob("gamma_*"):
-        if bundle.is_dir() and bundle.name not in kept:
+        if bundle.is_dir():
             shutil.rmtree(bundle)
 
 
@@ -671,15 +673,18 @@ def _positive(text: str) -> float:
     return value
 
 
-def _comma_list(kind):
-    """The argparse type of a comma list of ``kind`` values."""
+def _comma_list(kind, low=None):
+    """The argparse type of a comma list of ``kind`` values, each >= ``low`` if given."""
+    expected = f"a comma list of {kind.__name__} values" + ("" if low is None else f" >= {low}")
+
     def parse(text: str) -> list:
         try:
-            return [kind(value) for value in text.split(",")]
+            values = [kind(value) for value in text.split(",")]
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected a comma list of {kind.__name__} values, got {text!r}"
-            ) from None
+            values = None
+        if values is None or low is not None and not all(value >= low for value in values):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return values
     return parse
 
 
@@ -722,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit_cmd.add_argument("--rank", type=_at_least(1, auto=True), default=RANK_AUTO,
                          help='"auto" or a fixed integer >= 1')
     fit_cmd.add_argument("--gamma", type=float, default=0.0)
-    fit_cmd.add_argument("--gamma-grid", type=_comma_list(float), default=None,
+    fit_cmd.add_argument("--gamma-grid", type=_comma_list(float, low=0), default=None,
                          help="comma list; fit one bundle per value with warm starts")
     fit_cmd.add_argument("--admm-rho", type=_positive, default=1.0)
     fit_cmd.add_argument("--admm-max-iter", type=_at_least(1), default=10000)
@@ -755,11 +760,11 @@ def build_parser() -> argparse.ArgumentParser:
                      default=[], help=f"comma list from {ANALYSES}")
     for name in ANALYSES:  # --stability is --run stability, and so on
         ana.add_argument(f"--{name}", dest="run", action="append_const", const=name)
-    ana.add_argument("--stability-tol", type=float, default=1e-3)
+    ana.add_argument("--stability-tol", type=_positive, default=1e-3)
     ana.add_argument("--mode-indices", type=_comma_list(int), default=None,
                      help="comma list of mode indices")
-    ana.add_argument("--max-lag", type=int, default=288)
-    ana.add_argument("--lags", type=_comma_list(int), default="1,2,6,12")
+    ana.add_argument("--max-lag", type=_at_least(0), default=288)
+    ana.add_argument("--lags", type=_comma_list(int, low=0), default="1,2,6,12")
     ana.set_defaults(func=cmd_analyze)
 
     met = subs.add_parser("metrics", help="compare a truth CSV against an estimate CSV")

@@ -57,7 +57,6 @@ class SpectrumMeta:
     tau: int
     rank: int
     gamma: float
-    mode_flavor: str
     n_sensors: int
     n_time: int
     delta_t: float
@@ -67,11 +66,11 @@ class SpectrumMeta:
 class DynamicSpectrum:
     """Eigenvalues, modes and amplitudes of one fitted decomposition.
 
-    ``modes`` holds the one mode flavour the amplitudes were fit with,
-    named by ``meta.mode_flavor``: "projected" (U W) for circ-sp,
-    "exact" (target V inv(S) W) for every other method. ``_source_svd``
-    is the source factorisation of a fresh fit, which the sparsity
-    stage compresses its objective with; a loaded bundle has none.
+    ``modes`` holds the one mode flavour the amplitudes were fit with:
+    projected (U W) for circ-sp, exact (target V inv(S) W) for every
+    other method. ``_source_svd`` is the source factorisation of a fresh
+    fit, which the sparsity stage compresses its objective with; a loaded
+    bundle has none.
     """
 
     eigenvalues: np.ndarray
@@ -83,11 +82,9 @@ class DynamicSpectrum:
 
     @property
     def modes_projected(self) -> np.ndarray:
-        """``modes``, for spectra whose flavour is "projected"."""
-        if self.meta.mode_flavor != "projected":
-            raise ConfigError(
-                f"spectrum holds {self.meta.mode_flavor!r} modes, not 'projected'"
-            )
+        """``modes``, for a circ-sp spectrum, whose modes are projected."""
+        if self.meta.method != "circ-sp":
+            raise ConfigError(f"a {self.meta.method} spectrum holds exact modes, not projected")
         return self.modes
 
     def dominance_order(self) -> np.ndarray:

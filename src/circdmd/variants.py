@@ -56,15 +56,17 @@ class VariantConfig:
     """Method selection plus the shared hyper-parameters.
 
     ``rank`` is "auto" (hard threshold) or a fixed integer. ``gamma``
-    applies to circ-sp only; gamma = 0 collapses it to circ. ``tau`` is
-    forced to 1 for plain dmd.
+    applies to circ-sp only. At gamma = 0 circ-sp equals circ only on
+    exactly low-rank data: it fits projected modes to the whole
+    trajectory, circ exact modes to the first snapshot, and on noisy
+    data their predictions differ (by 5.2 % in the README's example).
+    ``tau`` is forced to 1 for plain dmd.
     """
 
     method: str
     tau: Optional[int] = None
     rank: Union[int, str] = RANK_AUTO
     gamma: float = 0.0
-    tls_rank: Optional[int] = None
     admm_rho: float = 1.0
     admm_max_iter: int = 10000
 
@@ -121,7 +123,6 @@ def _spectrum(
         tau=config.tau,
         rank=svd.rank,
         gamma=config.gamma,
-        mode_flavor=flavor,
         n_sensors=data.n_sensors,
         n_time=data.n_time,
         delta_t=data.delta_t,
@@ -257,8 +258,9 @@ def fit_forward_backward(data: SpeedMatrix, config: VariantConfig) -> DynamicSpe
 
 
 def fit_total_least_squares(data: SpeedMatrix, config: VariantConfig) -> DynamicSpectrum:
-    """Debias by projecting both snapshot matrices onto the leading right
-    singular vectors V of their vertical stack [S; T], then running the
+    """Debias by projecting both snapshot matrices onto the right singular
+    vectors V of their vertical stack [S; T] that its hard threshold
+    keeps (auto rank, whatever ``config.rank``), then running the
     plain pipeline on the projected pair (Hemati, Rowley, Deem &
     Cattafesta 2017).
 
@@ -277,9 +279,6 @@ def fit_total_least_squares(data: SpeedMatrix, config: VariantConfig) -> Dynamic
     source, target, _ = _snapshot_pair(data, config)
     x, tau, w = data.values, config.tau, source.width
     n = x.shape[0]
-    z_rank = config.tls_rank if config.tls_rank is not None else RANK_AUTO
-    if z_rank != RANK_AUTO and z_rank > w:
-        raise RangeError(f"tls rank {z_rank} exceeds column count {w}")
     if n * (tau + 1) < w:
         # the Gram of the rows sqrt(m_i) B_i, from the blocks' lagged
         # products: block i is in S for i < tau and in T for i > 0
@@ -294,7 +293,7 @@ def fit_total_least_squares(data: SpeedMatrix, config: VariantConfig) -> Dynamic
             rows = slice(a * n, (a + 1) * n)
             gram[rows, a * n :] *= scale[a * n :]
             gram[rows, a * n :] *= scale[rows, None]
-        sing, u = _top_singular(gram, z_rank, 2 * n * tau, w)
+        sing, u = _top_singular(gram, RANK_AUTO, 2 * n * tau, w)
         del gram
         # V = rows.T U / sigma, so B V = diag(1/sqrt(m)) U diag(sigma), and
         # V's first row reads the rows' first column, sqrt(m_i) x[:, i]
@@ -304,7 +303,7 @@ def fit_total_least_squares(data: SpeedMatrix, config: VariantConfig) -> Dynamic
     else:
         # one W x W array: the target's window sums go into the source's Gram
         gram = _window_gram(x, tau, w, (0, 1))
-        sing, v = _top_singular(gram, z_rank, 2 * n * tau, w)
+        sing, v = _top_singular(gram, RANK_AUTO, 2 * n * tau, w)
         del gram
         source_v, target_v, first_v = dot(source, v), dot(target, v), v[0]
     svd = _snapshot_svd(DelayStack(source_v, 1, 0, wrap=True), config.rank, n * tau, w)

@@ -9,11 +9,9 @@ from circdmd import (
     mae_rmse,
     mape_per_sensor,
     oscillation_periods,
-    predictability_groups,
-    reshape_mode,
     residual_acf,
-    residual_lag_correlation,
 )
+from circdmd.analysis import predictability_groups, reshape_mode, residual_lag_correlation
 
 
 # ----------------------------------------------------------------------

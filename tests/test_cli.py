@@ -354,13 +354,14 @@ def test_analyze_command(tmp_path, fixture_csv):
 def test_analyze_partial_failure_lists_artifact(tmp_path, fixture_csv, capsys):
     bundle = _fit(tmp_path, fixture_csv)
     out = tmp_path / "ana"
+    # lag 288 is past the 288 columns of the residuals
     code = main([
-        "analyze", "--bundle", str(bundle), "--out", str(out),
-        "--stability", "--stability-tol", "-1", "--periods",
+        "analyze", "--input", str(fixture_csv), "--dt", str(1 / 12), "--bundle", str(bundle),
+        "--out", str(out), "--residual-corr", "--lags", "288", "--periods",
     ])
     assert code == 1
     captured = capsys.readouterr()
-    assert "stability" in captured.err
+    assert "analysis residual-corr failed: lag must satisfy 0 <= lag < 288" in captured.err
     assert (out / "periods.csv").exists()  # the healthy analysis still ran
 
 
@@ -521,6 +522,23 @@ BAD_VALUES = {
     "gamma-grid-clash": (["fit", "--input", "{csv}", "--method", "circ-sp", "--tau", "48",
                           "--out", "{out}"], "gamma_grid", "1,1.0000001",
                          "--gamma-grid values 1.0 and 1.0000001 both name the bundle gamma_1"),
+    # these ran the whole base fit before the sparsity path refused them
+    "gamma-grid-unsorted": (["fit", "--input", "{csv}", "--method", "circ-sp", "--tau", "48",
+                             "--out", "{out}"], "gamma_grid", "100,10",
+                            "--gamma-grid values must be sorted ascending, got [100.0, 10.0]"),
+    "gamma-grid-negative": (["fit", "--input", "{csv}", "--method", "circ-sp", "--tau", "48",
+                             "--out", "{out}"], "gamma_grid", "-1",
+                            "argument --gamma-grid: expected a comma list of float values >= 0"),
+    # these failed as "analysis ... failed" with exit 1, after predicting
+    "stability-tol": (["analyze", "--bundle", "{bundle}", "--run", "stability", "--out", "{out}"],
+                      "stability_tol", "0",
+                      "argument --stability-tol: expected a finite float > 0, got '0'"),
+    "max-lag": (["analyze", "--input", "{csv}", "--bundle", "{bundle}", "--run", "acf",
+                 "--out", "{out}"], "max_lag", "-5",
+                "argument --max-lag: expected an integer >= 0, got '-5'"),
+    "lags-negative": (["analyze", "--input", "{csv}", "--bundle", "{bundle}", "--run",
+                       "residual-corr", "--out", "{out}"], "lags", "-1",
+                      "argument --lags: expected a comma list of int values >= 0, got '-1'"),
 }
 
 
@@ -624,7 +642,6 @@ def test_manifest_is_the_spectrum_meta_then_the_bundle_keys(tmp_path, fixture_cs
         "tau": meta.tau,
         "rank": meta.rank,
         "gamma": meta.gamma,
-        "mode_flavor": meta.mode_flavor,
         "n_sensors": meta.n_sensors,
         "n_time": meta.n_time,
         "delta_t": meta.delta_t,
@@ -676,11 +693,11 @@ def test_interrupted_resave_leaves_an_unloadable_bundle(tmp_path, fixture_csv, m
 # name, if any.
 
 def _parent_layout(bundle):
-    """The layout of earlier releases: modes.csv in place of modes.npy."""
+    """modes.csv, the text layout of earlier releases, in place of modes.npy."""
     modes = bundle / "modes.npy"
     cli._write_complex_matrix(bundle / "modes.csv", np.load(modes))
     modes.unlink()
-    return "re-fit"
+    return "missing from the bundle"
 
 
 def _truncated_npy(bundle):
@@ -715,9 +732,8 @@ def _misshapen_npy(bundle):
 
 
 def _no_input(bundle):
-    """A bundle of earlier releases, which held no input matrix."""
     (bundle / "input.npy").unlink()
-    return "re-fit"
+    return "missing from the bundle"
 
 
 def _pickled_input(bundle):
@@ -770,10 +786,28 @@ def _manifest_not_json(bundle):
     (bundle / "manifest.json").write_text('{"method": "circ", "tau": ')
 
 
-def _manifest_lacks_a_key(bundle):
+def _without(bundle, key):
     manifest = json.loads((bundle / "manifest.json").read_text())
-    del manifest["n_time"]
+    del manifest[key]
     (bundle / "manifest.json").write_text(json.dumps(manifest))
+    return f"lacks {key}"
+
+
+def _manifest_lacks_a_key(bundle):
+    return _without(bundle, "n_time")
+
+
+# without any of these three, a forecast from another --input exited 0
+def _manifest_lacks_input_digest(bundle):
+    return _without(bundle, "input_digest")
+
+
+def _manifest_lacks_split_index(bundle):
+    return _without(bundle, "split_index")
+
+
+def _manifest_lacks_layout(bundle):
+    return _without(bundle, "layout")
 
 
 def _manifest_unknown_method(bundle):
@@ -787,6 +821,14 @@ def _manifest_of_another_version(bundle):
     manifest["software_version"] = "0.0.1"
     (bundle / "manifest.json").write_text(json.dumps(manifest))
     return f"software_version '0.0.1', but this is circdmd {cli.__version__}: re-fit the bundle"
+
+
+def _manifest_of_release_0_1_0(bundle):
+    """The manifest as circdmd 0.1.0 wrote it, with the mode flavour."""
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    manifest.update(software_version="0.1.0", mode_flavor="exact")
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    return f"software_version '0.1.0', but this is circdmd {cli.__version__}: re-fit the bundle"
 
 
 def _manifest_without_a_version(bundle):
@@ -827,6 +869,10 @@ def _rank_mismatch(bundle):
         (_manifest_unknown_method, "manifest.json"),
         (_manifest_of_another_version, "manifest.json"),
         (_manifest_without_a_version, "manifest.json"),
+        (_manifest_of_release_0_1_0, "manifest.json"),
+        (_manifest_lacks_input_digest, "manifest.json"),
+        (_manifest_lacks_split_index, "manifest.json"),
+        (_manifest_lacks_layout, "manifest.json"),
     ],
 )
 def test_unusable_bundle_is_an_error(tmp_path, fixture_csv, capsys, corrupt, named):

@@ -13,10 +13,10 @@ from circdmd import (
     SpeedMatrix,
     anti_circulant,
     apply_right_permutation,
-    hankel,
     inverse_anti_circulant,
     snapshot_svd,
 )
+from circdmd.embedding import hankel
 from circdmd import spectral
 from circdmd._linalg import dot
 from circdmd.embedding import (

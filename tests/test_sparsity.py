@@ -2,17 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from circdmd import (
-    NumericalError,
-    QuadraticForm,
-    RangeError,
-    admm_sparsify,
-    build_quadratic,
-    gamma_path,
-    polish,
-    snapshot_svd,
-    vandermonde,
-)
+from circdmd import NumericalError, RangeError, build_quadratic, snapshot_svd, vandermonde
+from circdmd.sparsity import QuadraticForm, admm_sparsify, gamma_path, polish
 from circdmd import sparsity
 from circdmd.sparsity import _soft_threshold
 

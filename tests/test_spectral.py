@@ -11,27 +11,29 @@ from circdmd import (
     RangeError,
     RankDeficiencyError,
     ShapeError,
-    SpectrumMeta,
     DynamicSpectrum,
-    amplitudes,
-    dynamic_modes,
-    eigendecompose,
     hard_threshold_factor,
     optimal_rank,
-    reconstruct,
     snapshot_svd,
     vandermonde,
 )
 from circdmd import embedding, spectral
 from circdmd.embedding import DelayStack
-from circdmd.spectral import projected_dynamics
+from circdmd.spectral import (
+    SpectrumMeta,
+    amplitudes,
+    dynamic_modes,
+    eigendecompose,
+    projected_dynamics,
+    reconstruct,
+)
 
 
-def _spectrum(eigs, modes, amps, flavor="exact", delta_t=1.0):
+def _spectrum(eigs, modes, amps, delta_t=1.0):
     eigs = np.asarray(eigs, dtype=complex)
     modes = np.atleast_2d(np.asarray(modes, dtype=complex))
     meta = SpectrumMeta(
-        method="circ", tau=1, rank=eigs.size, gamma=0.0, mode_flavor=flavor,
+        method="circ", tau=1, rank=eigs.size, gamma=0.0,
         n_sensors=modes.shape[0], n_time=0, delta_t=delta_t,
     )
     return DynamicSpectrum(

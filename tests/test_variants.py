@@ -98,8 +98,6 @@ def test_circ_sp_gamma_zero_equals_circ_spectrum():
     sparse = fit(data, VariantConfig(method="circ-sp", tau=8, gamma=0.0))
     assert np.array_equal(sparse.eigenvalues, base.eigenvalues)
     # circ-sp keeps the projected modes its amplitude selection optimizes over
-    assert base.meta.mode_flavor == "exact"
-    assert sparse.meta.mode_flavor == "projected"
     assert sparse.modes_projected is sparse.modes
     with pytest.raises(ConfigError):
         base.modes_projected
@@ -220,7 +218,7 @@ def test_tls_matches_plain_on_clean_data():
     assert eig_match_distance(tls.eigenvalues, plain.eigenvalues) <= 1e-8
 
 
-def test_tls_full_rank_projection_is_identity():
+def test_tls_full_rank_projection_is_identity(monkeypatch):
     # projecting onto all of Z's nonzero right singular directions leaves
     # the snapshot matrices untouched (the stack has duplicate delayed
     # rows, so its rank is 3 N tau - ... in general: use the observed one)
@@ -228,18 +226,10 @@ def test_tls_full_rank_projection_is_identity():
     data = SpeedMatrix(values=rng.normal(size=(2, 30)), delta_t=1.0)
     full = fit(data, VariantConfig(method="hankel", tau=2, rank=4))
     # Z stacks [X1; X2] whose middle blocks coincide: rank 6, not 8
-    tls = fit_total_least_squares(
-        data, VariantConfig(method="tls-hankel", tau=2, rank=4, tls_rank=6)
+    tls, _ = _structured_tls(
+        data, VariantConfig(method="tls-hankel", tau=2, rank=4), monkeypatch, tls_rank=6
     )
     assert eig_match_distance(tls.eigenvalues, full.eigenvalues) <= 1e-8
-
-
-def test_tls_rank_out_of_range():
-    data = periodic_data(n=2, t=30, seed=7)
-    with pytest.raises(RangeError):
-        fit_total_least_squares(
-            data, VariantConfig(method="tls-hankel", tau=2, tls_rank=100)
-        )
 
 
 def test_tls_beats_plain_dmd_on_noisy_ar1():
@@ -257,28 +247,24 @@ def test_tls_beats_plain_dmd_on_noisy_ar1():
         observed = clean + 0.2 * rng.standard_normal(t)
         data = SpeedMatrix(values=observed[None, :], delta_t=1.0)
         plain = fit(data, VariantConfig(method="dmd", rank=1))
-        tls = fit_total_least_squares(
-            data, VariantConfig(method="tls-hankel", tau=1, rank=1, tls_rank=1)
-        )
+        tls = fit_total_least_squares(data, VariantConfig(method="tls-hankel", tau=1, rank=1))
         plain_err.append(abs(plain.eigenvalues[0] - 0.9))
         tls_err.append(abs(tls.eigenvalues[0] - 0.9))
     assert np.mean(tls_err) < np.mean(plain_err)
 
 
-def _dense_tls(data, config):
-    """The stacked-pair oracle: the SVD of the dense [S; T], then the plain
-    regression of (T V) V.T on (S V) V.T. Returns (spectrum, tls rank)."""
-    from circdmd import hankel
+def _dense_tls(data, config, tls_rank=None):
+    """The stacked-pair oracle: the SVD of the dense [S; T] at ``tls_rank``
+    (None: its hard threshold), then the plain regression of (T V) V.T on
+    (S V) V.T. Returns (spectrum, tls rank)."""
+    from circdmd.embedding import hankel
     from circdmd.spectral import RANK_AUTO, projected_dynamics, snapshot_svd
     from circdmd.variants import _spectrum
 
     h = hankel(data, config.tau).values
     stacked = np.concatenate([h[:, :-1], h[:, 1:]])
     source, target = np.split(stacked, 2)
-    z_rank = config.tls_rank if config.tls_rank is not None else RANK_AUTO
-    if z_rank != RANK_AUTO and z_rank > stacked.shape[1]:
-        raise RangeError(f"tls rank {z_rank} exceeds column count {stacked.shape[1]}")
-    v = snapshot_svd(stacked, z_rank).right
+    v = snapshot_svd(stacked, RANK_AUTO if tls_rank is None else tls_rank).right
     source_bar = (source @ v) @ v.T
     target_bar = (target @ v) @ v.T
     svd = snapshot_svd(source_bar, config.rank)
@@ -286,21 +272,26 @@ def _dense_tls(data, config):
     return _spectrum(data, config, svd, a_tilde, target_bar, source_bar[:, 0]), v.shape[1]
 
 
-def _structured_tls(data, config, monkeypatch):
-    """fit_total_least_squares, with the tls rank it kept. Returns (spectrum, tls rank)."""
+def _structured_tls(data, config, monkeypatch, tls_rank=None):
+    """fit_total_least_squares, with the tls rank it kept. A fixed
+    ``tls_rank`` replaces the hard threshold of [S; T], to reach the
+    truncations and rank errors of the projection that the threshold
+    does not pick on these inputs. Returns (spectrum, tls rank)."""
     from circdmd import variants
 
     kept = []
     top = variants._top_singular
 
-    def recording(*args):
-        sing, vectors = top(*args)
+    def recording(gram, rank, *args):
+        sing, vectors = top(gram, rank if tls_rank is None else tls_rank, *args)
         kept.append(len(sing))
         return sing, vectors
 
     monkeypatch.setattr(variants, "_top_singular", recording)
-    spectrum = fit_total_least_squares(data, config)
-    monkeypatch.undo()
+    try:
+        spectrum = fit_total_least_squares(data, config)
+    finally:
+        monkeypatch.undo()
     [k] = kept
     return spectrum, k
 
@@ -316,7 +307,7 @@ def noisy_periodic(n, t, seed):
 def test_projected_amplitudes_solve_the_r_by_r_system(tau):
     # U is orthonormal, so the fit of U W b to x_0 over the stack's rows is
     # the fit of W b to U* x_0 = S V[0]*
-    from circdmd import amplitudes
+    from circdmd.spectral import amplitudes
     from circdmd.variants import _regress, _snapshot_pair
 
     data = noisy_periodic(3, 60, seed=tau)
@@ -359,9 +350,9 @@ TLS_SHAPES = [
 @pytest.mark.parametrize("tls_rank,rank", [(None, "auto"), (None, 2), (4, "auto"), (4, 2)])
 def test_tls_matches_dense_stacked_pair(n, t, tau, tls_rank, rank, monkeypatch):
     data = noisy_periodic(n, t, seed=n + t + tau)
-    config = VariantConfig(method="tls-hankel", tau=tau, rank=rank, tls_rank=tls_rank)
-    got, k = _structured_tls(data, config, monkeypatch)
-    want, k_dense = _dense_tls(data, config)
+    config = VariantConfig(method="tls-hankel", tau=tau, rank=rank)
+    got, k = _structured_tls(data, config, monkeypatch, tls_rank)
+    want, k_dense = _dense_tls(data, config, tls_rank)
     assert k == k_dense
     assert got.meta == want.meta
     assert eig_match_distance(got.eigenvalues, want.eigenvalues) <= 1e-9
@@ -370,9 +361,9 @@ def test_tls_matches_dense_stacked_pair(n, t, tau, tls_rank, rank, monkeypatch):
         assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
 
 
-def _outcome(fit_tls, data, config):
+def _outcome(run):
     try:
-        fit_tls(data, config)
+        run()
     except (RangeError, RankDeficiencyError) as exc:
         return exc
     return None
@@ -387,13 +378,13 @@ def _outcome(fit_tls, data, config):
     pytest.param(6, 20, 4, [(0, "auto"), (16, "auto"), (17, "auto"), (10, 0), (10, 10),
                             (10, 11), (10, 16), (10, 17)], id="time-side"),
 ])
-def test_tls_rank_errors_match_dense_stacked_pair(n, t, tau, cases):
+def test_tls_rank_errors_match_dense_stacked_pair(n, t, tau, cases, monkeypatch):
     data = SpeedMatrix(values=np.random.default_rng(t).normal(size=(n, t)), delta_t=1.0)
     kinds = set()
     for tls_rank, rank in cases:
-        config = VariantConfig(method="tls-hankel", tau=tau, rank=rank, tls_rank=tls_rank)
-        got = _outcome(fit_total_least_squares, data, config)
-        want = _outcome(lambda d, c: _dense_tls(d, c)[0], data, config)
+        config = VariantConfig(method="tls-hankel", tau=tau, rank=rank)
+        got = _outcome(lambda: _structured_tls(data, config, monkeypatch, tls_rank))
+        want = _outcome(lambda: _dense_tls(data, config, tls_rank))
         assert type(got) is type(want), (tls_rank, rank, got, want)
         if isinstance(want, RangeError):
             assert str(got) == str(want)
@@ -401,16 +392,16 @@ def test_tls_rank_errors_match_dense_stacked_pair(n, t, tau, cases):
     assert kinds == {type(None), RangeError, RankDeficiencyError}
 
 
-def test_tls_rank_past_the_distinct_rows_is_exactly_zero():
+def test_tls_rank_past_the_distinct_rows_is_exactly_zero(monkeypatch):
     # [S; T] has 2 N tau = 24 rows but N (tau+1) = 15 distinct ones: its
     # 16th singular value is zero, not round-off, and the error says so
     data = SpeedMatrix(values=np.random.default_rng(40).normal(size=(3, 40)), delta_t=1.0)
-    config = VariantConfig(method="tls-hankel", tau=4, tls_rank=16)
+    config = VariantConfig(method="tls-hankel", tau=4)
     with pytest.raises(RankDeficiencyError, match=(
         r"^rank 16 requested but only 15 nonzero singular values: sigma_16/sigma_1 = 0 "
         r"is below the Gram's squaring floor sqrt\(eps \* 36\) = 8\.94e-08$"
     )):
-        fit_total_least_squares(data, config)
+        _structured_tls(data, config, monkeypatch, tls_rank=16)
 
 
 @pytest.mark.parametrize("n,t,tau", [(3, 120, 8), (2, 40, 1), (3, 24, 5)])  # 18 = W - 1
@@ -601,7 +592,7 @@ def test_fit_gamma_path_spectra_share_base():
     for _, spectrum, solution in results:
         assert np.array_equal(spectrum.eigenvalues, base_eigs)
         assert spectrum.meta.gamma == solution.gamma
-        assert spectrum.meta.mode_flavor == "projected"
+        assert spectrum.modes_projected is spectrum.modes
         assert solution.nonzero_count == int(np.sum(np.abs(spectrum.amplitudes) > 0))
 
 
@@ -661,7 +652,7 @@ def _hand_built(spec, seed=31):
 @pytest.mark.parametrize("method,tau", [("circ", 1), ("circ", 6), ("circ-sp", 6), ("circ", 48)])
 def test_circular_predict_matches_dense_collapse(method, tau):
     # tau = 48 = T: out < 2 tau - 2 for every horizon but the longest
-    from circdmd import reconstruct
+    from circdmd.spectral import reconstruct
     from circdmd.embedding import collapse_snapshot_reconstruction
 
     data = periodic_data(n=3, t=48, seed=17)
@@ -688,8 +679,8 @@ def test_predict_never_holds_the_vandermonde_matrix(method):
         eigenvalues=np.exp(rates),
         modes=rng.normal(size=(n * tau, r)) + 1j * rng.normal(size=(n * tau, r)),
         amplitudes=rng.normal(size=r) + 1j * rng.normal(size=r),
-        meta=SpectrumMeta(method=method, tau=tau, rank=r, gamma=0.0, mode_flavor="exact",
-                          n_sensors=n, n_time=t, delta_t=1.0),
+        meta=SpectrumMeta(method=method, tau=tau, rank=r, gamma=0.0, n_sensors=n, n_time=t,
+                          delta_t=1.0),
     )
     predict(spec, (n, t), horizon)  # first-call set-up out of the count
     tracemalloc.start()
@@ -706,7 +697,7 @@ def test_predict_never_holds_the_vandermonde_matrix(method):
 def test_predict_in_column_blocks_matches_dense_collapse(monkeypatch, method):
     # the smallest blocks (64 columns) split every power stream and
     # steady product here into several, the last one wider
-    from circdmd import reconstruct
+    from circdmd.spectral import reconstruct
     from circdmd.embedding import collapse_snapshot_reconstruction, inverse_hankel
     from circdmd import spectral
 
@@ -813,7 +804,7 @@ def test_stack_side_fit_and_predict_never_form_the_stack(monkeypatch, method):
 def test_hankel_predict_matches_dense_collapse(method, tau):
     # tau = 47 = T - 1 and tau = 30: out < 2 tau - 2, no column is steady,
     # unless the horizon is the longest
-    from circdmd import reconstruct
+    from circdmd.spectral import reconstruct
     from circdmd.embedding import inverse_hankel
 
     data = periodic_data(n=3, t=48, seed=23)
@@ -828,7 +819,8 @@ def test_hankel_predict_matches_dense_collapse(method, tau):
 
 @pytest.mark.parametrize("n,tau", [(4, 5), (2, 20)])  # Gram on the stack side, then the time side
 def test_hankel_fit_matches_dense_stack_regression(n, tau):
-    from circdmd import hankel, snapshot_svd
+    from circdmd import snapshot_svd
+    from circdmd.embedding import hankel
     from circdmd.spectral import eigendecompose, projected_dynamics
 
     data = periodic_data(n=n, t=30, seed=24)
