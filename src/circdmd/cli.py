@@ -37,11 +37,13 @@ from .analysis import (
     residual_acf,
     residual_lag_correlation,
 )
-from .datamodel import Dataset, SpeedMatrix, _write_csv, load_matrix, save_matrix, split
+from .datamodel import (
+    Dataset, SpeedMatrix, _check_finite, _write_csv, load_matrix, save_matrix, split,
+)
 from .errors import ConfigError, DataError, ShapeError, ToolkitError, UsageError
 from .spectral import RANK_AUTO, DynamicSpectrum, SpectrumMeta
 from .synthgen import Component, SyntheticSpec, generate
-from .variants import METHODS, VariantConfig, fit, fit_gamma_path, predict
+from .variants import METHODS, VariantConfig, _check_gamma_path, fit, fit_gamma_path, predict
 
 ANALYSES = ("stability", "periods", "modes", "acf", "residual-corr", "per-sensor-mape")
 BUNDLE_FILES = ("manifest.json", "eigenvalues.csv", "amplitudes.csv", "modes.npy", "input.npy")
@@ -185,10 +187,7 @@ def _read_bundle_npy(path, dtype, shape, wider=False) -> np.ndarray:
             and array.shape[0] == shape[0] and array.shape[1] >= shape[1]):
         implied = f"({shape[0]}, >= {shape[1]})" if wider else f"{shape}"
         raise ShapeError(f"{path}: shape {array.shape}, manifest implies {implied}")
-    bad = np.argwhere(~np.isfinite(array))[:10]
-    if len(bad):
-        raise DataError(f"{path}: non-finite values",
-                        coordinates=[(int(i), int(j)) for i, j in bad])
+    _check_finite(array, f"{path}: non-finite values")
     return array
 
 
@@ -334,10 +333,7 @@ def _load_fitted(args):
 
 def _grid_names(gammas) -> list:
     """The bundle name gamma_<g> of each grid value, in order; a
-    UsageError names a grid that is not ascending, or two values that
-    would write the same bundle."""
-    if any(b < a for a, b in zip(gammas, gammas[1:])):
-        raise UsageError(f"--gamma-grid values must be sorted ascending, got {gammas}")
+    UsageError names two values that would write the same bundle."""
     names = {}
     for gamma in gammas:
         name = f"gamma_{gamma:g}"
@@ -353,6 +349,13 @@ def cmd_fit(args) -> int:
     _require(args, "input", "out")
     if args.gamma_grid and args.gamma:
         raise UsageError(f"--gamma {args.gamma:g} with --gamma-grid: the grid sets every gamma")
+    try:  # every option is checked before the input is read
+        config = VariantConfig(method=args.method, tau=args.tau, rank=args.rank,
+                               gamma=args.gamma, admm_max_iter=args.admm_max_iter)
+        if args.gamma_grid:
+            _check_gamma_path(config, args.gamma_grid)
+    except ToolkitError as exc:
+        raise UsageError(str(exc)) from None
     names = _grid_names(args.gamma_grid or [])
     train, dataset = _split(load_matrix(args.input, layout=args.layout, delta_t=args.dt),
                             args.split_index)
@@ -369,17 +372,8 @@ def cmd_fit(args) -> int:
                 )
                 return 1
 
-    config = VariantConfig(
-        method=args.method,
-        tau=args.tau,
-        rank=args.rank,
-        gamma=args.gamma,
-        admm_rho=args.admm_rho,
-        admm_max_iter=args.admm_max_iter,
-    )
     if args.gamma_grid:
-        gammas = args.gamma_grid
-        grid = fit_gamma_path(train, config, gammas)
+        grid = fit_gamma_path(train, config, args.gamma_grid)
         values = _whole(train, dataset)
         _clear_out(outdir)
         rows = []
@@ -729,7 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit_cmd.add_argument("--gamma", type=float, default=0.0)
     fit_cmd.add_argument("--gamma-grid", type=_comma_list(float, low=0), default=None,
                          help="comma list; fit one bundle per value with warm starts")
-    fit_cmd.add_argument("--admm-rho", type=_positive, default=1.0)
     fit_cmd.add_argument("--admm-max-iter", type=_at_least(1), default=10000)
     fit_cmd.add_argument("--out", default="", help="bundle output directory")
     fit_cmd.add_argument("--force", action="store_true",
@@ -792,6 +785,10 @@ def main(argv=None) -> int:
         return 2
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a path that cannot be opened, read or written
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

@@ -20,6 +20,18 @@ LAYOUT_ROWS = "rows"
 LAYOUT_COLS = "cols"
 
 
+def _check_finite(values: np.ndarray, message: str, offset=(0, 0)) -> None:
+    """Raise a DataError with ``message`` unless every entry of the 2-D
+    ``values`` is finite. It names the first ten cells that are not, as
+    (row, column) pairs shifted by ``offset`` to give file positions, and
+    how many there are when there are more."""
+    if not np.isfinite(values).all():
+        bad = np.argwhere(~np.isfinite(values)) + offset
+        if len(bad) > 10:
+            message = f"{message} ({len(bad)} cells, the first 10 named)"
+        raise DataError(message, coordinates=[(int(i), int(j)) for i, j in bad[:10]])
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float, order="C", copy=True)
     a.flags.writeable = False
@@ -57,9 +69,7 @@ class SpeedMatrix:
         # ingestion enforces T >= 2.
         if n < 1 or t < 1:
             raise ShapeError(f"need N >= 1 and T >= 1, got {n} x {t}")
-        if not np.isfinite(values).all():
-            bad = [(int(i), int(j)) for i, j in zip(*np.nonzero(~np.isfinite(values)))]
-            raise DataError("non-finite entries", coordinates=bad)
+        _check_finite(values, "non-finite entries")
         if not (isinstance(self.delta_t, (int, float)) and self.delta_t > 0):
             raise ConfigError(f"delta_t must be positive, got {self.delta_t}")
         if self.sensor_ids:
@@ -125,9 +135,7 @@ def load_matrix(path, layout: str = LAYOUT_ROWS, delta_t: float = 1.0) -> SpeedM
     except ValueError:  # ragged rows, blank cells, text float() alone reads
         data = _read_cells(path, offset)
 
-    bad = [(int(i) + offset, int(j) + 1) for i, j in zip(*np.nonzero(~np.isfinite(data)))]
-    if bad:
-        raise DataError(f"{path}: non-finite values", coordinates=bad)
+    _check_finite(data, f"{path}: non-finite values", (offset, 1))
 
     if layout == LAYOUT_COLS:
         data = data.T

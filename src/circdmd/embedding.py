@@ -26,8 +26,8 @@ import numpy as np
 from scipy.linalg import blas
 
 from ._linalg import dot
-from .datamodel import SpeedMatrix
-from .errors import ConfigError, DataError, KindError, RangeError, ShapeError
+from .datamodel import SpeedMatrix, _check_finite
+from .errors import ConfigError, KindError, RangeError, ShapeError
 
 ANTI_CIRCULANT = "anti-circulant"
 HANKEL = "hankel"
@@ -99,9 +99,7 @@ class DelayStack:
             raise RangeError(f"tau must satisfy 1 <= tau <= {max_tau}, got {tau}")
         if offset not in (0, 1):
             raise RangeError(f"offset must be 0 or 1, got {offset}")
-        if not np.isfinite(x).all():
-            bad = [(int(i), int(j)) for i, j in zip(*np.nonzero(~np.isfinite(x)))]
-            raise DataError("non-finite matrix entries", coordinates=bad[:10])
+        _check_finite(x, "non-finite matrix entries")
         self.x = x
         self.tau = tau
         self.width = t if wrap else t - tau

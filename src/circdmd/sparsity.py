@@ -23,6 +23,10 @@ from .spectral import ReducedSvd
 # Nichols 2014, though a complex b has p = 2r real coordinates.
 _EPS_ABS = 1e-6
 _EPS_REL = 1e-4
+# ADMM's penalty rho, in the updates and in Boyd et al.'s section 3.3.1
+# dual residual. It sets how fast ADMM converges, not the minimiser; 1 is
+# the value Jovanovic et al. 2014 use.
+_RHO = 1.0
 
 
 @dataclass(frozen=True)
@@ -82,14 +86,10 @@ def build_quadratic(
             f"left factor {target_svd.left.shape[0]}"
         )
     if modes_projected.shape[1] != psi.shape[0]:
-        raise ShapeError(
-            f"{modes_projected.shape[1]} modes but {psi.shape[0]} evolution rows"
-        )
+        raise ShapeError(f"{modes_projected.shape[1]} modes but {psi.shape[0]} evolution rows")
     g = target_svd.singular[:, None] * target_svd.right.conj().T
     if g.shape[1] != psi.shape[1]:
-        raise ShapeError(
-            f"target spans {g.shape[1]} columns, evolution {psi.shape[1]}"
-        )
+        raise ShapeError(f"target spans {g.shape[1]} columns, evolution {psi.shape[1]}")
     phi_pod = dot(target_svd.left.conj().T, modes_projected)
     p = dot(phi_pod.conj().T, phi_pod) * np.conj(dot(psi, psi.conj().T))
     p = 0.5 * (p + p.conj().T)
@@ -108,12 +108,12 @@ def _soft_threshold(v: np.ndarray, kappa: float) -> np.ndarray:
     return v * scale
 
 
-def _admm_iterate(form, gamma, rho, max_iter, state=None):
+def _admm_iterate(form, gamma, max_iter, state=None):
     """The ADMM loop. Each b-update is LAPACK's ``potrs`` on the Cholesky
     factor, the call ``cho_solve`` makes after checking its operands,
     which the loop's own operands need not repeat."""
     r = form.q.shape[0]
-    factor, lower = cho_factor(form.p + (rho / 2.0) * np.eye(r))
+    factor, lower = cho_factor(form.p + (_RHO / 2.0) * np.eye(r))
     potrs = lapack.get_lapack_funcs("potrs", (factor,))
     if state is None:
         b = np.zeros(r, dtype=complex)
@@ -125,18 +125,16 @@ def _admm_iterate(form, gamma, rho, max_iter, state=None):
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        b, info = potrs(factor, form.q + (rho / 2.0) * (beta - u), lower=lower)
+        b, info = potrs(factor, form.q + (_RHO / 2.0) * (beta - u), lower=lower)
         if info != 0:
             raise NumericalError(f"LAPACK potrs failed (info = {info})")
         beta_prev = beta
-        beta = _soft_threshold(b + u, gamma / rho)
+        beta = _soft_threshold(b + u, gamma / _RHO)
         u = u + b - beta
         r_primal = np.linalg.norm(b - beta)
-        r_dual = np.linalg.norm(rho * (beta - beta_prev))
-        eps_pri = np.sqrt(r) * _EPS_ABS + _EPS_REL * max(
-            np.linalg.norm(b), np.linalg.norm(beta)
-        )
-        eps_dual = np.sqrt(r) * _EPS_ABS + _EPS_REL * np.linalg.norm(rho * u)
+        r_dual = np.linalg.norm(_RHO * (beta - beta_prev))
+        eps_pri = np.sqrt(r) * _EPS_ABS + _EPS_REL * max(np.linalg.norm(b), np.linalg.norm(beta))
+        eps_dual = np.sqrt(r) * _EPS_ABS + _EPS_REL * np.linalg.norm(_RHO * u)
         if r_primal <= eps_pri and r_dual <= eps_dual:
             converged = True
             break
@@ -144,28 +142,21 @@ def _admm_iterate(form, gamma, rho, max_iter, state=None):
 
 
 def admm_sparsify(
-    form: QuadraticForm,
-    gamma: float,
-    rho: float = 1.0,
-    max_iter: int = 10000,
-    _state=None,
+    form: QuadraticForm, gamma: float, max_iter: int = 10000, _state=None
 ) -> SparsitySolution:
     """Determine the amplitude support for one penalty level.
 
     Splits b - beta = 0; the b-update solves the regularized normal
     system (factored once and reused), the beta-update soft-thresholds
-    at gamma/rho, and the scaled dual accumulates the gap. Stops on the
-    combined absolute/relative residual test; non-convergence returns
-    the last iterate with ``converged=False``. The surviving support is
-    then polished by an exact re-fit on the support.
+    at gamma/rho (rho = ``_RHO``), and the scaled dual accumulates the
+    gap. Stops on the combined absolute/relative residual test;
+    non-convergence returns the last iterate with ``converged=False``.
+    The surviving support is then polished by an exact re-fit on the
+    support.
     """
     if gamma < 0:
         raise RangeError(f"gamma must be >= 0, got {gamma}")
-    if rho <= 0:
-        raise RangeError(f"rho must be positive, got {rho}")
-    b, beta, u, iterations, converged = _admm_iterate(
-        form, gamma, rho, max_iter, _state
-    )
+    b, beta, u, iterations, converged = _admm_iterate(form, gamma, max_iter, _state)
     support = np.ones(beta.shape, dtype=bool) if gamma == 0 else np.abs(beta) > 0
     polished = polish(form, support) if support.any() else np.zeros_like(beta)
     return SparsitySolution(
@@ -203,20 +194,21 @@ def polish(form: QuadraticForm, support: np.ndarray) -> np.ndarray:
     return b
 
 
-def gamma_path(
-    form: QuadraticForm,
-    gammas,
-    rho: float = 1.0,
-    max_iter: int = 10000,
-) -> list:
-    """Solve an ascending sequence of penalties with warm starts."""
+def _check_gammas(gammas) -> list:
+    """``gammas`` as a list; a RangeError names a grid that is not
+    ascending or holds a value below 0."""
     gammas = list(gammas)
-    if any(b < a for a, b in zip(gammas, gammas[1:])):
-        raise RangeError("gammas must be sorted ascending")
+    if any(b < a for a, b in zip(gammas, gammas[1:])) or not all(g >= 0 for g in gammas):
+        raise RangeError(f"gammas must be sorted ascending and >= 0, got {gammas}")
+    return gammas
+
+
+def gamma_path(form: QuadraticForm, gammas, max_iter: int = 10000) -> list:
+    """Solve an ascending sequence of penalties with warm starts."""
     solutions = []
     state = None
-    for gamma in gammas:
-        solution = admm_sparsify(form, gamma, rho=rho, max_iter=max_iter, _state=state)
+    for gamma in _check_gammas(gammas):
+        solution = admm_sparsify(form, gamma, max_iter=max_iter, _state=state)
         state = solution._state
         solutions.append(solution)
     return solutions

@@ -27,7 +27,7 @@ from .errors import (
     ShapeError,
     SingularBackwardError,
 )
-from .sparsity import build_quadratic, gamma_path
+from .sparsity import _check_gammas, build_quadratic, gamma_path
 from .spectral import (
     RANK_AUTO,
     _backward_dynamics,
@@ -53,9 +53,9 @@ _CIRC_METHODS = ("circ", "circ-sp")
 
 @dataclass
 class VariantConfig:
-    """Method selection plus the shared hyper-parameters.
+    """Method selection plus the shared hyper-parameters, each checked here.
 
-    ``rank`` is "auto" (hard threshold) or a fixed integer. ``gamma``
+    ``rank`` is "auto" (hard threshold) or a fixed integer >= 1. ``gamma``
     applies to circ-sp only. At gamma = 0 circ-sp equals circ only on
     exactly low-rank data: it fits projected modes to the whole
     trajectory, circ exact modes to the first snapshot, and on noisy
@@ -67,7 +67,6 @@ class VariantConfig:
     tau: Optional[int] = None
     rank: Union[int, str] = RANK_AUTO
     gamma: float = 0.0
-    admm_rho: float = 1.0
     admm_max_iter: int = 10000
 
     def __post_init__(self):
@@ -82,13 +81,15 @@ class VariantConfig:
             raise ConfigError(f"method {self.method!r} requires a delay length tau")
         if self.tau < 1:
             raise RangeError(f"tau must be >= 1, got {self.tau}")
+        rank = self.rank
+        integer = isinstance(rank, (int, np.integer)) and not isinstance(rank, bool)
+        if not (rank == RANK_AUTO or integer and rank >= 1):
+            raise ConfigError(f'rank must be "auto" or an integer >= 1, got {rank!r}')
         if self.gamma < 0:
             raise RangeError(f"gamma must be >= 0, got {self.gamma}")
         if self.gamma > 0 and self.method != "circ-sp":
             raise ConfigError("gamma applies to method 'circ-sp' only")
         self.gamma = float(self.gamma)
-        if not 0.0 < self.admm_rho < np.inf:
-            raise RangeError(f"admm_rho must be finite and > 0, got {self.admm_rho}")
         if self.admm_max_iter < 1:
             raise RangeError(f"admm_max_iter must be >= 1, got {self.admm_max_iter}")
 
@@ -103,21 +104,15 @@ def _spectrum(
 ) -> DynamicSpectrum:
     """The stage every fit shares once it has a reduced propagator.
 
-    Eigendecomposes ``a_tilde``, lifts the eigenvectors to the one mode
-    flavour the method reads (projected for circ-sp, whose amplitude
-    selection optimizes over them; exact otherwise) and fits their
-    amplitudes to ``initial``. For projected modes U W, ``initial`` is
-    the source's first column, whose POD coordinates U* x_0 are S V[0]*:
-    the fit is the r x r least squares W b = S V[0]*, the same minimiser
-    as over the stack's rows, since U is orthonormal.
+    Eigendecomposes ``a_tilde`` and lifts the eigenvectors to the one
+    mode flavour the method reads: projected for circ-sp, whose sparsity
+    stage selects their amplitudes, so none are fit here; exact
+    otherwise, with their amplitudes fit to ``initial``.
     """
     flavor = "projected" if config.method == "circ-sp" else "exact"
     eigs, w = eigendecompose(a_tilde)
     modes = dynamic_modes(target, svd, w, flavor)
-    if flavor == "projected":
-        weights = amplitudes(w, svd.singular * svd.right[0])
-    else:
-        weights = amplitudes(modes, initial)
+    weights = None if flavor == "projected" else amplitudes(modes, initial)
     meta = SpectrumMeta(
         method=config.method,
         tau=config.tau,
@@ -160,9 +155,7 @@ def _sparsify(base: DynamicSpectrum, config: VariantConfig, gammas) -> list:
     """Select ``base``'s amplitudes at each penalty over its n_time columns."""
     psi = vandermonde(base.eigenvalues, base.meta.n_time)
     form = build_quadratic(base.modes_projected, psi, base._source_svd)
-    solutions = gamma_path(
-        form, gammas, rho=config.admm_rho, max_iter=config.admm_max_iter
-    )
+    solutions = gamma_path(form, gammas, max_iter=config.admm_max_iter)
     return [
         (
             solution.gamma,
@@ -197,15 +190,26 @@ def fit_gamma_path(data: SpeedMatrix, config: VariantConfig, gammas):
     Returns one (gamma, spectrum, solution) triple per penalty; each
     spectrum shares the eigenstructure of the base fit but carries the
     polished amplitudes of its own penalty level. Only the circular
-    methods have a sparsity stage; any other method raises ConfigError.
+    methods have a sparsity stage. The method and the grid are checked
+    before the fit.
     """
-    if config.method not in _CIRC_METHODS:
-        raise ConfigError(
-            f"a gamma path needs method {' or '.join(_CIRC_METHODS)}, got {config.method!r}"
-        )
+    gammas = _check_gamma_path(config, gammas)
     base_config = replace(config, method="circ-sp", gamma=0.0)
     base = _regress(data, base_config, *_snapshot_pair(data, base_config))
     return _sparsify(base, config, gammas)
+
+
+def _check_gamma_path(config: VariantConfig, gammas) -> list:
+    """``gammas`` as a list, once the method has a sparsity stage (a
+    ConfigError if not) and the grid is ascending and >= 0 (a RangeError
+    if not)."""
+    _require_method(config, _CIRC_METHODS, "a gamma path")
+    return _check_gammas(gammas)
+
+
+def _require_method(config: VariantConfig, methods, what: str) -> None:
+    if config.method not in methods:
+        raise ConfigError(f"{what} needs method {' or '.join(methods)}, got {config.method!r}")
 
 
 def forward_backward_combine(a_forward: np.ndarray, a_backward: np.ndarray) -> np.ndarray:
@@ -250,6 +254,7 @@ def fit_forward_backward(data: SpeedMatrix, config: VariantConfig) -> DynamicSpe
     the method's rank, so A_f inv(A_b) combines maps in one coordinate
     system.
     """
+    _require_method(config, ["fb-hankel"], "fit_forward_backward")
     source, target, initial = _snapshot_pair(data, config)
     svd = snapshot_svd(source, config.rank)
     edge = target.column(target.width - 1)
@@ -276,6 +281,7 @@ def fit_total_least_squares(data: SpeedMatrix, config: VariantConfig) -> Dynamic
     read the dense matrices' shapes, whose singular values past the ones
     computed here are exactly zero.
     """
+    _require_method(config, ["tls-hankel"], "fit_total_least_squares")
     source, target, _ = _snapshot_pair(data, config)
     x, tau, w = data.values, config.tau, source.width
     n = x.shape[0]
@@ -334,8 +340,6 @@ def predict(
         )
     if horizon_columns < 0:
         raise RangeError(f"horizon must be >= 0, got {horizon_columns}")
-    if meta.method not in METHODS:
-        raise ConfigError(f"unknown method {meta.method!r} in spectrum metadata")
     tau = meta.tau
     out = t + horizon_columns
     circular = meta.method in _CIRC_METHODS

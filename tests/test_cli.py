@@ -508,12 +508,6 @@ BAD_VALUES = {
     "admm-max-iter": (["fit", "--input", "{csv}", "--method", "circ-sp", "--tau", "48",
                        "--gamma", "10", "--out", "{out}"], "admm_max_iter", "0",
                       "argument --admm-max-iter: expected an integer >= 1, got '0'"),
-    "admm-rho": (["fit", "--input", "{csv}", "--method", "circ-sp", "--tau", "48",
-                  "--gamma", "10", "--out", "{out}"], "admm_rho", "-1",
-                 "argument --admm-rho: expected a finite float > 0, got '-1'"),
-    "admm-rho-zero": (["fit", "--input", "{csv}", "--method", "circ-sp", "--tau", "48",
-                       "--gamma", "10", "--out", "{out}"], "admm_rho", "0",
-                      "argument --admm-rho: expected a finite float > 0, got '0'"),
     # the grid's fits took no notice of --gamma, and wrote one bundle per grid value
     "gamma-with-grid": (["fit", "--input", "{csv}", "--method", "circ-sp", "--tau", "48",
                          "--gamma-grid", "0,10", "--out", "{out}"], "gamma", "5",
@@ -525,10 +519,21 @@ BAD_VALUES = {
     # these ran the whole base fit before the sparsity path refused them
     "gamma-grid-unsorted": (["fit", "--input", "{csv}", "--method", "circ-sp", "--tau", "48",
                              "--out", "{out}"], "gamma_grid", "100,10",
-                            "--gamma-grid values must be sorted ascending, got [100.0, 10.0]"),
+                            "gammas must be sorted ascending and >= 0, got [100.0, 10.0]"),
     "gamma-grid-negative": (["fit", "--input", "{csv}", "--method", "circ-sp", "--tau", "48",
                              "--out", "{out}"], "gamma_grid", "-1",
                             "argument --gamma-grid: expected a comma list of float values >= 0"),
+    # these parsed and hashed the input before the config refused them, with exit 1
+    "tau-zero": (["fit", "--input", "{csv}", "--out", "{out}"], "tau", "0",
+                 "tau must be >= 1, got 0"),
+    "gamma-negative": (["fit", "--input", "{csv}", "--method", "circ-sp", "--tau", "48",
+                        "--out", "{out}"], "gamma", "-1", "gamma must be >= 0, got -1.0"),
+    "gamma-not-circ-sp": (["fit", "--input", "{csv}", "--method", "hankel", "--tau", "48",
+                           "--out", "{out}"], "gamma", "5",
+                          "gamma applies to method 'circ-sp' only"),
+    "gamma-grid-not-circular": (["fit", "--input", "{csv}", "--method", "hankel", "--tau", "48",
+                                 "--out", "{out}"], "gamma_grid", "0,10",
+                                "a gamma path needs method circ or circ-sp, got 'hankel'"),
     # these failed as "analysis ... failed" with exit 1, after predicting
     "stability-tol": (["analyze", "--bundle", "{bundle}", "--run", "stability", "--out", "{out}"],
                       "stability_tol", "0",
@@ -558,6 +563,49 @@ def test_bad_option_values_are_usage_errors(tmp_path, fixture_csv, capsys, case,
     assert _exit_code(argv) == 2
     assert message in capsys.readouterr().err
     assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--method", "circ"], id="no-tau"),
+    pytest.param(["--method", "circ", "--tau", "0"], id="tau-zero"),
+    pytest.param(["--method", "circ-sp", "--tau", "48", "--gamma", "-1"], id="gamma-negative"),
+    pytest.param(["--method", "hankel", "--tau", "48", "--gamma", "5"], id="gamma-not-circ-sp"),
+    pytest.param(["--method", "hankel", "--tau", "48", "--gamma-grid", "0,10"],
+                 id="gamma-grid-not-circular"),
+    pytest.param(["--method", "circ-sp", "--tau", "48", "--gamma-grid", "100,10"],
+                 id="gamma-grid-unsorted"),
+])
+def test_fit_options_are_checked_before_the_input_is_read(tmp_path, fixture_csv, capsys,
+                                                          monkeypatch, argv):
+    read = []
+    monkeypatch.setattr(cli, "load_matrix", lambda *args, **kwargs: read.append(args))
+    out = tmp_path / "out"
+    code = main(["fit", "--input", str(fixture_csv), *argv, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert read == [] and not out.exists()
+
+
+@pytest.mark.parametrize("argv, path", [
+    pytest.param(["fit", "--input", "{missing}", "--tau", "4", "--out", "{out}"], "{missing}",
+                 id="fit-missing"),
+    pytest.param(["fit", "--input", "{tmp}", "--tau", "4", "--out", "{out}"], "{tmp}",
+                 id="fit-directory"),
+    pytest.param(["forecast", "--input", "{missing}", "--bundle", "{bundle}", "--horizon", "4",
+                  "--out", "{out}"], "{missing}", id="forecast-missing"),
+    pytest.param(["metrics", "--truth", "{missing}", "--estimate", "{csv}"], "{missing}",
+                 id="metrics-missing"),
+    pytest.param(["synth", "--out", "{tmp}/missing-dir/x.csv"], "{tmp}/missing-dir/x.csv",
+                 id="synth-missing-dir"),
+])
+def test_an_unreadable_path_is_an_error_line(tmp_path, fixture_csv, capsys, argv, path):
+    paths = {"missing": tmp_path / "missing.csv", "tmp": tmp_path, "csv": fixture_csv,
+             "bundle": _fit(tmp_path, fixture_csv), "out": tmp_path / "out"}
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path.format(**paths)}: ") and "Traceback" not in err
+    assert err.count("\n") == 1
 
 
 def test_read_config_file_parsing(tmp_path):
@@ -622,7 +670,7 @@ def test_fit_leaves_one_bundle_kind_per_out(tmp_path, fixture_csv):
     assert fit_out("--method", "hankel", "--tau", "24") == 0
     assert names() == single
     assert load_manifest(outdir)["method"] == "hankel"
-    assert fit_out("--method", "hankel", "--tau", "24", "--gamma-grid", "0,10") == 1
+    assert fit_out("--method", "hankel", "--tau", "24", "--gamma-grid", "0,10") == 2
     assert names() == single
     assert fit_out("--method", "circ-sp", "--tau", "48", "--gamma-grid", "0,10") == 0
     assert names() == ["gamma_0", "gamma_10", "notes.txt", "sparsity_path.csv"]
@@ -662,9 +710,9 @@ def test_gamma_grid_refuses_non_circular_methods(tmp_path, fixture_csv, capsys, 
         "fit", "--input", str(fixture_csv), "--dt", str(1 / 12),
         "--method", method, *tau, "--gamma-grid", "0,10", "--out", str(outdir),
     ])
-    assert code == 1
+    assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and repr(method) in err
+    assert err.startswith("usage error: ") and repr(method) in err
     assert not outdir.exists()
 
 

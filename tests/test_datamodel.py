@@ -19,7 +19,8 @@ from circdmd import (
     save_matrix,
     split,
 )
-from circdmd.datamodel import _g17_block
+from circdmd.datamodel import _g17_block, _write_csv
+from circdmd.embedding import DelayStack
 
 
 def test_load_simple_rows(tmp_path):
@@ -287,6 +288,45 @@ def test_load_rejects_non_finite_cells(tmp_path, text, coordinates):
     with pytest.raises(DataError) as err:
         load_matrix(path)
     assert err.value.coordinates == coordinates
+
+
+def _gappy_matrix():
+    """157 x 6048 with every third column missing, as loop-detector data can be."""
+    values = np.arange(157 * 6048, dtype=float).reshape(157, 6048)
+    values[:, ::3] = np.nan
+    return values
+
+
+def _load_gappy(tmp_path, values):
+    path = tmp_path / "gappy.csv"
+    _write_csv(path, values)
+    load_matrix(path)
+
+
+def _read_gappy_npy(tmp_path, values):
+    from circdmd.cli import _read_bundle_npy
+
+    np.save(tmp_path / "input.npy", values)
+    _read_bundle_npy(tmp_path / "input.npy", np.float64, values.shape)
+
+
+@pytest.mark.parametrize("read, first", [
+    pytest.param(_load_gappy, (1, 1), id="load_matrix"),  # file positions, from 1
+    pytest.param(lambda tmp_path, values: SpeedMatrix(values=values, delta_t=1.0), (0, 0),
+                 id="SpeedMatrix"),
+    pytest.param(lambda tmp_path, values: DelayStack(values, 4, 0, wrap=True), (0, 0),
+                 id="DelayStack"),
+    pytest.param(_read_gappy_npy, (0, 0), id="bundle-npy"),
+])
+def test_a_gappy_matrix_names_ten_cells_and_the_count(tmp_path, read, first):
+    # the message listed all 316,512 cells, 3.8 MB of text
+    values = _gappy_matrix()
+    with pytest.raises(DataError) as err:
+        read(tmp_path, values)
+    message = str(err.value)
+    assert len(message.encode()) < 1024
+    assert "(316512 cells, the first 10 named)" in message
+    assert err.value.coordinates == [(first[0], first[1] + 3 * k) for k in range(10)]
 
 
 @pytest.mark.parametrize(

@@ -139,8 +139,6 @@ def test_admm_parameter_validation():
     form = _diagonal_form([1.0], [1.0])
     with pytest.raises(RangeError):
         admm_sparsify(form, gamma=-1.0)
-    with pytest.raises(RangeError):
-        admm_sparsify(form, gamma=0.0, rho=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -216,6 +214,14 @@ def test_gamma_path_requires_sorted():
     form = _diagonal_form([1.0], [1.0])
     with pytest.raises(RangeError):
         gamma_path(form, [1.0, 0.5])
+
+
+@pytest.mark.parametrize("gammas", [pytest.param([-1.0], id="negative"),
+                                    pytest.param([0.0, np.nan], id="nan")])
+def test_gamma_path_requires_values_at_least_zero(gammas):
+    form = _diagonal_form([1.0], [1.0])
+    with pytest.raises(RangeError, match="gammas must be sorted ascending and >= 0"):
+        gamma_path(form, gammas)
 
 
 def test_gamma_path_counts_and_losses():

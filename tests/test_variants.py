@@ -60,14 +60,60 @@ def test_config_validation():
     assert [w.filename for w in caught] == [__file__]
 
 
-@pytest.mark.parametrize("field, value", [
-    ("admm_max_iter", 0), ("admm_max_iter", -5),
-    ("admm_rho", 0.0), ("admm_rho", -1.0), ("admm_rho", np.inf), ("admm_rho", np.nan),
-])
+@pytest.mark.parametrize("field, value", [("admm_max_iter", 0), ("admm_max_iter", -5)])
 def test_config_refuses_an_admm_setting_that_cannot_iterate(field, value):
     # a cap below 1 ran no iteration and kept all-zero amplitudes
     with pytest.raises(RangeError, match=field):
         VariantConfig(method="circ-sp", tau=3, gamma=10.0, **{field: value})
+
+
+@pytest.mark.parametrize("rank", [0, -3, "foo", 2.5, True])
+def test_config_refuses_a_bad_rank_when_it_is_built(rank):
+    # 0 failed after the eigensolve, "foo" as a bare ValueError, 2.5 fit at
+    # rank 2 and True at rank 1
+    with pytest.raises(ConfigError, match="rank must be"):
+        VariantConfig(method="circ", tau=3, rank=rank)
+
+
+def test_config_takes_a_numpy_integer_rank():
+    assert VariantConfig(method="circ", tau=3, rank=np.int64(2)).rank == 2
+
+
+@pytest.mark.parametrize("gammas", [pytest.param([100.0, 10.0], id="unsorted"),
+                                    pytest.param([-1.0], id="negative")])
+def test_gamma_path_refuses_a_bad_grid_before_any_gram(gammas, monkeypatch):
+    from circdmd import spectral
+
+    calls = []
+    real = spectral._top_singular
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_top_singular", counting)
+    data = periodic_data(n=3, t=48, seed=2)
+    with pytest.raises(RangeError, match="gammas must be"):
+        fit_gamma_path(data, VariantConfig(method="circ-sp", tau=8), gammas)
+    assert calls == []
+    fit_gamma_path(data, VariantConfig(method="circ-sp", tau=8), [0.0, 1.0])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("function, method", [(fit_forward_backward, "fb-hankel"),
+                                              (fit_total_least_squares, "tls-hankel")])
+def test_debiased_fits_refuse_another_methods_config(function, method):
+    # fit_total_least_squares returned an unsparsified "circ-sp" spectrum
+    data = periodic_data(n=3, t=48, seed=2)
+    others = [m for m in ("dmd", "hankel", "fb-hankel", "tls-hankel", "circ", "circ-sp")
+              if m != method]
+    assert len(others) == 5
+    for other in others:
+        config = VariantConfig(method=other, tau=None if other == "dmd" else 4)
+        with pytest.raises(ConfigError, match=f"{function.__name__} needs method {method}, "
+                                              f"got {other!r}"):
+            function(data, config)
+    assert function(data, VariantConfig(method=method, tau=4)).meta.method == method
 
 
 # ----------------------------------------------------------------------
@@ -304,23 +350,21 @@ def noisy_periodic(n, t, seed):
 
 @pytest.mark.parametrize("tau", [pytest.param(20, id="time-side"),
                                  pytest.param(5, id="stack-side")])
-def test_projected_amplitudes_solve_the_r_by_r_system(tau):
-    # U is orthonormal, so the fit of U W b to x_0 over the stack's rows is
-    # the fit of W b to U* x_0 = S V[0]*
-    from circdmd.spectral import amplitudes
+def test_circ_sp_amplitudes_come_from_the_sparsity_stage(tau):
+    # the base fit leaves the projected modes' amplitudes to the sparsity
+    # stage, whose polished amplitudes are the spectrum's
     from circdmd.variants import _regress, _snapshot_pair
 
     data = noisy_periodic(3, 60, seed=tau)
-    config = VariantConfig(method="circ-sp", tau=tau)
-    source, target, initial = _snapshot_pair(data, config)
-    spectrum = _regress(data, config, source, target, initial)
-    want = amplitudes(spectrum.modes, initial)
-    assert np.max(np.abs(spectrum.amplitudes - want)) <= 1e-10 * np.max(np.abs(want))
+    config = VariantConfig(method="circ-sp", tau=tau, gamma=1.0)
+    assert _regress(data, config, *_snapshot_pair(data, config)).amplitudes is None
+    spectrum = fit(data, config)
+    assert spectrum.amplitudes is spectrum.sparsity.amplitudes_polished
 
 
 def test_circ_sp_fit_forms_one_stack_product(monkeypatch):
     # U = S V / sigma is the one product with the N tau-row stack: the
-    # propagator comes from V's shift and the amplitudes from the r x r system
+    # propagator comes from V's shift and the amplitudes from the sparsity stage
     from circdmd.embedding import DelayStack
 
     calls = []
@@ -372,10 +416,10 @@ def _outcome(run):
 @pytest.mark.parametrize("n,t,tau,cases", [
     # rows side: W = 36, 2 N tau = 24, N (tau+1) = 15, N tau = 12
     pytest.param(3, 40, 4, [(0, "auto"), (15, "auto"), (16, "auto"), (24, "auto"), (25, "auto"),
-                            (37, "auto"), (10, 0), (10, 10), (10, 11), (10, 12), (10, 13)],
+                            (37, "auto"), (10, 10), (10, 11), (10, 12), (10, 13)],
                  id="rows-side"),
     # time side: W = 16, 2 N tau = 48, N (tau+1) = 30, N tau = 24
-    pytest.param(6, 20, 4, [(0, "auto"), (16, "auto"), (17, "auto"), (10, 0), (10, 10),
+    pytest.param(6, 20, 4, [(0, "auto"), (16, "auto"), (17, "auto"), (10, 10),
                             (10, 11), (10, 16), (10, 17)], id="time-side"),
 ])
 def test_tls_rank_errors_match_dense_stacked_pair(n, t, tau, cases, monkeypatch):
