@@ -154,7 +154,7 @@ def admm_sparsify(
     The surviving support is then polished by an exact re-fit on the
     support.
     """
-    if gamma < 0:
+    if not gamma >= 0:  # NaN too
         raise RangeError(f"gamma must be >= 0, got {gamma}")
     b, beta, u, iterations, converged = _admm_iterate(form, gamma, max_iter, _state)
     support = np.ones(beta.shape, dtype=bool) if gamma == 0 else np.abs(beta) > 0

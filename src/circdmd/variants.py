@@ -70,6 +70,8 @@ class VariantConfig:
     admm_max_iter: int = 10000
 
     def __post_init__(self):
+        def whole(value):  # a Python or numpy integer, but not a bool
+            return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; choose one of {METHODS}")
         if self.method == "dmd":
@@ -79,19 +81,18 @@ class VariantConfig:
             self.tau = 1
         elif self.tau is None:
             raise ConfigError(f"method {self.method!r} requires a delay length tau")
-        if self.tau < 1:
-            raise RangeError(f"tau must be >= 1, got {self.tau}")
-        rank = self.rank
-        integer = isinstance(rank, (int, np.integer)) and not isinstance(rank, bool)
-        if not (rank == RANK_AUTO or integer and rank >= 1):
-            raise ConfigError(f'rank must be "auto" or an integer >= 1, got {rank!r}')
-        if self.gamma < 0:
+        if not (whole(self.tau) and self.tau >= 1):
+            raise RangeError(f"tau must be an integer >= 1, got {self.tau!r}")
+        self.tau = int(self.tau)
+        if not (self.rank == RANK_AUTO or whole(self.rank) and self.rank >= 1):
+            raise ConfigError(f'rank must be "auto" or an integer >= 1, got {self.rank!r}')
+        if not self.gamma >= 0:  # NaN too
             raise RangeError(f"gamma must be >= 0, got {self.gamma}")
         if self.gamma > 0 and self.method != "circ-sp":
             raise ConfigError("gamma applies to method 'circ-sp' only")
         self.gamma = float(self.gamma)
-        if self.admm_max_iter < 1:
-            raise RangeError(f"admm_max_iter must be >= 1, got {self.admm_max_iter}")
+        if not (whole(self.admm_max_iter) and self.admm_max_iter >= 1):
+            raise RangeError(f"admm_max_iter must be an integer >= 1, got {self.admm_max_iter!r}")
 
 
 def _spectrum(

@@ -525,9 +525,12 @@ BAD_VALUES = {
                             "argument --gamma-grid: expected a comma list of float values >= 0"),
     # these parsed and hashed the input before the config refused them, with exit 1
     "tau-zero": (["fit", "--input", "{csv}", "--out", "{out}"], "tau", "0",
-                 "tau must be >= 1, got 0"),
+                 "tau must be an integer >= 1, got 0"),
     "gamma-negative": (["fit", "--input", "{csv}", "--method", "circ-sp", "--tau", "48",
                         "--out", "{out}"], "gamma", "-1", "gamma must be >= 0, got -1.0"),
+    # circ fit with gamma = nan and exit 0; circ-sp failed after the base fit
+    "gamma-nan": (["fit", "--input", "{csv}", "--method", "circ", "--tau", "48",
+                   "--out", "{out}"], "gamma", "nan", "gamma must be >= 0, got nan"),
     "gamma-not-circ-sp": (["fit", "--input", "{csv}", "--method", "hankel", "--tau", "48",
                            "--out", "{out}"], "gamma", "5",
                           "gamma applies to method 'circ-sp' only"),
@@ -569,6 +572,7 @@ def test_bad_option_values_are_usage_errors(tmp_path, fixture_csv, capsys, case,
     pytest.param(["--method", "circ"], id="no-tau"),
     pytest.param(["--method", "circ", "--tau", "0"], id="tau-zero"),
     pytest.param(["--method", "circ-sp", "--tau", "48", "--gamma", "-1"], id="gamma-negative"),
+    pytest.param(["--method", "circ-sp", "--tau", "48", "--gamma", "nan"], id="gamma-nan"),
     pytest.param(["--method", "hankel", "--tau", "48", "--gamma", "5"], id="gamma-not-circ-sp"),
     pytest.param(["--method", "hankel", "--tau", "48", "--gamma-grid", "0,10"],
                  id="gamma-grid-not-circular"),

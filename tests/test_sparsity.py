@@ -139,6 +139,8 @@ def test_admm_parameter_validation():
     form = _diagonal_form([1.0], [1.0])
     with pytest.raises(RangeError):
         admm_sparsify(form, gamma=-1.0)
+    with pytest.raises(RangeError, match="got nan"):  # it returned all-zero amplitudes
+        admm_sparsify(form, gamma=float("nan"))
 
 
 # ----------------------------------------------------------------------

@@ -60,7 +60,8 @@ def test_config_validation():
     assert [w.filename for w in caught] == [__file__]
 
 
-@pytest.mark.parametrize("field, value", [("admm_max_iter", 0), ("admm_max_iter", -5)])
+@pytest.mark.parametrize("field, value", [("admm_max_iter", 0), ("admm_max_iter", -5),
+                                          ("admm_max_iter", 2.5), ("admm_max_iter", True)])
 def test_config_refuses_an_admm_setting_that_cannot_iterate(field, value):
     # a cap below 1 ran no iteration and kept all-zero amplitudes
     with pytest.raises(RangeError, match=field):
@@ -75,8 +76,25 @@ def test_config_refuses_a_bad_rank_when_it_is_built(rank):
         VariantConfig(method="circ", tau=3, rank=rank)
 
 
-def test_config_takes_a_numpy_integer_rank():
-    assert VariantConfig(method="circ", tau=3, rank=np.int64(2)).rank == 2
+def test_config_takes_numpy_integers():
+    config = VariantConfig(method="circ", tau=np.int64(3), rank=np.int64(2))
+    assert config.rank == 2 and config.tau == 3
+    assert type(config.tau) is int  # the manifest's JSON takes it
+
+
+@pytest.mark.parametrize("tau", [0, -3, 2.5, np.float64(3.0), True])
+def test_config_refuses_a_tau_that_is_not_a_positive_integer(tau):
+    # 2.5 and 3.0 failed in the delay stack with a bare IndexError, and True fit
+    # with meta.tau = True
+    with pytest.raises(RangeError, match="tau must be an integer >= 1"):
+        VariantConfig(method="circ", tau=tau)
+
+
+def test_config_refuses_a_nan_gamma():
+    # it fit circ with gamma = nan, and wrote NaN into the manifest
+    for method in ("circ", "circ-sp"):
+        with pytest.raises(RangeError, match="gamma must be >= 0, got nan"):
+            VariantConfig(method=method, tau=3, gamma=float("nan"))
 
 
 @pytest.mark.parametrize("gammas", [pytest.param([100.0, 10.0], id="unsorted"),
