@@ -146,7 +146,7 @@ class DelayStack:
         """The upper triangle of the width x width ``S.T @ S``: G[j, l] =
         sum over shifts s of K[j+s, l+s] for l >= j, and 0 below the
         diagonal (see :func:`_window_gram`)."""
-        return _window_gram(self.x, self.tau, self.width, (int(self.starts[0]),))
+        return _window_gram(self.x, self.tau, self.width, int(self.starts[0]))
 
     def stack_gram(self) -> np.ndarray:
         """The upper block triangle of the (N*tau) x (N*tau) ``S @ S.T``,
@@ -165,54 +165,50 @@ def _columns_as_rows(x: np.ndarray, starts, width: int) -> np.ndarray:
     return x.T if whole else np.ascontiguousarray(x.T)
 
 
-def _window_gram(x: np.ndarray, tau: int, width: int, leads) -> np.ndarray:
-    """The upper triangle of the sum, over the stacks of x with tau blocks
-    of ``width`` columns whose first blocks start at the columns
-    ``leads``, of their time-side Gram matrices ``S.T @ S``: G[j, l] =
-    sum over leads and shifts s of K[j+s, l+s], l >= j, with s = lead ..
-    lead + tau - 1. The strict lower triangle is left unwritten (see
-    :func:`_triangle`).
+def _window_gram(x: np.ndarray, tau: int, width: int, lead: int) -> np.ndarray:
+    """The upper triangle of the time-side Gram ``S.T @ S`` of the stack
+    of x with tau blocks of ``width`` columns whose first block starts at
+    column ``lead``: G[j, l] = sum over shifts s of K[j+s, l+s], l >= j,
+    with s = lead .. lead + tau - 1. The strict lower triangle is left
+    unwritten (see :func:`_triangle`).
 
     The sum runs along the diagonals of K = X.T X, wrapped modulo T
     for a circular stack (width T); a Hankel stack's indices never pass
-    T - 1. With D[i, d] = K[i, i+d], a stack's row j of G from its
-    diagonal on is the window sum w_j = sum_s D[j+s], and w_{j+1}
-    differs from w_j by one row of D entering and one leaving. The
-    window is summed afresh every tau rows, so rounding cannot build up
-    over more updates than the window has terms. Each stack keeps its
-    own window, and the windows of row j are added to G in the order of
-    ``leads``: the same bits as summing the stacks' separate Gram
-    matrices.
+    T - 1. With D[i, d] = K[i, i+d], row j of G from its diagonal on is
+    the window sum w_j = sum_s D[j+s], and w_{j+1} differs from w_j by
+    one row of D entering and one leaving. The window is summed afresh
+    every tau rows, so rounding cannot build up over more updates than
+    the window has terms.
 
     ``dsyrk`` writes the upper triangle of K's W x W block from column
     ``low`` on into the triangle (low is 0 for a circular stack and the
-    first lead for a Hankel one), so D's row i starts in its row i -
-    low. Where the row runs past the block it goes on in ``strip``, K's
-    rows against the columns after the block: a Hankel stack's last
-    columns of x, formed by one product, or a circular stack's first
-    ones again, copied from the block's first rows. The strip's columns
-    also hold the first rows of D that a circular stack's last windows
-    read again. Row j of G is written over the block's row j, which no
-    later window reads, save as the row that leaves the next window of
-    a stack that leads at ``low``: that one is copied first. A one-block
-    stack that leads at ``low`` has the block itself for its Gram.
+    lead for a Hankel one), so D's row i starts in its row i - low.
+    Where the row runs past the block it goes on in ``strip``, K's rows
+    against the columns after the block: a Hankel stack's last columns
+    of x, formed by one product, or a circular stack's first ones again,
+    copied from the block's first rows. The strip's columns also hold
+    the first rows of D that a circular stack's last windows read again.
+    Row j of G is written over the block's row j, which no later window
+    reads, save as the row that leaves the next window when the stack
+    leads at ``low``: that one is copied first. A one-block stack that
+    leads at ``low`` has the block itself for its Gram.
     """
     t = x.shape[1]
     w = width
-    low = 0 if w == t else min(leads)
+    low = 0 if w == t else lead
     g = _triangle(w)
     # dsyrk fills the lower triangle of g.T, which is g's upper triangle
     blas.dsyrk(1.0, x[:, low : low + w].T, lower=1, c=g.T, overwrite_c=1)
-    if tau == 1 and tuple(leads) == (low,):
+    if tau == 1 and lead == low:
         return g
     if w == t:  # strip[i, c] = K[c, i] for i > c, read off the block's upper triangle
-        strip = g[: max(leads) + tau - 1].T.copy()
+        strip = g[: lead + tau - 1].T.copy()
     else:  # strip[i, c] = K[low + i, low + w + c]
         strip = dot(x[:, low:].T, x[:, low + w :])
 
     joined = np.empty(w)  # a row of D that is read from two runs
-    left = np.empty(w)  # D's row that leaves the next window of a stack leading at low
-    sums = np.empty((len(leads), w))  # each stack's window
+    left = np.empty(w)  # D's row that leaves the next window, if the stack leads at low
+    window = np.empty(w)
 
     def row(i, size):
         """D's row i, its first ``size`` cells."""
@@ -227,26 +223,21 @@ def _window_gram(x: np.ndarray, tau: int, width: int, leads) -> np.ndarray:
         tail = strip[r, start : start + size - len(head)]
         return np.concatenate((head, tail), out=joined[:size])
 
-    windows = list(sums)
     for j in range(w):
         size = w - j  # window j reaches D's columns 0 .. w - j - 1
-        for k, lead in enumerate(leads):
-            first = j + lead
-            windows[k] = windows[k][:size]
-            if j % tau == 0:
-                # added row by row in order: the bits of a sum over axis 0
-                windows[k][:] = row(first, size)
-                for i in range(first + 1, first + tau):
-                    windows[k] += row(i, size)
-            else:
-                windows[k] += row(first + tau - 1, size)
-                windows[k] -= left[:size] if lead == low else row(first - 1, size)
-        if low in leads:
+        first = j + lead
+        window = window[:size]
+        if j % tau == 0:
+            # added row by row in order: the bits of a sum over axis 0
+            window[:] = row(first, size)
+            for i in range(first + 1, first + tau):
+                window += row(i, size)
+        else:
+            window += row(first + tau - 1, size)
+            window -= left[:size] if lead == low else row(first - 1, size)
+        if lead == low:
             left[:size] = g[j, j:]
-        out = g[j, j:]
-        out[:] = windows[0]
-        for window in windows[1:]:
-            out += window
+        g[j, j:] = window
     return g
 
 

@@ -139,24 +139,26 @@ _BISECT_SHARE = 16
 class _SymmetricEigen:
     """Eigenvalues of a symmetric matrix on request, and the top eigenvectors.
 
-    One Householder reduction to tridiagonal form (``dsytrd``) is shared.
-    A run of k consecutive eigenvalues, in order of size, comes from
-    bisection on the tridiagonal (``dstebz``, as ``dsyevx`` takes them),
-    unless k exceeds n / 16: then ``dsterf`` gives every eigenvalue,
-    which is kept for every later request. A count of the eigenvalues
-    above a value is one Sturm count. The eigenvectors of the top ``r``
-    come from inverse iteration (``dstein``) on the whole tridiagonal at
-    those r eigenvalues, which reorthogonalises the vectors of clustered
-    eigenvalues, followed by the back-transform (``dormqr``), one
-    F-contiguous panel of at most 64 reflectors at a time, last panel
-    first. The matrix is reduced in place, so the caller must not reuse
-    it; beside it the solve holds the n x r vectors and one panel, never
-    a second n x n array. A float32 matrix is reduced in single
-    precision by the same routines' ``s`` forms (``ssytrd``, ``sstebz``,
-    ``sstein``, ``sormqr``), and its values and vectors are float32:
-    :func:`_top_singular` reduces a float32 copy of a large Gram, made
-    as the float64 pages are released, and forms the float64 Gram again
-    for the refinement, so the two are never held together.
+    One Householder reduction to tridiagonal form (``dsytrd``) is
+    shared. A run of k consecutive eigenvalues, in order of size, comes
+    from bisection on the tridiagonal (``dstebz``, as ``dsyevx`` takes
+    them), unless k exceeds n / 16, or bisection misses part of the run,
+    as tied eigenvalues can make it do: then ``dsterf`` gives every
+    eigenvalue, which is kept for every later request, as is each run
+    bisected. A count of the eigenvalues above a value is one Sturm
+    count. The eigenvectors of the top ``r`` come from inverse iteration
+    (``dstein``) on the whole tridiagonal at those r eigenvalues, which
+    reorthogonalises the vectors of clustered eigenvalues, followed by
+    the back-transform (``dormqr``), one F-contiguous panel of at most
+    64 reflectors at a time, last panel first. The matrix is reduced in
+    place, so the caller must not reuse it; beside it the solve holds
+    the n x r vectors and one panel, never a second n x n array. A
+    float32 matrix is reduced in single precision by the same routines'
+    ``s`` forms (``ssytrd``, ``sstebz``, ``sstein``, ``sormqr``), and
+    its values and vectors are float32: :func:`_top_singular` reduces a
+    float32 copy of a large Gram, made as the float64 pages are
+    released, and forms the float64 Gram again for the refinement, so
+    the two are never held together.
 
     Only the matrix's upper triangle is read, a C-ordered array's upper
     triangle being the lower triangle of its Fortran-ordered transpose,
@@ -178,7 +180,7 @@ class _SymmetricEigen:
         )
         # every eigenvalue, ascending, once dsterf has run (at once for n = 1)
         self._ascending = self._diag.copy() if n == 1 else None
-        self._top = np.empty(0)  # the largest eigenvalues taken so far, decreasing
+        self._runs = {}  # (low, high): the eigenvalues ranked low..high, bisected
 
     def _lapack(self, name: str, *args, **kwargs) -> list:
         """The outputs of LAPACK's ``name`` in the matrix's precision, but
@@ -196,19 +198,27 @@ class _SymmetricEigen:
 
     def ranked(self, low: int, high: int) -> np.ndarray:
         """The eigenvalues ranked low..high from the smallest (rank 1),
-        increasing."""
+        increasing. Each run bisected is kept for any later request
+        inside it."""
+        for (first, last), run in self._runs.items():
+            if first <= low and high <= last:
+                return run[low - first : high - first + 1]
         if self._ascending is None and (high - low + 1) * _BISECT_SHARE <= self.n:
-            m, w, _, _ = self._lapack(
-                "stebz", self._diag, self._off, 2, 0.0, 0.0, low, high, self._tol, "E"
+            routine = self._prefix + "stebz"
+            m, w, _, _, info = getattr(lapack, routine)(
+                self._diag, self._off, 2, 0.0, 0.0, low, high, self._tol, "E"
             )
-            return w[:m]
+            # info 2 or 3: tied eigenvalues made the Sturm counts non-monotonic
+            # and part of the range was not found; LAPACK's cure is every value
+            if info not in (2, 3):
+                _check(routine, info)
+                self._runs[low, high] = w[:m]
+                return w[:m]
         return self.values()[::-1][low - 1 : high]
 
     def top_values(self, k: int) -> np.ndarray:
         """The k largest eigenvalues, in decreasing order."""
-        if len(self._top) < k:
-            self._top = self.ranked(self.n - k + 1, self.n)[::-1]
-        return self._top[:k]
+        return self.ranked(self.n - k + 1, self.n)[::-1]
 
     def count_above(self, value: float) -> int:
         """The number of eigenvalues greater than ``value``."""

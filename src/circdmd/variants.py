@@ -16,6 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import blas
 
 from .datamodel import SpeedMatrix
 from ._linalg import dot, inv
@@ -308,8 +309,12 @@ def fit_total_least_squares(data: SpeedMatrix, config: VariantConfig) -> Dynamic
         source_v, target_v = coords[: n * tau], coords[n:]
         first_v = dot(scale * x[:, : tau + 1].ravel(order="F"), u) / sing
     else:
-        # one W x W array: the target's window sums go into the source's Gram
-        gram = _window_gram(x, tau, w, (0, 1))
+        # one W x W array, S.T S + T.T T = sum of m_i B_i.T B_i: twice the
+        # window sum over the tau + 1 blocks less the two end blocks' Grams,
+        # taken off in place on the triangle dsyrk writes (see _window_gram)
+        gram = _window_gram(x, tau + 1, w, 0)
+        blas.dsyrk(-1.0, x[:, :w].T, beta=2.0, c=gram.T, lower=1, overwrite_c=1)
+        blas.dsyrk(-1.0, x[:, tau:].T, beta=1.0, c=gram.T, lower=1, overwrite_c=1)
         sing, v = _top_singular(gram, RANK_AUTO, 2 * n * tau, w)
         del gram
         source_v, target_v, first_v = dot(source, v), dot(target, v), v[0]
@@ -345,14 +350,15 @@ def predict(
     out = t + horizon_columns
     circular = meta.method in _CIRC_METHODS
     width = out if circular else out - tau + 1
-    blocks = (spectrum.modes * spectrum.amplitudes).reshape(tau, n, -1)
+    blocks = spectrum.modes.reshape(tau, n, -1)
     # block i reaches columns i .. i + width - 1: in runs of at most
     # width blocks, every run has a column that all of its blocks reach
     acc = np.zeros((n, tau - 1 + width))
     run = min(tau, width)
     for first in range(0, tau, run):
         part = blocks[first : first + run]
-        _delay_sum(part, spectrum.eigenvalues, width, acc[:, first : first + len(part) + width - 1])
+        _delay_sum(part, spectrum.eigenvalues, spectrum.amplitudes, width,
+                   acc[:, first : first + len(part) + width - 1])
     if circular:
         acc[:, : tau - 1] += acc[:, out:]
         acc = acc[:, :out]
@@ -364,17 +370,21 @@ def predict(
     return acc
 
 
-def _delay_sum(blocks: np.ndarray, eigenvalues: np.ndarray, width: int, result: np.ndarray):
+def _delay_sum(blocks: np.ndarray, eigenvalues: np.ndarray, weights: np.ndarray, width: int,
+               result: np.ndarray):
     """Add into column c of the n x (L + w - 1) ``result`` the sum over
-    blocks i of Re(blocks[i] psi[:, c - i]), for the L <= w blocks
-    (L x n x r) and the r x w Vandermonde matrix ``psi`` of
-    ``eigenvalues``, w = ``width``.
+    blocks i of Re(blocks[i] diag(b) psi[:, c - i]), for the L <= w
+    blocks (L x n x r) of the modes, their amplitudes b = ``weights``
+    and the r x w Vandermonde matrix ``psi`` of ``eigenvalues``, w =
+    ``width``.
 
     Since l^(c-i) = l^(c-L+1) l^(L-1-i), the columns c = L-1 .. w-1,
     which every block reaches, are one product M psi with
-    M = sum_i blocks[i] diag(l^(L-1-i)). The last L - 1 columns take
+    M = sum_i blocks[i] diag(l^(L-1-i) b). The last L - 1 columns take
     the suffixes of that sum, and the first L - 1 a running sum over
-    the blocks. ``psi`` is never held: its columns stream from
+    the blocks. b weights r-vectors alone (M, the tail powers, the
+    running sum's product), never a copy of the blocks. ``psi`` is
+    never held: its columns stream from
     :func:`circdmd.spectral._power_blocks` in blocks of about
     ``_BLOCK_CELLS`` cells, the steady product taking one block at a
     time, and beside them the sum keeps M, the r x L head powers
@@ -386,10 +396,11 @@ def _delay_sum(blocks: np.ndarray, eigenvalues: np.ndarray, width: int, result: 
     length, n, r = blocks.shape
     w = width
     [head] = _power_blocks(eigenvalues, [slice(0, length)], w)
-    # M = sum over i of blocks[i] l^(L-1-i), added from i = L-1 down
+    # M = sum over i of blocks[i] l^(L-1-i), added from i = L-1 down, times b
     weighted = blocks[-1] * head[:, 0]
     for i in range(length - 2, -1, -1):
         weighted += blocks[i] * head[:, length - 1 - i]
+    weighted *= weights
     # the real part alone, as one real product per column block. Read as
     # floats, conj(M) holds the pairs (Re M, -Im M) side by side and a
     # Fortran-ordered block of psi the pairs (Re psi, Im psi) one above the
@@ -408,10 +419,10 @@ def _delay_sum(blocks: np.ndarray, eigenvalues: np.ndarray, width: int, result: 
         tail = next(powers)  # zip stopped at the end of bounds, before it
         suffix = blocks[-1] * head[:, 0]
         for m in range(length - 1, 0, -1):
-            result[:, w - 1 + m] += dot(suffix, tail[:, m - 1]).real
+            result[:, w - 1 + m] += dot(suffix, tail[:, m - 1] * weights).real
             suffix += blocks[m - 1] * head[:, length - m]
     # column c < L - 1 is reached by blocks 0 .. c at l^(c-i)
     running = np.zeros((n, r), dtype=complex)
     for c in range(length - 1):
         running = running * head[:, 1] + blocks[c]
-        result[:, c] += np.real(running.sum(axis=1))
+        result[:, c] += dot(running, weights).real

@@ -17,12 +17,11 @@ from circdmd import (
     snapshot_svd,
 )
 from circdmd.embedding import hankel
-from circdmd import spectral
+from circdmd import spectral, variants
 from circdmd._linalg import dot
 from circdmd.embedding import (
     DelayStack,
     _single_triangle,
-    _window_gram,
     collapse_snapshot_reconstruction,
     inverse_hankel,
 )
@@ -383,27 +382,40 @@ def test_gram_over_its_own_buffer_matches_the_two_buffer_gram(n, t, tau, wrap, o
     assert _relative(g, _two_buffer_gram(stack, _d_of(_syrk(stack.x)))) <= 1e-15
 
 
-@pytest.mark.parametrize("n,t,tau,wrap", CASES + [
-    pytest.param(2, 40, 9, True, id="2-40-9-kept-rows"),
-    pytest.param(3, 64, 17, False, id="3-64-17-nowrap-compacted"),
-    pytest.param(1, 2, 1, True, id="1-2-1"),
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="reads Linux's smaps")
+@pytest.mark.parametrize("n,t,tau", [
+    # the Hankel cases whose tls-hankel fit takes the time-side Gram,
+    # N (tau + 1) >= W, and one whose rows from 512 on leave pages that
+    # hold only strict lower triangle
+    pytest.param(6, 5, 1, id="6-5-1-nowrap"),
+    pytest.param(2, 7, 6, id="2-7-6-nowrap"),
+    pytest.param(4, 9, 5, id="4-9-5-nowrap"),
+    pytest.param(1, 16, 15, id="1-16-15-nowrap"),
+    pytest.param(3, 64, 17, id="3-64-17-nowrap-compacted"),
+    pytest.param(4, 1200, 300, id="4-1200-300-nowrap-paged"),
 ])
-def test_pair_gram_is_the_sum_of_the_two_grams(n, t, tau, wrap):
-    # the source's and target's window sums in one buffer: the same bits
-    # as adding the target's Gram to the source's when both read the same
-    # K, and within 1e-15 of the sum of the two Grams as each stack forms
-    # them (a Hankel target's K starts one column later)
+def test_pair_gram_is_the_sum_of_the_two_grams(n, t, tau, monkeypatch):
+    # tls-hankel's S.T S + T.T T, twice the window sum over the tau + 1
+    # blocks less the two end blocks' Grams, is the source's and the
+    # target's Grams added, within 1e-14 of its largest entry, in a
+    # mapping of its own of which no page that holds only strict lower
+    # triangle is written
     x = _matrix(n, t, seed=t + tau).values
-    source, target = DelayStack(x, tau, 0, wrap), DelayStack(x, tau, 1, wrap)
-    want = source.gram()
-    want += target.gram()
-    g = _window_gram(x, tau, source.width, (0, 1))
-    assert g.shape == want.shape and len(_mapping(g)) == g.nbytes
-    d = _d_of(_kernel_k(x, source.width, 0))
-    assert np.array_equal(_upper(g), _two_buffer_gram(source, d) + _two_buffer_gram(target, d))
-    assert _relative(g, _upper(want)) <= 1e-15
-    if wrap:  # both stacks read dsyrk's K
-        assert np.array_equal(g, want)
+    seen = []
+    top = variants._top_singular
+
+    def recording(gram, *args):
+        seen.append((gram.copy(), len(_mapping(gram)), _resident(gram)[1]))
+        return top(gram, *args)
+
+    monkeypatch.setattr(variants, "_top_singular", recording)
+    variants.fit(SpeedMatrix(values=x, delta_t=1.0), variants.VariantConfig("tls-hankel", tau))
+    [(g, size, rss)] = seen
+    touched = _upper_triangle_pages(t - tau)
+    assert size == g.nbytes and rss <= touched, (size, g.nbytes, rss, touched)
+    want = DelayStack(x, tau, 0, False).gram()
+    want += DelayStack(x, tau, 1, False).gram()
+    assert _relative(_upper(g), _upper(want)) <= 1e-14
 
 
 @pytest.mark.parametrize("n,t,tau,wrap", STACK_SIDE_CASES)

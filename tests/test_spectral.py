@@ -133,6 +133,24 @@ def _rank_rule_from_every_eigenvalue(gram, rank, rows, cols):
     return np.sqrt(eigvals[:rank]), None
 
 
+def _counting_lapack(monkeypatch, names):
+    """Count the calls of scipy's LAPACK routines ``names`` from here on."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name):
+        real = getattr(spectral.lapack, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in names:
+        monkeypatch.setattr(spectral.lapack, name, counting(name))
+    return calls
+
+
 _LOW_RANK = np.concatenate([[9.0, 4.0, 1.0], np.zeros(93)])
 
 # (eigenvalues, rank, rows, cols, whether the eigenvalues read come from
@@ -168,19 +186,7 @@ def test_rank_rule_reads_order_statistics_as_every_eigenvalue_gives(monkeypatch,
     eigenvalues, rank, rows, cols, takes_dsterf = RANK_RULE_CASES[case]
     gram = _gram(eigenvalues)
     want, error = _rank_rule_from_every_eigenvalue(gram, rank, rows, cols)
-    calls = {"dsterf": 0, "dstebz": 0}
-
-    def counting(name):
-        real = getattr(spectral.lapack, name)
-
-        def call(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-
-        return call
-
-    for name in calls:
-        monkeypatch.setattr(spectral.lapack, name, counting(name))
+    calls = _counting_lapack(monkeypatch, ["dsterf", "dstebz"])
     if error is None:
         got, vectors = spectral._top_singular(gram.copy(), rank, rows, cols)
         assert len(got) == len(want)
@@ -211,6 +217,50 @@ def test_symmetric_eigen_answers_each_request_on_its_own():
     middle = (every[4] + every[5]) / 2
     assert eigen.count_above(middle) == 5 and eigen.count_above(every[0] * 2) == 0
     assert np.array_equal(eigen.values(), spectral._SymmetricEigen(gram.copy()).values())
+
+
+def _tied(seed, transpose):
+    """A 30 x 30 orthogonal matrix, Q1 Q2.T or Q1 Q2 from two QR factors of
+    normal draws: its 30 singular values all tie at 1."""
+    rng = np.random.default_rng(seed)
+    q1, _ = np.linalg.qr(rng.normal(size=(30, 30)))
+    q2, _ = np.linalg.qr(rng.normal(size=(30, 30)))
+    return q1 @ (q2.T if transpose else q2)
+
+
+@pytest.mark.parametrize("seed,transpose", [(6, True), (5, False)])
+@pytest.mark.parametrize("rank", [28, 29, 30])
+def test_snapshot_svd_of_tied_singular_values_matches_numpy(seed, transpose, rank):
+    # bisection for lambda_1 alone finds none of the tie (dstebz info 2), so
+    # the values come from dsterf, as LAPACK advises
+    m = _tied(seed, transpose)
+    want = np.linalg.svd(m, compute_uv=False)[:rank]
+    svd = snapshot_svd(m, rank=rank)
+    assert np.max(np.abs(svd.singular - want) / want) <= 1e-12
+
+
+def test_ranked_takes_every_eigenvalue_where_bisection_misses_a_tie(monkeypatch):
+    m = _tied(6, True)
+    gram = np.triu(m.T @ m)
+    calls = _counting_lapack(monkeypatch, ["dstebz", "dsterf"])
+    eigen = spectral._SymmetricEigen(gram.copy())
+    top = eigen.ranked(30, 30)
+    assert calls == {"dstebz": 1, "dsterf": 1}
+    assert abs(top[0] - np.linalg.eigvalsh(m.T @ m)[-1]) <= 1e-12
+    eigen.ranked(1, 1)  # every eigenvalue is kept: no second bisection
+    assert calls == {"dstebz": 1, "dsterf": 1}
+
+
+def test_ranked_bisects_each_range_once(monkeypatch):
+    # _single_start reads the same median order statistics at 0 and at
+    # plus and minus its bound: one bisection serves all three
+    gram = _gram(_planted(320, 5))
+    calls = _counting_lapack(monkeypatch, ["dstebz", "dsterf"])
+    eigen = spectral._SymmetricEigen(gram)
+    first = eigen.ranked(160, 161)
+    for _ in range(2):
+        assert np.array_equal(eigen.ranked(160, 161), first)
+    assert calls == {"dstebz": 1, "dsterf": 0}
 
 
 # ----------------------------------------------------------------------

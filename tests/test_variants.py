@@ -541,9 +541,9 @@ def test_time_side_circ_sp_fit_peaks_near_one_gram():
 
 def test_time_side_tls_fit_peaks_near_one_gram():
     # N * (tau + 1) = 1240 >= W = 1170: V comes from the time-side Gram
-    # S.T S + T.T T. The target's window sums are added into the source's
-    # Gram as they are formed, in a mapping tracemalloc does not see, so a
-    # stray W x W array fails the bound
+    # S.T S + T.T T, one window sum over the tau + 1 blocks with the end
+    # blocks' Grams taken off in place, in a mapping tracemalloc does not
+    # see, so a stray W x W array fails the bound
     import tracemalloc
 
     from circdmd import variants
@@ -726,15 +726,13 @@ def test_circular_predict_matches_dense_collapse(method, tau):
             assert np.max(np.abs(got - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
-@pytest.mark.parametrize("method", ["hankel", "circ"])
-def test_predict_never_holds_the_vandermonde_matrix(method):
-    # the powers stream in column blocks of about 1 MB, so the collapse
-    # peaks below one r x (T + H) complex array (9.6 MB here)
+def _predict_peak(method, n, tau, r, t, horizon):
+    """(tracemalloc peak of ``predict``, spectrum) for a random spectrum
+    of rank r whose modes have n * tau rows."""
     import tracemalloc
 
     from circdmd.spectral import DynamicSpectrum, SpectrumMeta
 
-    n, tau, r, t, horizon = 10, 24, 200, 2000, 1000
     rng = np.random.default_rng(41)
     rates = rng.uniform(-0.01, 0.001, r) + 1j * rng.uniform(-np.pi, np.pi, r)
     spec = DynamicSpectrum(
@@ -751,8 +749,28 @@ def test_predict_never_holds_the_vandermonde_matrix(method):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak, spec
+
+
+@pytest.mark.parametrize("method", ["hankel", "circ"])
+def test_predict_never_holds_the_vandermonde_matrix(method):
+    # the powers stream in column blocks of about 1 MB, so the collapse
+    # peaks below one r x (T + H) complex array (9.6 MB here)
+    r, t, horizon = 200, 2000, 1000
+    peak, _ = _predict_peak(method, 10, 24, r, t, horizon)
     psi_bytes = r * (t + horizon) * 16
     assert peak < psi_bytes, (peak, psi_bytes)
+
+
+@pytest.mark.parametrize("method", ["hankel", "circ"])
+def test_predict_never_weights_a_copy_of_the_modes(method):
+    # the amplitudes weight r-vectors, never the N tau x r modes (23 MB at
+    # the traffic shape), so the collapse peaks near its N x (T + H) output:
+    # 10 MB where the weighted copy took it to 33 MB
+    n, t, horizon = 157, 4032, 2016
+    peak, spec = _predict_peak(method, n, 96, 100, t, horizon)
+    out_bytes = n * (t + horizon) * 8
+    assert peak < out_bytes + spec.modes.nbytes / 4, (peak, out_bytes, spec.modes.nbytes)
 
 
 @pytest.mark.parametrize("method", ["hankel", "circ"])
