@@ -15,6 +15,9 @@ Conventions, fixed once for the whole package:
   rotated (anti-circulant) or sliced (Hankel) copy of X, so its products
   and both of its Gram matrices reduce to N x T work and the (N*tau)-row
   matrix is never formed. The dense functions are its oracles.
+* A Gram is its upper triangle alone, in row panels packed on one
+  mapping of its own (:class:`_Panels`); LAPACK's n x n layout is made
+  from them only for the eigensolve.
 """
 
 from __future__ import annotations
@@ -83,8 +86,8 @@ class DelayStack:
     without its last and without its first column, and tau = 1 is plain
     DMD's pair. ``stack @ y`` and ``z @ stack`` return what the dense
     stack would; ``gram()`` and ``stack_gram()`` return the upper
-    triangles of its time-side and stack-side Gram matrices, the
-    triangle the eigensolve reads.
+    triangles of its time-side and stack-side Gram matrices in row
+    panels (:class:`_Panels`).
     """
 
     __array_ufunc__ = None  # so that ndarray @ stack calls __rmatmul__
@@ -142,16 +145,16 @@ class DelayStack:
         """Column j: block i holds x_{i+offset+j}, 0-based and wrapped."""
         return self.x[:, (self.starts + j) % self.x.shape[1]].ravel(order="F")
 
-    def gram(self) -> np.ndarray:
-        """The upper triangle of the width x width ``S.T @ S``: G[j, l] =
-        sum over shifts s of K[j+s, l+s] for l >= j, and 0 below the
-        diagonal (see :func:`_window_gram`)."""
+    def gram(self) -> _Panels:
+        """The upper triangle of the width x width ``S.T @ S`` in row
+        panels: G[j, l] = sum over shifts s of K[j+s, l+s] for l >= j
+        (see :func:`_window_gram`)."""
         return _window_gram(self.x, self.tau, self.width, int(self.starts[0]))
 
-    def stack_gram(self) -> np.ndarray:
+    def stack_gram(self) -> _Panels:
         """The upper block triangle of the (N*tau) x (N*tau) ``S @ S.T``,
-        from lagged N x N products of x, and 0 in the blocks below the
-        block diagonal (see :func:`_block_gram`)."""
+        from lagged N x N products of x, in row panels of one block row
+        each (see :func:`_block_gram`)."""
         return _block_gram(self.x, self.starts, self.width)
 
 
@@ -165,12 +168,161 @@ def _columns_as_rows(x: np.ndarray, starts, width: int) -> np.ndarray:
     return x.T if whole else np.ascontiguousarray(x.T)
 
 
-def _window_gram(x: np.ndarray, tau: int, width: int, lead: int) -> np.ndarray:
+# A time-side Gram is written in row panels of this many rows: the
+# panels hold 63.5 cells a row past the triangle, and a product with
+# them takes two dgemm calls a panel.
+_PANEL_ROWS = 128
+
+# LAPACK's copy of a Gram is made this many bytes of float64 rows at a
+# time, so that the rounding error's temporary stays well under 1 MB.
+_ROUND_BYTES = 1 << 18
+
+
+class _Panels:
+    """The upper triangle of a symmetric n x n matrix G in row panels,
+    the layout every Gram kernel writes.
+
+    Panel p is the C-ordered h x (n - s) array G[s : s + h, s:], with s
+    = ``starts[p]`` and h = min(height, n - s), and the strict lower
+    triangle of its leading h x h block is 0. The panels lie one after
+    another on one mapping of their own (:func:`_mapping`), which thus
+    holds the triangle and h^2 / 2 cells a panel, all of it written: 67.1
+    MB at n = 4032 and h = 128, where the upper triangle of an n x n
+    array touches 79.6 MB of 4 KB pages. Each panel is contiguous, so
+    BLAS-3 writes and reads it in place, as in Gustavson, Wasniewski,
+    Dongarra & Langou's rectangular full packed format (ACM TOMS 37(2),
+    2010). LAPACK's n x n layout is made only where LAPACK reads it
+    (:meth:`lapack`).
+    """
+
+    def __init__(self, n: int, height: int):
+        self.shape = (n, n)
+        self.starts = range(0, n, height)
+        cells = [min(height, n - s) * (n - s) for s in self.starts]
+        self._ends = [8 * int(end) for end in np.cumsum(cells)]  # each panel's last byte + 1
+        self._pages = _mapping(n, self._ends[-1])
+        self.panels = [
+            np.frombuffer(self._pages, count=c, offset=end - 8 * c).reshape(-1, n - s)
+            for s, c, end in zip(self.starts, cells, self._ends)
+        ]
+
+    def __len__(self):
+        return self.shape[0]
+
+    def rows(self) -> list:
+        """Views of every row of the triangle, G[j, j:]."""
+        return [panel[i, i:] for panel in self.panels for i in range(len(panel))]
+
+    def update(self, rows: np.ndarray, alpha: float = 1.0, beta: float = 0.0) -> None:
+        """G = beta G + alpha R R.T for the C-ordered n x N ``rows`` R: one
+        ``dgemm`` a panel, G[s : s + h, s:] from R's row slices, which BLAS
+        reads without a copy. The product fills each panel's leading block,
+        whose strict lower triangle is then set to 0 again."""
+        for s, panel in zip(self.starts, self.panels):
+            # panel.T = alpha R[s:] R[s : s + h].T + beta panel.T, F-ordered
+            blas.dgemm(alpha, rows[s:].T, rows[s : s + len(panel)].T, beta=beta,
+                       c=panel.T, trans_a=1, overwrite_c=1)
+        self.clear_below()
+
+    def clear_below(self) -> None:
+        """Set the strict lower triangle of each panel's leading block to 0."""
+        for panel in self.panels:
+            h = len(panel)
+            panel[:, :h][np.tril_indices(h, -1)] = 0.0
+
+    def times(self, v: np.ndarray) -> np.ndarray:
+        """G @ v, C-ordered, for an n x k v: two ``dgemm`` a panel, its rows
+        against v's and its transpose against v's rows s .. s + h - 1. Both
+        meet the diagonal, which is therefore taken off once. The panel is
+        each product's first operand, which OpenBLAS packs in blocks of
+        modest size: as the second it would pack h x (n - s) at once, into
+        buffers that stay resident."""
+        v = np.ascontiguousarray(v, dtype=np.float64)
+        diagonal = np.concatenate([panel.diagonal() for panel in self.panels])
+        out = np.multiply(v, -diagonal[:, None], order="C")
+        for s, panel in zip(self.starts, self.panels):
+            out[s : s + len(panel)] += blas.dgemm(1.0, panel.T, v[s:].T, trans_a=1, trans_b=1)
+            out[s:] += blas.dgemm(1.0, panel.T, v[s : s + len(panel)].T, trans_b=1)
+        return out
+
+    def lapack(self, dtype=np.float64):
+        """(a, error): G as LAPACK reads it, the upper triangle of a
+        C-ordered n x n array of ``dtype`` (float64, or float32 for the
+        single-precision reduction) on a mapping of its own, and
+        the Frobenius norm of its rounding error over the whole symmetric
+        matrix the triangle stands for (each cell off the diagonal counted
+        twice), 0 in float64.
+
+        Each row is copied from its diagonal on, so no page of ``a`` that
+        holds only strict lower triangle becomes resident, and the panels'
+        pages are released (``MADV_DONTNEED``) a block of about 256 KB of
+        rows at a time as the copy goes. A panel row holds no more pages
+        than the same row of the triangle, so the two together never hold
+        many more than the triangle alone. The panels are then lost (on
+        Linux their released pages read as zeros).
+        """
+        n = len(self)
+        a = _mapped((n, n), n, dtype)
+        release = hasattr(mmap, "MADV_DONTNEED")
+        step = max(1, _ROUND_BYTES // (8 * n))
+        squares = 0.0
+        released = 0
+        for s, panel, end in zip(self.starts, self.panels, self._ends):
+            for i in range(0, len(panel), step):
+                rows = panel[i : i + step]
+                for j, row in enumerate(rows, i):
+                    a[s + j, s + j :] = row[j:]
+                if a.dtype != np.float64:  # the block's cells from column s + i on
+                    error = rows[:, i:].astype(dtype).astype(np.float64)
+                    error -= rows[:, i:]
+                    np.square(error, out=error)
+                    squares += 2.0 * error.sum() - np.trace(error)
+                done = end - panel[i + step :].nbytes
+                if done < self._ends[-1]:  # the mapping's last page goes with its last row
+                    done -= done % mmap.PAGESIZE
+                if release and done > released:
+                    self._pages.madvise(mmap.MADV_DONTNEED, released, done - released)
+                    released = done
+        return a, float(np.sqrt(squares))
+
+
+def _mapped(shape, n: int, dtype=np.float64) -> np.ndarray:
+    """An array of zeros on a :func:`_mapping` of its own, for the n x n
+    Gram: a large array on the numpy heap would stay there once freed,
+    and move glibc's mmap threshold, so later allocations would find the
+    heap in another state."""
+    size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    return np.frombuffer(_mapping(n, size), dtype).reshape(shape)
+
+
+def _mapping(n: int, size: int) -> mmap.mmap:
+    """``size`` bytes of zeros for an n x n Gram, on private anonymous
+    memory in 4 KB pages, of which a page becomes resident only when it
+    is first written. numpy would ask for 2 MB transparent huge pages for
+    an array of 4 MB or more, and one huge page would make rows that are
+    never written resident beside the ones that are. The memory is
+    unmapped when the last view of it is freed. Where ``mmap`` has no
+    ``MAP_PRIVATE`` (Windows), its default anonymous mapping serves. A
+    mapping the system refuses is a ConfigError that names the Gram and
+    its size."""
+    private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+    try:
+        pages = mmap.mmap(-1, size, **private)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot map the {n} x {n} Gram matrix ({size} bytes): {exc.strerror}"
+        ) from None
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        pages.madvise(mmap.MADV_NOHUGEPAGE)
+    return pages
+
+
+def _window_gram(x: np.ndarray, tau: int, width: int, lead: int) -> _Panels:
     """The upper triangle of the time-side Gram ``S.T @ S`` of the stack
     of x with tau blocks of ``width`` columns whose first block starts at
     column ``lead``: G[j, l] = sum over shifts s of K[j+s, l+s], l >= j,
-    with s = lead .. lead + tau - 1. The strict lower triangle is left
-    unwritten (see :func:`_triangle`).
+    with s = lead .. lead + tau - 1, in row panels of ``_PANEL_ROWS``
+    rows (see :class:`_Panels`).
 
     The sum runs along the diagonals of K = X.T X, wrapped modulo T
     for a circular stack (width T); a Hankel stack's indices never pass
@@ -180,29 +332,37 @@ def _window_gram(x: np.ndarray, tau: int, width: int, lead: int) -> np.ndarray:
     every tau rows, so rounding cannot build up over more updates than
     the window has terms.
 
-    ``dsyrk`` writes the upper triangle of K's W x W block from column
-    ``low`` on into the triangle (low is 0 for a circular stack and the
-    lead for a Hankel one), so D's row i starts in its row i - low.
-    Where the row runs past the block it goes on in ``strip``, K's rows
-    against the columns after the block: a Hankel stack's last columns
-    of x, formed by one product, or a circular stack's first ones again,
-    copied from the block's first rows. The strip's columns also hold
-    the first rows of D that a circular stack's last windows read again.
-    Row j of G is written over the block's row j, which no later window
-    reads, save as the row that leaves the next window when the stack
-    leads at ``low``: that one is copied first. A one-block stack that
-    leads at ``low`` has the block itself for its Gram.
+    The panels are first the upper triangle of K's W x W block from
+    column ``low`` on (low is 0 for a circular stack and the lead for a
+    Hankel one), one product a panel, so D's row i starts in their row
+    i - low. Where the row runs past the block it goes on in ``strip``,
+    K's rows against the columns after the block: a Hankel stack's last
+    columns of x, formed by one product, or a circular stack's first
+    ones again, copied from the block's first rows. The strip's columns
+    also hold the first rows of D that a circular stack's last windows
+    read again. Row j of G is written over the block's row j, which no
+    later window reads, save as the row that leaves the next window when
+    the stack leads at ``low``: that one is copied first. A one-block
+    stack that leads at ``low`` has the block itself for its Gram. The
+    block's columns as rows, which the products read, and a circular
+    stack's strip lie on mappings of their own (:func:`_mapped`).
     """
     t = x.shape[1]
     w = width
     low = 0 if w == t else lead
-    g = _triangle(w)
-    # dsyrk fills the lower triangle of g.T, which is g's upper triangle
-    blas.dsyrk(1.0, x[:, low : low + w].T, lower=1, c=g.T, overwrite_c=1)
+    g = _Panels(w, _PANEL_ROWS)
+    xt = _mapped((w, x.shape[0]), w)
+    xt[...] = x[:, low : low + w].T
+    g.update(xt)
+    del xt
     if tau == 1 and lead == low:
         return g
-    if w == t:  # strip[i, c] = K[c, i] for i > c, read off the block's upper triangle
-        strip = g[: lead + tau - 1].T.copy()
+    k = g.rows()  # k[r] = K[low + r, low + r : low + w], which row r of G replaces
+    if w == t:  # strip[i, c] = K[c, i] for i >= c, read off the block's first rows
+        strip = _mapped((lead + tau - 1, w), w)
+        for c, cells in enumerate(strip):
+            cells[c:] = k[c]
+        strip = strip.T
     else:  # strip[i, c] = K[low + i, low + w + c]
         strip = dot(x[:, low:].T, x[:, low + w :])
 
@@ -213,10 +373,10 @@ def _window_gram(x: np.ndarray, tau: int, width: int, lead: int) -> np.ndarray:
     def row(i, size):
         """D's row i, its first ``size`` cells."""
         r = i - low
-        if r >= t:  # a circular stack's last windows wrap round to D's row r - T
-            r -= t
-            return np.concatenate((strip[r:, r], strip[r, :r]), out=joined)[:size]
-        head = g[r, r : r + size] if r < w else strip[r, :0]
+        if r >= t:  # a circular stack's last windows wrap round to D's row r - T,
+            r -= t  # of which they read no more than its first T - r cells
+            return strip[r:, r][:size]
+        head = k[r][:size] if r < w else strip[r, :0]
         if len(head) == size:
             return head
         start = max(r - w, 0)
@@ -236,90 +396,16 @@ def _window_gram(x: np.ndarray, tau: int, width: int, lead: int) -> np.ndarray:
             window += row(first + tau - 1, size)
             window -= left[:size] if lead == low else row(first - 1, size)
         if lead == low:
-            left[:size] = g[j, j:]
-        g[j, j:] = window
+            left[:size] = k[j]
+        k[j][:] = window
     return g
 
 
-def _triangle(n: int, dtype=np.float64) -> np.ndarray:
-    """An n x n array of zeros (float64, or ``dtype``) for a Gram matrix
-    of which only the upper triangle is written, the triangle LAPACK
-    reads of its Fortran-ordered transpose.
-
-    It lies on private anonymous memory in 4 KB pages, so a page
-    becomes resident only when it is first written, and the pages that
-    hold nothing but the strict lower triangle never do. numpy would
-    ask for 2 MB transparent huge pages for an array of 4 MB or more,
-    and one huge page spans rows of both triangles: a triangle written
-    there makes the whole array resident. The memory is unmapped when
-    the last view of it is freed. Where ``mmap`` has no ``MAP_PRIVATE``
-    (Windows), its default anonymous mapping serves. A mapping the
-    system refuses is a ConfigError that names the Gram and its size.
-    """
-    private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
-    size = n * n * np.dtype(dtype).itemsize
-    try:
-        pages = mmap.mmap(-1, size, **private)
-    except OSError as exc:
-        raise ConfigError(
-            f"cannot map the {n} x {n} Gram matrix ({size} bytes): {exc.strerror}"
-        ) from None
-    if hasattr(mmap, "MADV_NOHUGEPAGE"):
-        pages.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(pages, dtype=dtype).reshape(n, n)
-
-
-# The float32 copy of a Gram is made this many bytes of float64 rows at a
-# time, so that the rounding error's temporary stays well under 1 MB.
-_ROUND_BYTES = 1 << 18
-
-
-def _single_triangle(g: np.ndarray):
-    """(f, error): the float32 rounding of the upper triangle of the
-    float64 Gram ``g``, in a :func:`_triangle` of its own, and the
-    Frobenius norm of its rounding error over the whole symmetric matrix
-    the triangle stands for (each cell off the diagonal counted twice).
-
-    The rows are rounded a block of about 256 KB at a time. Where ``g``
-    is a mapping of its own (a :func:`_triangle`), the pages of the rows
-    already rounded are released as the copy goes (``MADV_DONTNEED``):
-    a float32 row is half the float64 row it replaces, so the two
-    triangles together never hold more pages than ``g`` alone. ``g``'s
-    values are then lost (on Linux its released pages read as zeros).
-    """
-    n = len(g)
-    f = _triangle(n, np.float32)
-    pages = g
-    while isinstance(pages, np.ndarray):
-        pages = pages.base
-    pages = pages.obj if isinstance(pages, memoryview) else pages
-    release = (isinstance(pages, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED")
-               and g.flags.c_contiguous and len(pages) == g.nbytes)
-    step = max(1, _ROUND_BYTES // (8 * n))
-    squares = 0.0
-    released = 0
-    for j in range(0, n, step):
-        rows = slice(j, min(j + step, n))
-        b = rows.stop - j
-        f[rows, j:] = g[rows, j:]
-        error = f[rows, j:].astype(np.float64)
-        error -= g[rows, j:]
-        error[:, :b][np.tril_indices(b, -1)] = 0.0  # below the diagonal: not the triangle's
-        np.square(error, out=error)
-        squares += 2.0 * error.sum() - np.trace(error)
-        if release:
-            done = rows.stop * n * 8 // mmap.PAGESIZE * mmap.PAGESIZE
-            if done > released:
-                pages.madvise(mmap.MADV_DONTNEED, released, done - released)
-                released = done
-    return f, float(np.sqrt(squares))
-
-
-def _block_gram(x: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+def _block_gram(x: np.ndarray, starts: np.ndarray, width: int) -> _Panels:
     """The upper block triangle of ``S @ S.T`` for the stack S of the L
     blocks B_a = x[:, s_a : s_a + width], s_a = starts[a] = starts[0] +
-    a, columns read modulo T. The blocks below the block diagonal are
-    left unwritten (see :func:`_triangle`).
+    a, columns read modulo T, in row panels of N rows: panel a is the
+    block row (a, a .. L - 1) (see :class:`_Panels`).
 
     Block (a, a + m) is B_a B_{a+m}.T. The first block on each block
     diagonal m is one N x width x N product, and each later one is its
@@ -337,22 +423,24 @@ def _block_gram(x: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     blocks = len(starts)
     first = 0 if width == t else int(starts[0])
     xt = _columns_as_rows(x, starts, width)
-    g = _triangle(blocks * n).reshape(blocks, n, blocks, n)
+    g = _Panels(blocks * n, n)
+    top = g.panels[0].reshape(n, blocks, n)
     for m in range(blocks):
         # column first + j meets column first + m + j, which may wrap
         head = min(width, t - first - m)
         lag = dot(xt[first : first + head].T, xt[first + m : first + m + head])
         if head < width:
             lag += dot(xt[first + head : first + width].T, xt[: width - head])
-        g[0, :, m, :] = lag
+        top[:, m, :] = lag
     enter = x[:, (starts[:-1] + width) % t]
     leave = x[:, starts[:-1]]
     for a in range(1, blocks):
-        row = g[a, :, a:, :]
-        row[...] = g[a - 1, :, a - 1 : blocks - 1, :]
+        row = g.panels[a].reshape(n, blocks - a, n)
+        row[...] = g.panels[a - 1].reshape(n, blocks - a + 1, n)[:, : blocks - a, :]
         row += enter[:, a - 1, None, None] * enter[:, a - 1 :].T
         row -= leave[:, a - 1, None, None] * leave[:, a - 1 :].T
-    return g.reshape(blocks * n, blocks * n)
+    g.clear_below()
+    return g
 
 
 def hankel(x: SpeedMatrix, tau: int) -> EmbeddedMatrix:

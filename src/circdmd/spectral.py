@@ -26,7 +26,7 @@ import scipy.linalg
 from scipy.linalg import blas, lapack
 
 from ._linalg import dot
-from .embedding import DelayStack, _single_triangle
+from .embedding import DelayStack
 from .errors import (
     ConfigError,
     NumericalError,
@@ -43,12 +43,24 @@ RANK_AUTO = "auto"
 
 @dataclass(frozen=True)
 class ReducedSvd:
-    """Rank-r factors M ~ left @ diag(singular) @ right.T."""
+    """Rank-r factors M ~ left @ diag(singular) @ right.T.
 
-    left: np.ndarray
+    Where the SVD took M's time-side Gram, ``left`` = M right / singular
+    is formed on its first read, from ``_matrix`` (M): a circ fit, which
+    reads only the right factor, never forms it.
+    """
+
     singular: np.ndarray
     right: np.ndarray
     rank: int
+    _left: Optional[np.ndarray] = field(default=None, repr=False)
+    _matrix: Optional[object] = field(default=None, repr=False)
+
+    @property
+    def left(self) -> np.ndarray:
+        if self._left is None:
+            object.__setattr__(self, "_left", dot(self._matrix, self.right) / self.singular)
+        return self._left
 
 
 @dataclass(frozen=True)
@@ -156,14 +168,15 @@ class _SymmetricEigen:
     float32 matrix is reduced in single precision by the same routines'
     ``s`` forms (``ssytrd``, ``sstebz``, ``sstein``, ``sormqr``), and
     its values and vectors are float32: :func:`_top_singular` reduces a
-    float32 copy of a large Gram, made as the float64 pages are
+    float32 copy of a large Gram, made as the float64 panels' pages are
     released, and forms the float64 Gram again for the refinement, so
     the two are never held together.
 
     Only the matrix's upper triangle is read, a C-ordered array's upper
     triangle being the lower triangle of its Fortran-ordered transpose,
     which LAPACK reads; the strict lower triangle is neither read nor
-    written. Every Gram is built as that triangle alone.
+    written. A Gram's row panels are copied into that triangle alone
+    (:meth:`circdmd.embedding._Panels.lapack`).
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -288,12 +301,14 @@ def _auto_rank(eigen: _SymmetricEigen, rows: int, cols: int) -> int:
     return min(kept, max(int(np.sum(top > top[0] * floor)), 1))
 
 
-def _top_singular(gram: np.ndarray, rank, rows: int, cols: int, again=None):
+def _top_singular(gram, rank, rows: int, cols: int, again=None):
     """The rank rule: (singular values, Gram eigenvectors) of the rank kept.
 
-    ``gram`` (overwritten) is a Gram matrix of a rows x cols matrix,
-    whose other min(rows, cols) - len(gram) singular values are known
-    to be exactly zero. Auto rank is the hard threshold capped at the
+    ``gram`` is the upper triangle of a Gram matrix of a rows x cols
+    matrix in row panels (:class:`circdmd.embedding._Panels`), whose
+    pages are released as LAPACK's copy is made; the matrix's other
+    min(rows, cols) - len(gram) singular values are known to be exactly
+    zero. Auto rank is the hard threshold capped at the
     numerical rank. A Gram eigenvalue below eps * max-dim * lambda_1,
     that is a singular value below sigma_1 * sqrt(eps * max-dim),
     carries no signal: squaring into the Gram puts a floor under the
@@ -322,7 +337,7 @@ def _top_singular(gram: np.ndarray, rank, rows: int, cols: int, again=None):
             found = _refine(gram, *start)
             if found is not None:
                 return found
-    eigen = _SymmetricEigen(gram)
+    eigen = _SymmetricEigen(gram.lapack()[0])
     if eigen.top_values(1)[0] <= 0.0:
         raise RankDeficiencyError("matrix is numerically zero")
     n = eigen.n
@@ -388,28 +403,29 @@ _REFINE_STEPS = 30
 _REFINED = 16.0
 
 
-def _single_start(gram: np.ndarray, rows: int, cols: int):
+def _single_start(gram, rows: int, cols: int):
     """The auto rank rule of :func:`_top_singular` in single precision,
     certified: (float32 vectors of the top r + ``_OVERSAMPLE``
     eigenvalues, the rank r, a shift for the refinement), or None where
     float32 cannot settle the rank and the float64 path must.
 
-    ``gram`` is rounded to a float32 triangle, its pages released as they
-    are read (:func:`circdmd.embedding._single_triangle`), and reduced
-    by ``ssytrd``. By Weyl's inequality every eigenvalue of the float32
+    ``gram``'s panels are rounded to a float32 triangle, their pages
+    released as they are read
+    (:meth:`circdmd.embedding._Panels.lapack`), which ``ssytrd``
+    reduces. By Weyl's inequality every eigenvalue of the float32
     tridiagonal lies within ``bound`` of the float64 Gram's eigenvalue
     of the same rank: the rounding's Frobenius norm plus the reduction's
     error (``_REDUCTION_ERROR``). So the median singular value, which is
-    monotone in every eigenvalue, lies between the medians of the float32
-    eigenvalues less and plus ``bound``, and delta^2 between the two
-    thresholds those give. The rank r is certain when the r-th float32
-    eigenvalue lies more than ``bound`` above the higher and the next
-    below the lower, and it is then capped by no floor: the float64
+    monotone in every eigenvalue, lies between the medians of the
+    float32 eigenvalues less and plus ``bound``, and delta^2 between the
+    two thresholds those give. The rank r is certain when the r-th
+    float32 eigenvalue lies more than ``bound`` above the higher and the
+    next below the lower, and it is then capped by no floor: the float64
     squaring floor lies far below the float32 one. There is no answer
     when the cut is within the bound, or when the r-th eigenvalue is
     below ``_RESOLVE`` times the bound, the floor float32 resolves.
     """
-    single, rounding = _single_triangle(gram)
+    single, rounding = gram.lapack(np.float32)
     eigen = _SymmetricEigen(single)
     n = eigen.n
     lambda_1 = float(eigen.top_values(1)[0])
@@ -434,31 +450,30 @@ def _single_start(gram: np.ndarray, rows: int, cols: int):
     return eigen.top_vectors(k), r, sum(bulk) / 2
 
 
-def _refine(gram: np.ndarray, start: np.ndarray, r: int, shift: float):
+def _refine(gram, start: np.ndarray, r: int, shift: float):
     """The top r eigenpairs (values, vectors) of the float64 Gram
-    ``gram`` (its upper triangle, left intact), refined from the float32
+    ``gram`` (its row panels, left intact), refined from the float32
     vectors ``start`` of its top k, or None if the refinement stalls.
 
     Each step is subspace iteration with Rayleigh-Ritz on V's span: one
-    product W = G V (``dsymm``), and the Ritz pairs (theta, V s) from the
-    k x k H = V.T W. Their residuals G V s - theta V s are E s, with
-    E = W - V H, so their norms come from the k x k E.T E. The next V is
-    an orthonormal basis (``dgeqrf``, ``dorgqr``) of (G - shift) V = E +
-    V (H - shift). An eigenvector's error outside the span shrinks by
-    about (lambda_{k+1} - shift) / (lambda_i - shift) a step. The steps
-    stop once the largest residual of the r kept falls by less than half
-    in a step: it has reached its rounding floor, which must be within
-    ``_REFINED`` eps lambda_1, or the refinement has stalled. Each Ritz
-    vector takes the sign of its float32 start. Beside the Gram and
-    ``start``, the steps hold two n x k arrays, each product written
-    over the one its operands no longer need.
+    product W = G V, taken on the panels as they are (two ``dgemm`` a
+    panel, see :class:`circdmd.embedding._Panels`), and the Ritz pairs
+    (theta, V s) from the k x k H = V.T W. Their residuals G V s - theta
+    V s are E s, with E = W - V H, so their norms come from the k x k
+    E.T E. The next V is an orthonormal basis (``dgeqrf``, ``dorgqr``)
+    of (G - shift) V = E + V (H - shift). An eigenvector's error outside
+    the span shrinks by about (lambda_{k+1} - shift) / (lambda_i -
+    shift) a step. The steps stop once the largest residual of the r
+    kept falls by less than half in a step: it has reached its rounding
+    floor, which must be within ``_REFINED`` eps lambda_1, or the
+    refinement has stalled. Each Ritz vector takes the sign of its
+    float32 start. Beside the Gram and ``start``, the steps hold a few n
+    x k arrays.
     """
     v = start.astype(np.float64, order="F")
-    w = np.empty_like(v)
     best = np.inf
     for _ in range(_REFINE_STEPS):
-        # the lower triangle of gram.T is gram's upper one
-        w = blas.dsymm(1.0, gram.T, v, beta=0.0, c=w, lower=1, overwrite_c=1)
+        w = np.asfortranarray(gram.times(v))
         h = dot(v.T, w)
         theta, s = scipy.linalg.eigh(h)
         theta, s = theta[::-1], s[:, ::-1]
@@ -475,7 +490,7 @@ def _refine(gram: np.ndarray, start: np.ndarray, r: int, shift: float):
         best = residual
         h[np.diag_indices(len(h))] -= shift
         w = blas.dgemm(1.0, v, h, beta=1.0, c=w, overwrite_c=1)
-        v, w = _orthonormal(w), v
+        v = _orthonormal(w)
     return None
 
 
@@ -510,16 +525,13 @@ def _snapshot_svd(a, rank, rows: int, cols: int) -> ReducedSvd:
     matrix with the same nonzero singular values as ``a`` and no others."""
     gram_on_cols = a.shape[1] <= a.shape[0]
     form = a.gram if gram_on_cols else a.stack_gram
-    # no reference to the Gram is kept here: it is reduced in place, or
-    # released as its float32 copy is made, and freed before the products
+    # no reference to the Gram is kept here: its pages are released as
+    # LAPACK's copy is made, and it is freed before the products
     sing, vectors = _top_singular(form(), rank, rows, cols, form)
     if gram_on_cols:
-        right = vectors
-        left = dot(a, right) / sing
-    else:
-        left = vectors
-        right = dot(left.T, a).T / sing
-    return ReducedSvd(left=left, singular=sing, right=right, rank=len(sing))
+        return ReducedSvd(singular=sing, right=vectors, rank=len(sing), _matrix=a)
+    right = dot(vectors.T, a).T / sing
+    return ReducedSvd(singular=sing, right=right, rank=len(sing), _left=vectors)
 
 
 def projected_dynamics(target, svd_of_source: ReducedSvd) -> np.ndarray:
@@ -549,12 +561,12 @@ def _shift_dynamics(svd: ReducedSvd, edge=None) -> np.ndarray:
     adds (U* edge)(V[W-1] inv(S)). O(W r^2) work, and O(rows r) for
     U* edge.
     """
-    u, s, v = svd.left, svd.singular, svd.right
+    s, v = svd.singular, svd.right
     shifted = dot(v[1:].T, v[:-1])
     if edge is None:
         shifted += np.outer(v[0], v[-1])
     else:
-        shifted += np.outer(dot(edge, u) / s, v[-1])
+        shifted += np.outer(dot(edge, svd.left) / s, v[-1])
     return s[:, None] * shifted / s
 
 

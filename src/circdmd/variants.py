@@ -16,7 +16,6 @@ from typing import Optional, Union
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import blas
 
 from .datamodel import SpeedMatrix
 from ._linalg import dot, inv
@@ -294,13 +293,10 @@ def fit_total_least_squares(data: SpeedMatrix, config: VariantConfig) -> Dynamic
         copies[[0, -1]] = 1.0
         scale = np.repeat(np.sqrt(copies), n)
         gram = _block_gram(x, np.arange(tau + 1), w)
-        # row by row of blocks, over the written upper block triangle
-        # alone: the pages of the rest never become resident. No view
-        # outlives the loop, so that del gram frees the array
+        # panel by panel, each one block row of the upper block triangle
         for a in range(tau + 1):
-            rows = slice(a * n, (a + 1) * n)
-            gram[rows, a * n :] *= scale[a * n :]
-            gram[rows, a * n :] *= scale[rows, None]
+            gram.panels[a] *= scale[a * n :]
+            gram.panels[a] *= scale[a * n : (a + 1) * n, None]
         sing, u = _top_singular(gram, RANK_AUTO, 2 * n * tau, w)
         del gram
         # V = rows.T U / sigma, so B V = diag(1/sqrt(m)) U diag(sigma), and
@@ -309,12 +305,14 @@ def fit_total_least_squares(data: SpeedMatrix, config: VariantConfig) -> Dynamic
         source_v, target_v = coords[: n * tau], coords[n:]
         first_v = dot(scale * x[:, : tau + 1].ravel(order="F"), u) / sing
     else:
-        # one W x W array, S.T S + T.T T = sum of m_i B_i.T B_i: twice the
+        # one W x W Gram, S.T S + T.T T = sum of m_i B_i.T B_i: twice the
         # window sum over the tau + 1 blocks less the two end blocks' Grams,
-        # taken off in place on the triangle dsyrk writes (see _window_gram)
+        # taken off in place panel by panel (see _window_gram)
         gram = _window_gram(x, tau + 1, w, 0)
-        blas.dsyrk(-1.0, x[:, :w].T, beta=2.0, c=gram.T, lower=1, overwrite_c=1)
-        blas.dsyrk(-1.0, x[:, tau:].T, beta=1.0, c=gram.T, lower=1, overwrite_c=1)
+        xt = np.ascontiguousarray(x.T)
+        gram.update(xt[:w], -1.0, 2.0)
+        gram.update(xt[tau:], -1.0, 1.0)
+        del xt
         sing, v = _top_singular(gram, RANK_AUTO, 2 * n * tau, w)
         del gram
         source_v, target_v, first_v = dot(source, v), dot(target, v), v[0]

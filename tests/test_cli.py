@@ -257,8 +257,9 @@ def test_fit_that_cannot_map_its_gram_exits_1_naming_it(tmp_path, fixture_csv, c
         "--method", "circ", "--tau", "48", "--out", str(tmp_path / "bundle"),
     ]) == 1
     err = capsys.readouterr().err
-    # circ at T = 288, N * tau = 192: the 192 x 192 stack-side Gram
-    assert err == ("error: cannot map the 192 x 192 Gram matrix (294912 bytes): "
+    # circ at T = 288, N * tau = 192: the 192 x 192 stack-side Gram, in 48
+    # row panels of N = 4 rows, 4 x (192 - 4 a) cells each
+    assert err == ("error: cannot map the 192 x 192 Gram matrix (150528 bytes): "
                    "Cannot allocate memory\n")
     assert not (tmp_path / "bundle").exists()
 

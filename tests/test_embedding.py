@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,11 +19,11 @@ from circdmd import (
     snapshot_svd,
 )
 from circdmd.embedding import hankel
-from circdmd import spectral, variants
+from circdmd import embedding, spectral, variants
 from circdmd._linalg import dot
 from circdmd.embedding import (
     DelayStack,
-    _single_triangle,
+    _Panels,
     collapse_snapshot_reconstruction,
     inverse_hankel,
 )
@@ -239,18 +241,28 @@ def _relative(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
+def _unpacked(g):
+    """A Gram's row panels written into an n x n array of zeros."""
+    dense = np.zeros(g.shape)
+    for s, panel in zip(g.starts, g.panels):
+        dense[s : s + len(panel), s:] = panel
+    return dense
+
+
 def _upper(g):
-    """A Gram's upper triangle, once its strict lower triangle is seen
-    to be unwritten: all zero."""
-    assert not np.tril(g, -1).any()
-    return np.triu(g)
+    """A Gram's upper triangle, from its row panels, once the strict
+    lower triangle of each panel's leading block is seen to be 0."""
+    dense = _unpacked(g)
+    assert not np.tril(dense, -1).any()
+    return dense
 
 
-def _below_blocks(size, n):
-    """The cells of a size x size matrix of n x n blocks that lie in the
-    blocks below its block diagonal."""
-    below = np.tril(np.ones((size // n, size // n), dtype=bool), -1)
-    return np.kron(below, np.ones((n, n), dtype=bool))
+def _panel_bytes(g):
+    """The bytes of a Gram's panels, which must be its whole mapping."""
+    size = sum(panel.nbytes for panel in g.panels)
+    assert len(g._pages) == size
+    assert all(_mapping(panel) is g._pages for panel in g.panels)
+    return size
 
 
 def _dense_stack(stack):
@@ -318,15 +330,23 @@ def _syrk(x):
     return np.tril(k) + np.tril(k, -1).T
 
 
+def _panel_k(x):
+    """K = x.T x in full, with the bits of the row panels' products."""
+    g = _Panels(x.shape[1], embedding._PANEL_ROWS)
+    g.update(np.ascontiguousarray(x.T))
+    k = _upper(g)
+    return k + np.triu(k, 1).T
+
+
 def _kernel_k(x, width, low):
-    """K's upper triangle as the window kernel forms it: ``dsyrk``'s K
-    for a circular stack; for a Hankel one, ``dsyrk``'s K of its block
+    """K's upper triangle as the window kernel forms it: the panels' K
+    for a circular stack; for a Hankel one, the panels' K of its block
     of ``width`` columns from column ``low`` on, and K's rows against
     the later columns from one product."""
-    k = _syrk(x)
+    k = _panel_k(x)
     if width < x.shape[1]:
         block = slice(low, low + width)
-        k[block, block] = _syrk(x[:, block])
+        k[block, block] = _panel_k(x[:, block])
         k[low:, low + width :] = dot(x[:, low:].T, x[:, low + width :])
     return k
 
@@ -359,7 +379,7 @@ def _mapping(g):
     """The buffer under the views that g is: a Gram's own mapping."""
     while isinstance(g, np.ndarray):
         g = g.base
-    return g
+    return g.obj if isinstance(g, memoryview) else g
 
 
 @pytest.mark.parametrize("n,t,tau,wrap", CASES + [
@@ -370,16 +390,17 @@ def _mapping(g):
 @pytest.mark.parametrize("offset", [0, 1])
 def test_gram_over_its_own_buffer_matches_the_two_buffer_gram(n, t, tau, wrap, offset):
     # G written over K's block keeps every addition of the two-buffer
-    # form: the same bits from the same K, which for a Hankel stack is
-    # within 1e-15 of dsyrk's. A Hankel stack's W x W Gram has a mapping
-    # of its own, no T x T one
+    # form: the same bits from the same K, which is within 1e-15 of
+    # dsyrk's. A Hankel stack's W x W Gram has a mapping of its own, no
+    # T x T one: its panels, in rows of at most _PANEL_ROWS
     stack = DelayStack(_matrix(n, t, seed=t + tau).values, tau, offset, wrap)
     g = stack.gram()
-    assert g.shape == (stack.width, stack.width) and g.flags.c_contiguous
-    assert len(_mapping(g)) == g.nbytes
+    w = stack.width
+    assert g.shape == (w, w) and list(g.starts) == list(range(0, w, embedding._PANEL_ROWS))
+    assert _panel_bytes(g) == 8 * sum(min(embedding._PANEL_ROWS, w - s) * (w - s) for s in g.starts)
     k = _kernel_k(stack.x, stack.width, int(stack.starts[0]))
     assert np.array_equal(_upper(g), _two_buffer_gram(stack, _d_of(k)))
-    assert _relative(g, _two_buffer_gram(stack, _d_of(_syrk(stack.x)))) <= 1e-15
+    assert _relative(_upper(g), _two_buffer_gram(stack, _d_of(_syrk(stack.x)))) <= 1e-15
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="reads Linux's smaps")
@@ -397,25 +418,51 @@ def test_gram_over_its_own_buffer_matches_the_two_buffer_gram(n, t, tau, wrap, o
 def test_pair_gram_is_the_sum_of_the_two_grams(n, t, tau, monkeypatch):
     # tls-hankel's S.T S + T.T T, twice the window sum over the tau + 1
     # blocks less the two end blocks' Grams, is the source's and the
-    # target's Grams added, within 1e-14 of its largest entry, in a
-    # mapping of its own of which no page that holds only strict lower
-    # triangle is written
+    # target's Grams added, within 1e-14 of its largest entry, in row
+    # panels on a mapping of its own that is the panels' bytes and no
+    # more, of which no more is resident
     x = _matrix(n, t, seed=t + tau).values
     seen = []
     top = variants._top_singular
 
     def recording(gram, *args):
-        seen.append((gram.copy(), len(_mapping(gram)), _resident(gram)[1]))
+        size = _panel_bytes(gram)
+        seen.append((_upper(gram), size, _resident(gram.panels[0])))
         return top(gram, *args)
 
     monkeypatch.setattr(variants, "_top_singular", recording)
     variants.fit(SpeedMatrix(values=x, delta_t=1.0), variants.VariantConfig("tls-hankel", tau))
-    [(g, size, rss)] = seen
-    touched = _upper_triangle_pages(t - tau)
-    assert size == g.nbytes and rss <= touched, (size, g.nbytes, rss, touched)
-    want = DelayStack(x, tau, 0, False).gram()
-    want += DelayStack(x, tau, 1, False).gram()
-    assert _relative(_upper(g), _upper(want)) <= 1e-14
+    [(g, size, (mapped, rss))] = seen
+    assert mapped == _pages(size) and rss <= mapped, (size, mapped, rss)
+    want = _upper(DelayStack(x, tau, 0, False).gram()) + _upper(DelayStack(x, tau, 1, False).gram())
+    assert _relative(g, want) <= 1e-14
+
+
+@pytest.mark.parametrize("n,t,tau,wrap", [
+    pytest.param(2, 301, 5, True, id="odd-order-three-panels"),
+    pytest.param(2, 300, 7, False, id="odd-order-three-panels-nowrap"),  # W = 293
+    pytest.param(3, 100, 4, True, id="below-one-panel"),
+    pytest.param(3, 135, 7, False, id="one-whole-panel-nowrap"),  # W = 128
+    pytest.param(2, 256, 9, True, id="two-whole-panels"),
+])
+@pytest.mark.parametrize("offset", [0, 1])
+def test_panel_grams_and_products_match_a_dense_oracle(n, t, tau, wrap, offset):
+    # both Grams in row panels, of _PANEL_ROWS rows on the time side and of
+    # one block row of N on the stack side, and the product the refinement
+    # takes on them, within 1e-14 of the dense stack's largest entry
+    x, dense = _dense_pair(n, t, tau, seed=t + tau, wrap=wrap)
+    dense = dense[offset]
+    stack = DelayStack(x, tau, offset, wrap)
+    w, b = stack.width, embedding._PANEL_ROWS
+    rng = np.random.default_rng(t)
+    for g, want, heights in (
+        (stack.gram(), dense.T @ dense, [min(b, w - s) for s in range(0, w, b)]),
+        (stack.stack_gram(), dense @ dense.T, [n] * tau),
+    ):
+        assert [len(panel) for panel in g.panels] == heights
+        assert _relative(_upper(g), np.triu(want)) <= 1e-14
+        v = rng.normal(size=(len(want), 5))
+        assert _relative(g.times(np.asfortranarray(v)), want @ v) <= 1e-14
 
 
 @pytest.mark.parametrize("n,t,tau,wrap", STACK_SIDE_CASES)
@@ -427,9 +474,10 @@ def test_stack_gram_and_left_product_match_dense_stack(n, t, tau, wrap, offset):
     stack = DelayStack(x, tau, offset, wrap)
     u = np.random.default_rng(tau).normal(size=(dense.shape[0], 3))
     g = stack.stack_gram()
-    below = _below_blocks(len(g), n)
-    assert not g[below].any()  # only the upper block triangle is written
-    assert _relative(g, np.where(below, 0.0, dense @ dense.T)) <= 1e-12
+    # one panel per block row, which holds only the upper block triangle
+    assert [panel.shape for panel in g.panels] == [(n, (tau - a) * n) for a in range(tau)]
+    assert _panel_bytes(g) == 8 * n * n * tau * (tau + 1) // 2
+    assert _relative(_upper(g), np.triu(dense @ dense.T)) <= 1e-12
     assert _relative((u.T @ stack).T, dense.T @ u) <= 1e-12
 
 
@@ -447,6 +495,11 @@ def _resident(array):
             elif found is not None and line.startswith("Rss:"):
                 return found, int(line.split()[1]) * 1024
     raise AssertionError("no mapping holds the array")
+
+
+def _pages(size, page=4096):
+    """``size`` bytes rounded up to whole pages."""
+    return -(-size // page) * page
 
 
 def _upper_triangle_pages(n, page=4096, item=8):
@@ -472,30 +525,67 @@ def _resident_anonymous():
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's status")
 def test_single_triangle_releases_the_float64_pages_it_has_rounded():
-    # the float32 copy of a Gram's upper triangle is made a block of rows at
-    # a time, and the float64 rows are released as they are read: the
-    # process holds the float32 triangle's pages in place of the float64
-    # one's, and the rounding error is the symmetric matrix's, in full
+    # LAPACK's float32 triangle is made from the Gram's row panels a block
+    # of rows at a time, and the panels' pages are released as they are
+    # read: the process holds the float32 triangle's pages in place of the
+    # panels', and the rounding error is the symmetric matrix's, in full.
+    # The float64 triangle of the dsytrd path is made the same way, with
+    # the panels' bits
     n = 2048
-    g = DelayStack(_matrix(4, n, seed=9).values, 8, 0, True).gram()
-    upper = np.triu(g)
+    x = _matrix(4, n, seed=9).values
+    upper = _upper(DelayStack(x, 8, 0, True).gram())
     full = upper + np.triu(upper, 1).T
-    before = _resident_anonymous()
-    f, error = _single_triangle(g)
-    grown = _resident_anonymous() - before
-    saved = _upper_triangle_pages(n) - _upper_triangle_pages(n, item=4)
-    # a copy that released nothing would grow by the float32 pages, 14.7 MB;
-    # 2 MB allow for a heap page the temporaries may fault in as a huge page
-    assert grown <= -saved + 2 * 2**20, (grown, saved)
-    assert not g.any()  # its released pages read as zeros
-    assert f.dtype == np.float32 and np.array_equal(np.triu(f), upper.astype(np.float32))
-    single = np.triu(f).astype(np.float64)
-    single += np.triu(single, 1).T
-    assert error == pytest.approx(np.linalg.norm(single - full), rel=1e-9)
-    # a matrix that is no mapping of its own is read, not released
-    kept = upper.copy()
-    again, same = _single_triangle(kept)
-    assert np.array_equal(kept, upper) and np.array_equal(again, f) and same == error
+    for dtype in (np.float32, np.float64):
+        g = DelayStack(x, 8, 0, True).gram()
+        before = _resident_anonymous()
+        a, error = g.lapack(dtype)
+        grown = _resident_anonymous() - before
+        item = np.dtype(dtype).itemsize
+        # a copy that released nothing would grow by the whole triangle's
+        # pages, 12 MB in float32 and 20 MB in float64; 2 MB allow for a
+        # heap page the temporaries may fault in as a huge page
+        saved = _panel_bytes(g) - _upper_triangle_pages(n, item=item)
+        assert grown <= -saved + 2 * 2**20, (dtype, grown, saved)
+        assert _resident(a)[1] <= _upper_triangle_pages(n, item=item)
+        assert not any(panel.any() for panel in g.panels)  # released pages read as zeros
+        assert a.dtype == dtype and not np.tril(a, -1).any()
+        assert np.array_equal(np.triu(a), upper.astype(dtype))
+        single = np.triu(a).astype(np.float64)
+        single += np.triu(single, 1).T
+        assert error == pytest.approx(np.linalg.norm(single - full), rel=1e-9)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's status")
+def test_a_float64_path_fit_grows_by_at_most_its_lapack_triangle():
+    # a fixed rank keeps the float64 dsytrd path: the Gram's row panels are
+    # copied into LAPACK's n x n triangle as their pages are released, and
+    # a panel row holds fewer pages than the triangle's row it becomes, so
+    # the fit's peak RSS (n = T = 2048, circ, N tau = 2080) grows by the
+    # triangle's pages and at most 2 MB more. A copy that kept the panels
+    # would grow by 17 MB more. The child fits a 1900-column input first,
+    # which puts BLAS's buffers in place, and counts the growth from the
+    # RSS just before the fit, which must raise the peak. The peak is the
+    # child's own VmHWM: its ru_maxrss would start from this process's
+    child = """
+import sys
+import numpy as np
+import circdmd
+def status(field):
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status if line.startswith(field))
+x = np.random.default_rng(0).normal(size=(40, 2048))
+config = circdmd.VariantConfig(method="circ", tau=52, rank=8)
+circdmd.fit(circdmd.SpeedMatrix(values=x[:, :1900], delta_t=1.0), config)
+base, before = status("VmRSS:"), status("VmHWM:")
+circdmd.fit(circdmd.SpeedMatrix(values=x, delta_t=1.0), config)
+assert status("VmHWM:") > before, "the fit did not raise the peak RSS"
+print(status("VmHWM:") - base)
+"""
+    source = os.path.dirname(os.path.dirname(embedding.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
+    grown = int(subprocess.run([sys.executable, "-c", child], check=True, capture_output=True,
+                               text=True, env=env).stdout)
+    assert grown <= _upper_triangle_pages(2048) + 2 * 2**20, grown
 
 
 def test_stack_products_of_f_and_c_ordered_operands_are_equal():
@@ -511,20 +601,26 @@ def test_stack_products_of_f_and_c_ordered_operands_are_equal():
 @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="reads Linux's smaps")
 @pytest.mark.parametrize("tau", [1, 8])
 def test_gram_pages_that_hold_only_its_lower_triangle_never_become_resident(tau):
-    # the Gram has a mapping of its own in 4 KB pages, and neither its
-    # kernel (dsyrk for one block, window sums for more) nor dsytrd writes
-    # a page that holds only strict lower triangle. A row's strict lower
-    # triangle fills a page only from row 512 on, so at n = 2048 the upper
-    # triangle touches 72 % of the array, 8 n^2 - 4 (n - 512)^2 bytes
+    # the Gram's row panels hold its upper triangle and 63.5 cells a row
+    # more, on a mapping of their own that is their bytes and no more,
+    # whatever the kernel (one product a panel for one block, window sums
+    # for more). LAPACK's n x n copy for dsytrd writes each row from its
+    # diagonal on, so neither it nor dsytrd writes a page that holds only
+    # strict lower triangle: from row 512 on a row's strict lower triangle
+    # fills a page, so at n = 2048 the upper triangle touches 72 % of the
+    # array, 8 n^2 - 4 (n - 512)^2 bytes, where the panels take 53 %
     n = 2048
     g = DelayStack(_matrix(4, n, seed=tau).values, tau, 0, True).gram()
-    size, rss = _resident(g)
+    size = _panel_bytes(g)
+    mapped, rss = _resident(g.panels[0])
+    assert size == 8 * (n * (n + 1) // 2 + (embedding._PANEL_ROWS - 1) * n // 2)
+    assert mapped == _pages(size) and rss <= mapped < 0.54 * 8 * n * n, (size, rss)
+    a, _ = g.lapack()
     touched = _upper_triangle_pages(n)
-    assert size == len(_mapping(g)) == g.nbytes
-    assert rss <= touched < 0.75 * g.nbytes, (rss, touched, g.nbytes)
-    if tau > 1:
-        spectral._SymmetricEigen(g)
-        assert _resident(g)[1] <= touched
+    assert len(_mapping(a)) == a.nbytes
+    assert _resident(a)[1] <= touched < 0.75 * a.nbytes, (_resident(a), touched)
+    spectral._SymmetricEigen(a)
+    assert _resident(a)[1] <= touched
 
 
 @pytest.mark.parametrize("wrap", [True, False])

@@ -110,6 +110,14 @@ def _gram(eigenvalues, seed=0):
     return np.triu((q * np.asarray(eigenvalues, dtype=float)) @ q.T)
 
 
+def _packed(upper):
+    """An upper triangle in the row panels every Gram kernel writes."""
+    g = embedding._Panels(len(upper), embedding._PANEL_ROWS)
+    for s, panel in zip(g.starts, g.panels):
+        panel[...] = np.triu(upper[s : s + len(panel), s:])
+    return g
+
+
 def _planted(n, r, seed=0):
     """r eigenvalues from 100 down to 10 above a bulk from 1 down to 0.01."""
     bulk = np.sort(np.random.default_rng(seed).uniform(0.01, 1.0, size=n - r))[::-1]
@@ -188,14 +196,14 @@ def test_rank_rule_reads_order_statistics_as_every_eigenvalue_gives(monkeypatch,
     want, error = _rank_rule_from_every_eigenvalue(gram, rank, rows, cols)
     calls = _counting_lapack(monkeypatch, ["dsterf", "dstebz"])
     if error is None:
-        got, vectors = spectral._top_singular(gram.copy(), rank, rows, cols)
+        got, vectors = spectral._top_singular(_packed(gram), rank, rows, cols)
         assert len(got) == len(want)
         assert np.max(np.abs(got - want)) <= 1e-14 * want[0]
         assert vectors.shape == (len(eigenvalues), len(want))
     else:
         num_rank, ratio = error
         with pytest.raises(RankDeficiencyError) as raised:
-            spectral._top_singular(gram.copy(), rank, rows, cols)
+            spectral._top_singular(_packed(gram), rank, rows, cols)
         assert f"only {num_rank} nonzero singular values" in str(raised.value)
         assert f"sigma_{rank}/sigma_1 = {ratio:.3g} is below" in str(raised.value)
     assert calls["dsterf"] == int(takes_dsterf), calls
@@ -378,17 +386,21 @@ def _layouts():
 
 
 @pytest.mark.parametrize("layout", list(_layouts()))
-def test_one_block_stack_gram_is_dsyrk_bit_for_bit(layout):
+def test_one_block_stack_gram_is_one_product_a_panel(layout):
     # an ndarray enters the SVD as a one-block circular stack, whose
-    # time-side Gram carries the bits of a lone dsyrk: its lower triangle
-    # is the upper triangle of the C-ordered Gram, whose strict lower
-    # triangle is never written
+    # time-side Gram is K = a.T a itself, no window sum: its contiguous
+    # row panels, one dgemm each, hold the upper triangle of a lone
+    # dsyrk's K within rounding, and 0 below the diagonal of each
+    # panel's leading block
     a = _layouts()[layout]
     gram = DelayStack(a, 1, 0, True).gram()
-    oracle = blas.dsyrk(1.0, a.T, lower=1)
-    assert gram.flags.c_contiguous
-    assert np.array_equal(np.triu(gram), np.tril(oracle).T)
-    assert not np.tril(gram, -1).any()
+    oracle = np.tril(blas.dsyrk(1.0, a.T, lower=1)).T
+    dense = np.zeros(gram.shape)
+    for s, panel in zip(gram.starts, gram.panels):
+        assert panel.flags.c_contiguous
+        dense[s : s + len(panel), s:] = panel
+    assert not np.tril(dense, -1).any()
+    assert np.max(np.abs(dense - oracle)) <= 1e-15 * a.shape[0] * np.max(np.abs(oracle))
 
 
 @pytest.mark.parametrize("shape, kernel", [((40, 9), "_window_gram"), ((9, 40), "_block_gram")])
@@ -548,15 +560,15 @@ def test_single_precision_fallbacks_give_the_float64_bits(monkeypatch, case):
     else:  # a clear cut, which the single path takes until its floor is raised
         eigenvalues, rows, cols = _planted(128, 4), 400, 128
     gram = _gram(eigenvalues)
-    want = spectral._top_singular(gram.copy(), "auto", rows, cols)
+    want = spectral._top_singular(_packed(gram), "auto", rows, cols)
     refined = _recording_refine(monkeypatch)
     monkeypatch.setattr(spectral, "_SINGLE_MIN", 64)
     if case == "float32-floor":
-        spectral._top_singular(gram.copy(), "auto", rows, cols, gram.copy)
+        spectral._top_singular(_packed(gram), "auto", rows, cols, lambda: _packed(gram))
         assert refined == [True]
         refined.clear()
         monkeypatch.setattr(spectral, "_RESOLVE", 1e12)
-    got = spectral._top_singular(gram.copy(), "auto", rows, cols, gram.copy)
+    got = spectral._top_singular(_packed(gram), "auto", rows, cols, lambda: _packed(gram))
     assert refined == ([False] if case == "stalled-refinement" else [])
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert len(want[0]) == (3 if case == "cut-within-the-bound" else len(got[0]))
@@ -575,7 +587,7 @@ def test_single_precision_path_takes_only_an_auto_rank_with_a_gram_formed_again(
     snapshot_svd(a)
     monkeypatch.setattr(spectral, "_SINGLE_MIN", 64)
     snapshot_svd(a, rank=4)
-    spectral._top_singular(gram.copy(), "auto", 300, 200)
+    spectral._top_singular(_packed(gram), "auto", 300, 200)
     assert single == [] and refined == []
     snapshot_svd(a)
     assert single == [1]

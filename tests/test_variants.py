@@ -21,6 +21,7 @@ from circdmd import (
     rotation_system,
 )
 from circdmd.variants import forward_backward_combine
+from test_embedding import _upper
 
 
 def eig_match_distance(a, b):
@@ -223,7 +224,7 @@ def test_fb_is_independent_of_singular_vector_signs(monkeypatch):
         out = svd(matrix, rank)
         legs.append(out)
         signs = np.where(np.arange(out.rank) % 2 == 0, -1.0, 1.0)
-        return replace(out, left=out.left * signs, right=out.right * signs)
+        return replace(out, _left=out.left * signs, right=out.right * signs)
 
     monkeypatch.setattr(variants, "snapshot_svd", flipped)
     again = fit(data, config)
@@ -398,6 +399,73 @@ def test_circ_sp_fit_forms_one_stack_product(monkeypatch):
     assert calls == [(60, spectrum.meta.rank)]
 
 
+def test_circ_fit_forms_one_stack_product(monkeypatch):
+    # circ reads V and sigma alone, for the propagator and the exact modes:
+    # the target stack's product for those modes is its one product, and
+    # U = S V / sigma is never formed
+    from circdmd.embedding import DelayStack
+
+    calls = []
+    real = DelayStack.__matmul__
+
+    def counting(stack, y):
+        calls.append(int(stack.starts[0]))
+        return real(stack, y)
+
+    monkeypatch.setattr(DelayStack, "__matmul__", counting)
+    data = noisy_periodic(4, 60, seed=3)
+    spectrum = fit(data, VariantConfig(method="circ", tau=20))  # 80 x 60
+    assert calls == [1]  # the target, offset 1
+    assert spectrum._source_svd._left is None
+
+
+def test_circ_fit_with_tau_t_is_a_thresholded_dft(monkeypatch):
+    # with tau = T the circular stack's time-side Gram is circulant: its
+    # eigenvectors are Fourier vectors and its eigenvalues the summed
+    # periodogram P[k] = sum_n |x_n^(k)|^2, so the fit keeps the bins of
+    # the largest P, its eigenvalues lie on those bins, exp(2 pi i k / T),
+    # and predict is their inverse DFT (Chen, Tu & Rowley 2012). A lowered
+    # _SINGLE_MIN runs the float32 start, the Gram's row panels, their
+    # rounding and the refinement on the panels. Horizons that are not a
+    # multiple of T are left out: predict wraps a circular stack's last
+    # tau - 1 columns modulo the output width, not T (ROADMAP item 10)
+    from circdmd import optimal_rank, spectral
+
+    n, t = 4, 240
+    rng = np.random.default_rng(7)
+    x = np.full((n, t), 55.0)
+    for k, amplitude in ((10, 8.0), (20, 3.0), (30, 1.5)):
+        phases = rng.uniform(0.0, 2 * np.pi, size=(n, 1))
+        x += amplitude * np.cos(2 * np.pi * k * np.arange(t) / t + phases)
+    x += rng.normal(size=(n, t))
+    refined = []
+    refine = spectral._refine
+
+    def recording(*args):
+        found = refine(*args)
+        refined.append(found is not None)
+        return found
+
+    monkeypatch.setattr(spectral, "_refine", recording)
+    monkeypatch.setattr(spectral, "_SINGLE_MIN", 64)
+    spectrum = fit(SpeedMatrix(values=x, delta_t=1.0), VariantConfig(method="circ", tau=t))
+    assert refined == [True]
+    bins = np.fft.fft(x, axis=1)
+    power = np.sum(np.abs(bins) ** 2, axis=0)
+    order = np.argsort(power)[::-1]
+    r = spectrum.meta.rank
+    assert r == optimal_rank(np.sqrt(power[order]), n * t, t)
+    kept = order[:r]
+    sigma = spectrum._source_svd.singular
+    assert np.max(np.abs(sigma**2 - power[kept]) / power[kept]) <= 1e-10
+    assert eig_match_distance(spectrum.eigenvalues, np.exp(2j * np.pi * kept / t)) <= 1e-12
+    filtered = np.fft.ifft(np.where(np.isin(np.arange(t), kept), bins, 0.0), axis=1).real
+    for horizon in (0, t, 2 * t):
+        got = predict(spectrum, (n, t), horizon)
+        want = np.tile(filtered, 3)[:, : t + horizon]
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(x)), horizon
+
+
 # N*(tau+1) against W = T - tau: the distinct rows or the time-side Gram
 TLS_SHAPES = [
     pytest.param(3, 120, 8, id="rows-side"),      # 27 < 112
@@ -478,7 +546,8 @@ def test_tls_row_gram_matches_the_weighted_distinct_rows(n, t, tau, monkeypatch)
     top = variants._top_singular
 
     def recording(gram, *args):
-        grams.append(gram.copy())  # the eigensolve overwrites it
+        assert [len(panel) for panel in gram.panels] == [n] * (tau + 1)
+        grams.append(_upper(gram))  # the eigensolve releases its pages
         return top(gram, *args)
 
     monkeypatch.setattr(variants, "_top_singular", recording)
@@ -490,11 +559,8 @@ def test_tls_row_gram_matches_the_weighted_distinct_rows(n, t, tau, monkeypatch)
     windows = sliding_window_view(data.values, w, axis=1).transpose(1, 0, 2)
     rows = (windows * np.sqrt(copies)[:, None, None]).reshape(-1, w)
     want = rows @ rows.T
-    # only the upper block triangle is written and scaled; the rest stays 0
-    below = np.kron(np.tril(np.ones((tau + 1, tau + 1), dtype=bool), -1),
-                    np.ones((n, n), dtype=bool))
-    assert not grams[0][below].any()
-    want[below] = 0.0
+    # only the upper triangle is held, in one panel per block row
+    want = np.triu(want)
     assert np.max(np.abs(grams[0] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
