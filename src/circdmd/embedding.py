@@ -173,6 +173,12 @@ def _columns_as_rows(x: np.ndarray, starts, width: int) -> np.ndarray:
 # them takes two dgemm calls a panel.
 _PANEL_ROWS = 128
 
+# The window kernel forms the rows of X.T X that a circular stack's first
+# windows read again this many at a time, h T cells (under 1 MB below T =
+# 4096), from copies of x's columns of about this many cells (128 KB).
+_FORMED_ROWS = 32
+_COPY_CELLS = 1 << 14
+
 # LAPACK's copy of a Gram is made this many bytes of float64 rows at a
 # time, so that the rounding error's temporary stays well under 1 MB.
 _ROUND_BYTES = 1 << 18
@@ -205,6 +211,12 @@ class _Panels:
             np.frombuffer(self._pages, count=c, offset=end - 8 * c).reshape(-1, n - s)
             for s, c, end in zip(self.starts, cells, self._ends)
         ]
+        # G[r, l] is cell _row_at[r] + l of the mapping, for l from r's panel's start on
+        self._cells = np.frombuffer(self._pages)
+        self._row_at = np.concatenate([
+            np.arange(end // 8 - c, end // 8, n - s) - s
+            for s, c, end in zip(self.starts, cells, self._ends)
+        ])
 
     def __len__(self):
         return self.shape[0]
@@ -213,16 +225,32 @@ class _Panels:
         """Views of every row of the triangle, G[j, j:]."""
         return [panel[i, i:] for panel in self.panels for i in range(len(panel))]
 
-    def update(self, rows: np.ndarray, alpha: float = 1.0, beta: float = 0.0) -> None:
+    def update(self, rows: np.ndarray, alpha: float = 1.0, beta: float = 0.0,
+               pages: mmap.mmap | None = None) -> None:
         """G = beta G + alpha R R.T for the C-ordered n x N ``rows`` R: one
         ``dgemm`` a panel, G[s : s + h, s:] from R's row slices, which BLAS
         reads without a copy. The product fills each panel's leading block,
-        whose strict lower triangle is then set to 0 again."""
+        whose strict lower triangle is then set to 0 again. Given ``pages``,
+        the mapping that R fills from its start, R's rows are released
+        (``MADV_DONTNEED``) once the panels that read them are formed: no
+        later panel reads a row before its start. Released rows read as
+        zeros."""
+        release = pages is not None and hasattr(mmap, "MADV_DONTNEED")
+        released = 0
         for s, panel in zip(self.starts, self.panels):
             # panel.T = alpha R[s:] R[s : s + h].T + beta panel.T, F-ordered
             blas.dgemm(alpha, rows[s:].T, rows[s : s + len(panel)].T, beta=beta,
                        c=panel.T, trans_a=1, overwrite_c=1)
+            done = (s + len(panel)) * rows.strides[0] // mmap.PAGESIZE * mmap.PAGESIZE
+            if release and done > released:
+                pages.madvise(mmap.MADV_DONTNEED, released, done - released)
+                released = done
         self.clear_below()
+
+    def column(self, l: int, out: np.ndarray) -> np.ndarray:
+        """out = G[: len(out), l], read down the rows that hold it (len(out)
+        <= l + 1) in one gather."""
+        return self._cells.take(self._row_at[: len(out)] + l, out=out, mode="clip")
 
     def clear_below(self) -> None:
         """Set the strict lower triangle of each panel's leading block to 0."""
@@ -329,75 +357,129 @@ def _window_gram(x: np.ndarray, tau: int, width: int, lead: int) -> _Panels:
     T - 1. With D[i, d] = K[i, i+d], row j of G from its diagonal on is
     the window sum w_j = sum_s D[j+s], and w_{j+1} differs from w_j by
     one row of D entering and one leaving. The window is summed afresh
-    every tau rows, so rounding cannot build up over more updates than
-    the window has terms.
+    every tau rows of a run of windows, so rounding cannot build up over
+    more updates than the window has terms.
 
     The panels are first the upper triangle of K's W x W block from
     column ``low`` on (low is 0 for a circular stack and the lead for a
-    Hankel one), one product a panel, so D's row i starts in their row
-    i - low. Where the row runs past the block it goes on in ``strip``,
-    K's rows against the columns after the block: a Hankel stack's last
-    columns of x, formed by one product, or a circular stack's first
-    ones again, copied from the block's first rows. The strip's columns
-    also hold the first rows of D that a circular stack's last windows
-    read again. Row j of G is written over the block's row j, which no
-    later window reads, save as the row that leaves the next window when
-    the stack leads at ``low``: that one is copied first. A one-block
-    stack that leads at ``low`` has the block itself for its Gram. The
-    block's columns as rows, which the products read, and a circular
-    stack's strip lie on mappings of their own (:func:`_mapped`).
+    Hankel one), one product a panel on the block's columns as rows,
+    whose rows are released as the panels that read them are formed.
+    D's row i then starts in their row i - low, and row j of G is
+    written over it, which no later window reads, save as the row that
+    leaves the next window when the stack leads at ``low``: that one is
+    copied first. A one-block stack that leads at ``low`` has the block
+    itself for its Gram.
+
+    Where a Hankel stack's row of D runs past the block it goes on in
+    ``strip``, K's rows against x's columns after the block, from one
+    product. A circular stack's rows wrap instead, onto K's first m =
+    lead + tau - 1 rows: a row i >= T is row i - T, and a row i < T
+    goes on in K[c, i], c < m, read down column i of the panels. So
+    windows m .. T - 1 go first, while those rows are still K's, and
+    windows 0 .. m - 1 follow. Their other rows are K's, but each one's
+    last row, one of K's rows m .. 2m - 1 modulo T, was overwritten by
+    the first windows: those rows are formed again from x,
+    ``_FORMED_ROWS`` at a time, against a copy of a few of x's columns
+    at a time, since BLAS would copy a strided x (a split's view) whole.
+    Beside the panels a circular stack's Gram thus holds O(h T + N h)
+    bytes for blocks of h rows, not K's m first rows. The temporaries
+    that may pass 128 KB (the columns as rows, the formed rows and the
+    copied columns) lie on mappings of their own (:func:`_mapped`), so
+    that the numpy heap is left as it was.
     """
-    t = x.shape[1]
+    n, t = x.shape
     w = width
     low = 0 if w == t else lead
     g = _Panels(w, _PANEL_ROWS)
-    xt = _mapped((w, x.shape[0]), w)
+    pages = _mapping(w, 8 * w * n)
+    xt = np.frombuffer(pages).reshape(w, n)
     xt[...] = x[:, low : low + w].T
-    g.update(xt)
-    del xt
+    g.update(xt, pages=pages)
+    del xt, pages
     if tau == 1 and lead == low:
         return g
     k = g.rows()  # k[r] = K[low + r, low + r : low + w], which row r of G replaces
-    if w == t:  # strip[i, c] = K[c, i] for i >= c, read off the block's first rows
-        strip = _mapped((lead + tau - 1, w), w)
-        for c, cells in enumerate(strip):
-            cells[c:] = k[c]
-        strip = strip.T
-    else:  # strip[i, c] = K[low + i, low + w + c]
+    joined = np.empty(w)  # a row of D that is read from two runs
+
+    if w < t:  # strip[i, c] = K[low + i, low + w + c]
         strip = dot(x[:, low:].T, x[:, low + w :])
 
-    joined = np.empty(w)  # a row of D that is read from two runs
+        def kept(i, size):
+            """D's row i, its first ``size`` cells: from the block, then the strip."""
+            r = i - low
+            head = k[r][:size] if r < w else strip[r, :0]
+            if len(head) == size:
+                return head
+            start = max(r - w, 0)
+            tail = strip[r, start : start + size - len(head)]
+            return np.concatenate((head, tail), out=joined[:size])
+
+        runs = [(range(w), kept)]
+    else:
+        m = lead + tau - 1
+
+        def kept(i, size):
+            """D's row i, its first ``size`` cells, while K's rows i and 0 ..
+            m - 1 are intact: a row i >= T is row i - T, of which the
+            windows read no more than its first 2T - i cells, and a row
+            i < T goes on in K[c, i] for c < m, read down column i."""
+            if i >= t:
+                return k[i - t][:size]
+            head = k[i][:size]
+            if len(head) == size:
+                return head
+            joined[: len(head)] = head
+            g.column(i, joined[len(head) : size])
+            return joined[:size]
+
+        def formed():
+            """K's rows m .. 2m - 1, modulo T, in full and in order."""
+            block = _mapped((_FORMED_ROWS * t,), t)
+            step = max(1, _COPY_CELLS // n)
+            chunk = _mapped((n * step,), t)
+            for first in range(m, 2 * m, _FORMED_ROWS):
+                h = min(_FORMED_ROWS, 2 * m - first)
+                rows = block[: h * t].reshape(t, h).T  # F-ordered, so each run of columns is too
+                columns = x[:, np.arange(first, first + h) % t]
+                for c in range(0, t, step):
+                    part = chunk[: n * min(step, t - c)].reshape(n, -1)
+                    part[...] = x[:, c : c + step]
+                    # rows[:, c ..] = x[:, first ..].T x[:, c ..], F-ordered
+                    blas.dgemm(1.0, columns.T, part.T, trans_b=1, c=rows[:, c : c + step],
+                               overwrite_c=1)
+                yield from rows
+
+        entering = formed()
+
+        def reformed(i, size):
+            """D's row i, its first ``size`` cells, from the next formed row."""
+            row, r = next(entering), i % t
+            head = row[r : r + size]
+            if len(head) == size:
+                return head
+            return np.concatenate((head, row[: size - len(head)]), out=joined[:size])
+
+        runs = [(range(m, t), kept), (range(m), reformed)]
+
     left = np.empty(w)  # D's row that leaves the next window, if the stack leads at low
-    window = np.empty(w)
-
-    def row(i, size):
-        """D's row i, its first ``size`` cells."""
-        r = i - low
-        if r >= t:  # a circular stack's last windows wrap round to D's row r - T,
-            r -= t  # of which they read no more than its first T - r cells
-            return strip[r:, r][:size]
-        head = k[r][:size] if r < w else strip[r, :0]
-        if len(head) == size:
-            return head
-        start = max(r - w, 0)
-        tail = strip[r, start : start + size - len(head)]
-        return np.concatenate((head, tail), out=joined[:size])
-
-    for j in range(w):
-        size = w - j  # window j reaches D's columns 0 .. w - j - 1
-        first = j + lead
-        window = window[:size]
-        if j % tau == 0:
-            # added row by row in order: the bits of a sum over axis 0
-            window[:] = row(first, size)
-            for i in range(first + 1, first + tau):
-                window += row(i, size)
-        else:
-            window += row(first + tau - 1, size)
-            window -= left[:size] if lead == low else row(first - 1, size)
-        if lead == low:
-            left[:size] = k[j]
-        k[j][:] = window
+    cells = np.empty(w)  # window j's sum in its first w - j cells
+    for js, last in runs:  # last(i, size) reads each window's last row
+        for j in js:
+            size = w - j  # window j reaches D's columns 0 .. w - j - 1
+            first = j + lead
+            window = cells[:size]
+            if (j - js.start) % tau == 0:
+                # added row by row in order: the bits of a sum over axis 0
+                window[:] = 0.0
+                for i in range(first, first + tau - 1):
+                    window += kept(i, size)
+                window += last(first + tau - 1, size)
+            else:
+                window += last(first + tau - 1, size)
+                window -= left[:size] if lead == low else kept(first - 1, size)
+            if lead == low:
+                left[:size] = k[j]
+            k[j][:] = window
     return g
 
 

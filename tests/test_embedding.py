@@ -357,21 +357,47 @@ def _d_of(k):
     return lambda i: np.roll(k[i % t], -(i % t))
 
 
+def _formed_d(stack):
+    """D's rows m .. 2m - 1 of a circular stack, m = lead + tau - 1, as
+    the window kernel forms them again for its windows 0 .. m - 1: K's
+    rows from x, one product a block of at most _FORMED_ROWS rows, with
+    the bits of those products (x's columns are one copy at these
+    sizes)."""
+    x, t = stack.x, stack.x.shape[1]
+    m = int(stack.starts[0]) + stack.tau - 1
+    rows = {}
+    for first in range(m, 2 * m, embedding._FORMED_ROWS):
+        block = range(first, min(first + embedding._FORMED_ROWS, 2 * m))
+        k = blas.dgemm(1.0, x.take(block, axis=1, mode="wrap").T, x.T, trans_b=1)
+        rows.update({i: np.roll(row, -(i % t)) for i, row in zip(block, k)})
+    return rows.__getitem__
+
+
 def _two_buffer_gram(stack, row):
     """The upper triangle of ``gram()`` as it was with D and G in
     separate arrays, D's row i being ``row(i)``: the same window sums
-    in the same order, so the same bits."""
-    w, tau = stack.width, stack.tau
+    in the same order, so the same bits. A circular stack's windows
+    m .. T - 1 go first, then windows 0 .. m - 1, whose last rows are
+    formed again (:func:`_formed_d`), each run summed afresh every tau
+    windows."""
+    w, tau, lead = stack.width, stack.tau, int(stack.starts[0])
     g = np.zeros((w, w))
-    for j in range(w):
-        first = j + stack.starts[0]
-        size = w - j
-        if j % tau == 0:
-            window = np.array([row(i)[:size] for i in range(first, first + tau)]).sum(axis=0)
-        else:
-            window = window[:size] + row(first + tau - 1)[:size]
-            window -= row(first - 1)[:size]
-        g[j, j:] = window
+    if w < stack.x.shape[1]:
+        runs = [(range(w), row)]
+    else:
+        m = lead + tau - 1
+        runs = [(range(m, w), row), (range(m), _formed_d(stack))]
+    for js, last in runs:
+        for j in js:
+            first = j + lead
+            size = w - j
+            if (j - js.start) % tau == 0:
+                rows = [row(i) for i in range(first, first + tau - 1)] + [last(first + tau - 1)]
+                window = np.array([r[:size] for r in rows]).sum(axis=0)
+            else:
+                window = window[:size] + last(first + tau - 1)[:size]
+                window -= row(first - 1)[:size]
+            g[j, j:] = window
     return g
 
 
@@ -390,9 +416,10 @@ def _mapping(g):
 @pytest.mark.parametrize("offset", [0, 1])
 def test_gram_over_its_own_buffer_matches_the_two_buffer_gram(n, t, tau, wrap, offset):
     # G written over K's block keeps every addition of the two-buffer
-    # form: the same bits from the same K, which is within 1e-15 of
-    # dsyrk's. A Hankel stack's W x W Gram has a mapping of its own, no
-    # T x T one: its panels, in rows of at most _PANEL_ROWS
+    # form: the same bits from the same K, and from the rows of K that a
+    # circular stack forms again, which is within 1e-15 of dsyrk's. A
+    # Hankel stack's W x W Gram has a mapping of its own, no T x T one:
+    # its panels, in rows of at most _PANEL_ROWS
     stack = DelayStack(_matrix(n, t, seed=t + tau).values, tau, offset, wrap)
     g = stack.gram()
     w = stack.width
@@ -444,6 +471,12 @@ def test_pair_gram_is_the_sum_of_the_two_grams(n, t, tau, monkeypatch):
     pytest.param(3, 100, 4, True, id="below-one-panel"),
     pytest.param(3, 135, 7, False, id="one-whole-panel-nowrap"),  # W = 128
     pytest.param(2, 256, 9, True, id="two-whole-panels"),
+] + [
+    # circular stacks of odd T whose windows first read K's rows past one
+    # panel, one block of formed rows or both, up to tau = T, where every
+    # window wraps
+    pytest.param(2, 301, tau, True, id=f"odd-order-tau-{tau}")
+    for tau in (1, 2, 127, 128, 129, 300, 301)
 ])
 @pytest.mark.parametrize("offset", [0, 1])
 def test_panel_grams_and_products_match_a_dense_oracle(n, t, tau, wrap, offset):
@@ -586,6 +619,35 @@ print(status("VmHWM:") - base)
     grown = int(subprocess.run([sys.executable, "-c", child], check=True, capture_output=True,
                                text=True, env=env).stdout)
     assert grown <= _upper_triangle_pages(2048) + 2 * 2**20, grown
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's status")
+def test_a_circular_window_gram_grows_by_its_panels_alone():
+    # a circular stack's windows read K's first lead + tau - 1 rows where
+    # the panels hold them, and form the rows they read again from x a
+    # block at a time, so at N = 8, T = 2048 and tau = 1024 the Gram grows
+    # the peak RSS by its panels' 17 MB and at most 1 MB more; a copy of
+    # those rows of K beside the panels would add 16 MB. The child forms a
+    # smaller Gram first, which puts BLAS's buffers in place, and reads its
+    # own VmHWM, counted from the RSS just before the Gram
+    child = """
+import numpy as np
+from circdmd.embedding import DelayStack
+def status(field):
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status if line.startswith(field))
+x = np.random.default_rng(0).normal(size=(8, 2048))
+DelayStack(x[:, :1900], 950, 0, True).gram()
+base, before = status("VmRSS:"), status("VmHWM:")
+g = DelayStack(x, 1024, 0, True).gram()
+assert status("VmHWM:") > before, "the Gram did not raise the peak RSS"
+print(status("VmHWM:") - base, sum(panel.nbytes for panel in g.panels))
+"""
+    source = os.path.dirname(os.path.dirname(embedding.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
+    grown, panels = map(int, subprocess.run([sys.executable, "-c", child], check=True,
+                                            capture_output=True, text=True, env=env).stdout.split())
+    assert grown <= panels + 2**20, (grown, panels)
 
 
 def test_stack_products_of_f_and_c_ordered_operands_are_equal():
