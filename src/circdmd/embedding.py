@@ -85,15 +85,16 @@ class DelayStack:
     tau``: offsets 0 and 1 are the Hankel stack ``hankel(X, tau)``
     without its last and without its first column, and tau = 1 is plain
     DMD's pair. ``stack @ y`` and ``z @ stack`` return what the dense
-    stack would; ``gram()`` and ``stack_gram()`` return the upper
-    triangles of its time-side and stack-side Gram matrices in row
-    panels (:class:`_Panels`).
+    stack would. At offset 0, ``gram()`` and ``stack_gram()`` return the
+    upper triangles of its time-side and stack-side Gram matrices in row
+    panels (:class:`_Panels`); a fit takes the source's Grams alone.
     """
 
     __array_ufunc__ = None  # so that ndarray @ stack calls __rmatmul__
 
     def __init__(self, x: np.ndarray, tau: int, offset: int, wrap: bool):
-        x = np.asarray(x, dtype=float)
+        # C-ordered, so that BLAS reads x, its runs of rows and x.T in place
+        x = np.ascontiguousarray(x, dtype=float)
         if x.ndim != 2 or x.size == 0:
             raise ShapeError(f"expected a non-empty 2-D matrix, got shape {x.shape}")
         t = x.shape[1]
@@ -106,6 +107,7 @@ class DelayStack:
         self.x = x
         self.tau = tau
         self.width = t if wrap else t - tau
+        self.offset = offset
         self.starts = np.arange(offset, offset + tau) % t  # each block's first column
 
     @property
@@ -149,13 +151,20 @@ class DelayStack:
         """The upper triangle of the width x width ``S.T @ S`` in row
         panels: G[j, l] = sum over shifts s of K[j+s, l+s] for l >= j
         (see :func:`_window_gram`)."""
-        return _window_gram(self.x, self.tau, self.width, int(self.starts[0]))
+        return _window_gram(self._source_x(), self.tau, self.width)
 
     def stack_gram(self) -> _Panels:
         """The upper block triangle of the (N*tau) x (N*tau) ``S @ S.T``,
         from lagged N x N products of x, in row panels of one block row
         each (see :func:`_block_gram`)."""
-        return _block_gram(self.x, self.starts, self.width)
+        return _block_gram(self._source_x(), self.tau, self.width)
+
+    def _source_x(self) -> np.ndarray:
+        """x, for a Gram, which is formed at offset 0 alone: the offset-1
+        stack's blocks are those of x rolled by -1 at offset 0."""
+        if self.offset:
+            raise ConfigError(f"Grams are formed at offset 0 alone, got offset {self.offset}")
+        return self.x
 
 
 def _columns_as_rows(x: np.ndarray, starts, width: int) -> np.ndarray:
@@ -175,9 +184,9 @@ _PANEL_ROWS = 128
 
 # The window kernel forms the rows of X.T X that a circular stack's first
 # windows read again this many at a time, h T cells (under 1 MB below T =
-# 4096), from copies of x's columns of about this many cells (128 KB).
+# 4096), one product a block with the whole C-ordered x as its first
+# operand: as the second, OpenBLAS would pack all of its N x T cells.
 _FORMED_ROWS = 32
-_COPY_CELLS = 1 << 14
 
 # LAPACK's copy of a Gram is made this many bytes of float64 rows at a
 # time, so that the rounding error's temporary stays well under 1 MB.
@@ -345,12 +354,12 @@ def _mapping(n: int, size: int) -> mmap.mmap:
     return pages
 
 
-def _window_gram(x: np.ndarray, tau: int, width: int, lead: int) -> _Panels:
+def _window_gram(x: np.ndarray, tau: int, width: int) -> _Panels:
     """The upper triangle of the time-side Gram ``S.T @ S`` of the stack
-    of x with tau blocks of ``width`` columns whose first block starts at
-    column ``lead``: G[j, l] = sum over shifts s of K[j+s, l+s], l >= j,
-    with s = lead .. lead + tau - 1, in row panels of ``_PANEL_ROWS``
-    rows (see :class:`_Panels`).
+    of the C-ordered x with tau blocks of ``width`` columns, block s
+    starting at column s: G[j, l] = sum over shifts s < tau of K[j+s,
+    l+s], l >= j, in row panels of ``_PANEL_ROWS`` rows (see
+    :class:`_Panels`).
 
     The sum runs along the diagonals of K = X.T X, wrapped modulo T
     for a circular stack (width T); a Hankel stack's indices never pass
@@ -360,63 +369,58 @@ def _window_gram(x: np.ndarray, tau: int, width: int, lead: int) -> _Panels:
     every tau rows of a run of windows, so rounding cannot build up over
     more updates than the window has terms.
 
-    The panels are first the upper triangle of K's W x W block from
-    column ``low`` on (low is 0 for a circular stack and the lead for a
-    Hankel one), one product a panel on the block's columns as rows,
-    whose rows are released as the panels that read them are formed.
-    D's row i then starts in their row i - low, and row j of G is
-    written over it, which no later window reads, save as the row that
-    leaves the next window when the stack leads at ``low``: that one is
-    copied first. A one-block stack that leads at ``low`` has the block
-    itself for its Gram.
+    The panels are first the upper triangle of K's W x W block, one
+    product a panel on the block's columns as rows, whose rows are
+    released as the panels that read them are formed. D's row i then
+    starts in their row i, and row j of G is written over it, which no
+    later window reads, save as the row that leaves the next window:
+    that one is copied first. A one-block stack has the block itself
+    for its Gram.
 
     Where a Hankel stack's row of D runs past the block it goes on in
     ``strip``, K's rows against x's columns after the block, from one
     product. A circular stack's rows wrap instead, onto K's first m =
-    lead + tau - 1 rows: a row i >= T is row i - T, and a row i < T
-    goes on in K[c, i], c < m, read down column i of the panels. So
-    windows m .. T - 1 go first, while those rows are still K's, and
-    windows 0 .. m - 1 follow. Their other rows are K's, but each one's
-    last row, one of K's rows m .. 2m - 1 modulo T, was overwritten by
-    the first windows: those rows are formed again from x,
-    ``_FORMED_ROWS`` at a time, against a copy of a few of x's columns
-    at a time, since BLAS would copy a strided x (a split's view) whole.
+    tau - 1 rows: a row i >= T is row i - T, and a row i < T goes on in
+    K[c, i], c < m, read down column i of the panels. So windows m ..
+    T - 1 go first, while those rows are still K's, and windows 0 .. m
+    - 1 follow. Their other rows are K's, but each one's last row, one
+    of K's rows m .. 2m - 1 modulo T, was overwritten by the first
+    windows: those rows are formed again, ``_FORMED_ROWS`` at a time,
+    each block one product that reads x in place as its first operand.
     Beside the panels a circular stack's Gram thus holds O(h T + N h)
     bytes for blocks of h rows, not K's m first rows. The temporaries
-    that may pass 128 KB (the columns as rows, the formed rows and the
-    copied columns) lie on mappings of their own (:func:`_mapped`), so
-    that the numpy heap is left as it was.
+    that may pass 128 KB (the columns as rows and the formed rows) lie
+    on mappings of their own (:func:`_mapped`), so that the numpy heap
+    is left as it was.
     """
     n, t = x.shape
     w = width
-    low = 0 if w == t else lead
     g = _Panels(w, _PANEL_ROWS)
     pages = _mapping(w, 8 * w * n)
     xt = np.frombuffer(pages).reshape(w, n)
-    xt[...] = x[:, low : low + w].T
+    xt[...] = x[:, :w].T
     g.update(xt, pages=pages)
     del xt, pages
-    if tau == 1 and lead == low:
+    if tau == 1:
         return g
-    k = g.rows()  # k[r] = K[low + r, low + r : low + w], which row r of G replaces
+    k = g.rows()  # k[i] = K[i, i:w], which row i of G replaces
     joined = np.empty(w)  # a row of D that is read from two runs
 
-    if w < t:  # strip[i, c] = K[low + i, low + w + c]
-        strip = dot(x[:, low:].T, x[:, low + w :])
+    if w < t:  # strip[i, c] = K[i, w + c]
+        strip = dot(x.T, x[:, w:])
 
         def kept(i, size):
             """D's row i, its first ``size`` cells: from the block, then the strip."""
-            r = i - low
-            head = k[r][:size] if r < w else strip[r, :0]
+            head = k[i][:size] if i < w else strip[i, :0]
             if len(head) == size:
                 return head
-            start = max(r - w, 0)
-            tail = strip[r, start : start + size - len(head)]
+            start = max(i - w, 0)
+            tail = strip[i, start : start + size - len(head)]
             return np.concatenate((head, tail), out=joined[:size])
 
         runs = [(range(w), kept)]
     else:
-        m = lead + tau - 1
+        m = tau - 1
 
         def kept(i, size):
             """D's row i, its first ``size`` cells, while K's rows i and 0 ..
@@ -435,18 +439,11 @@ def _window_gram(x: np.ndarray, tau: int, width: int, lead: int) -> _Panels:
         def formed():
             """K's rows m .. 2m - 1, modulo T, in full and in order."""
             block = _mapped((_FORMED_ROWS * t,), t)
-            step = max(1, _COPY_CELLS // n)
-            chunk = _mapped((n * step,), t)
             for first in range(m, 2 * m, _FORMED_ROWS):
-                h = min(_FORMED_ROWS, 2 * m - first)
-                rows = block[: h * t].reshape(t, h).T  # F-ordered, so each run of columns is too
-                columns = x[:, np.arange(first, first + h) % t]
-                for c in range(0, t, step):
-                    part = chunk[: n * min(step, t - c)].reshape(n, -1)
-                    part[...] = x[:, c : c + step]
-                    # rows[:, c ..] = x[:, first ..].T x[:, c ..], F-ordered
-                    blas.dgemm(1.0, columns.T, part.T, trans_b=1, c=rows[:, c : c + step],
-                               overwrite_c=1)
+                rows = block[: min(_FORMED_ROWS, 2 * m - first) * t].reshape(-1, t)
+                # rows.T = x.T x[:, first ..], F-ordered: x.T is read in place
+                columns = x[:, np.arange(first, first + len(rows)) % t]
+                blas.dgemm(1.0, x.T, columns.T, trans_b=1, c=rows.T, overwrite_c=1)
                 yield from rows
 
         entering = formed()
@@ -461,66 +458,61 @@ def _window_gram(x: np.ndarray, tau: int, width: int, lead: int) -> _Panels:
 
         runs = [(range(m, t), kept), (range(m), reformed)]
 
-    left = np.empty(w)  # D's row that leaves the next window, if the stack leads at low
+    left = np.empty(w)  # D's row that leaves the next window
     cells = np.empty(w)  # window j's sum in its first w - j cells
     for js, last in runs:  # last(i, size) reads each window's last row
         for j in js:
             size = w - j  # window j reaches D's columns 0 .. w - j - 1
-            first = j + lead
             window = cells[:size]
             if (j - js.start) % tau == 0:
                 # added row by row in order: the bits of a sum over axis 0
                 window[:] = 0.0
-                for i in range(first, first + tau - 1):
+                for i in range(j, j + tau - 1):
                     window += kept(i, size)
-                window += last(first + tau - 1, size)
+                window += last(j + tau - 1, size)
             else:
-                window += last(first + tau - 1, size)
-                window -= left[:size] if lead == low else kept(first - 1, size)
-            if lead == low:
-                left[:size] = k[j]
+                window += last(j + tau - 1, size)
+                window -= left[:size]
+            left[:size] = k[j]
             k[j][:] = window
     return g
 
 
-def _block_gram(x: np.ndarray, starts: np.ndarray, width: int) -> _Panels:
-    """The upper block triangle of ``S @ S.T`` for the stack S of the L
-    blocks B_a = x[:, s_a : s_a + width], s_a = starts[a] = starts[0] +
-    a, columns read modulo T, in row panels of N rows: panel a is the
-    block row (a, a .. L - 1) (see :class:`_Panels`).
+def _block_gram(x: np.ndarray, blocks: int, width: int) -> _Panels:
+    """The upper block triangle of ``S @ S.T`` for the stack S of the L =
+    ``blocks`` blocks B_a = x[:, a : a + width], columns read modulo T,
+    in row panels of N rows: panel a is the block row (a, a .. L - 1)
+    (see :class:`_Panels`).
 
     Block (a, a + m) is B_a B_{a+m}.T. The first block on each block
-    diagonal m is one N x width x N product, and each later one is its
+    diagonal m is one N x width x N product. A circular stack has width
+    T, so every block on the diagonal is that one, copied: its block
+    diagonals are constant. A Hankel stack's later blocks are each their
     predecessor plus the column pair that enters the window minus the
     pair that leaves it:
-    H[a+1, a+1+m] = H[a, a+m] + x_{s_a+W} x_{s_a+m+W}.T - x_{s_a} x_{s_a+m}.T.
-    A running sum thus adds at most L - 1 terms. A circular stack has
-    width T, so the two pairs are the same columns and cancel exactly:
-    its block diagonals are constant. The first row of blocks sums over
-    a window starting at s_0, or at column 0 when the window is a whole
-    cycle; scipy's BLAS forms it, so the thread pools of numpy's and
-    scipy's BLAS do not contend before the eigensolve.
+    H[a+1, a+1+m] = H[a, a+m] + x_{a+W} x_{a+m+W}.T - x_a x_{a+m}.T.
+    A running sum thus adds at most L - 1 terms. The first row of
+    blocks is formed by scipy's BLAS, so the thread pools of numpy's
+    and scipy's BLAS do not contend before the eigensolve.
     """
     n, t = x.shape
-    blocks = len(starts)
-    first = 0 if width == t else int(starts[0])
-    xt = _columns_as_rows(x, starts, width)
+    xt = _columns_as_rows(x, range(blocks), width)
     g = _Panels(blocks * n, n)
     top = g.panels[0].reshape(n, blocks, n)
     for m in range(blocks):
-        # column first + j meets column first + m + j, which may wrap
-        head = min(width, t - first - m)
-        lag = dot(xt[first : first + head].T, xt[first + m : first + m + head])
+        # column j meets column m + j, which may wrap
+        head = min(width, t - m)
+        lag = dot(xt[:head].T, xt[m : m + head])
         if head < width:
-            lag += dot(xt[first + head : first + width].T, xt[: width - head])
+            lag += dot(xt[head:width].T, xt[: width - head])
         top[:, m, :] = lag
-    enter = x[:, (starts[:-1] + width) % t]
-    leave = x[:, starts[:-1]]
+    enter, leave = x[:, width : width + blocks - 1], x[:, : blocks - 1]
     for a in range(1, blocks):
         row = g.panels[a].reshape(n, blocks - a, n)
         row[...] = g.panels[a - 1].reshape(n, blocks - a + 1, n)[:, : blocks - a, :]
-        row += enter[:, a - 1, None, None] * enter[:, a - 1 :].T
-        row -= leave[:, a - 1, None, None] * leave[:, a - 1 :].T
+        if width < t:
+            row += enter[:, a - 1, None, None] * enter[:, a - 1 :].T
+            row -= leave[:, a - 1, None, None] * leave[:, a - 1 :].T
     g.clear_below()
     return g
 

@@ -292,7 +292,7 @@ def fit_total_least_squares(data: SpeedMatrix, config: VariantConfig) -> Dynamic
         copies = np.full(tau + 1, 2.0)
         copies[[0, -1]] = 1.0
         scale = np.repeat(np.sqrt(copies), n)
-        gram = _block_gram(x, np.arange(tau + 1), w)
+        gram = _block_gram(x, tau + 1, w)
         # panel by panel, each one block row of the upper block triangle
         for a in range(tau + 1):
             gram.panels[a] *= scale[a * n :]
@@ -300,15 +300,17 @@ def fit_total_least_squares(data: SpeedMatrix, config: VariantConfig) -> Dynamic
         sing, u = _top_singular(gram, RANK_AUTO, 2 * n * tau, w)
         del gram
         # V = rows.T U / sigma, so B V = diag(1/sqrt(m)) U diag(sigma), and
-        # V's first row reads the rows' first column, sqrt(m_i) x[:, i]
-        coords = u * sing / scale[:, None]
+        # V's first row reads the rows' first column, sqrt(m_i) x[:, i];
+        # C-ordered, so the row blocks are the C-ordered x of their stacks
+        coords = np.multiply(u, sing, order="C")
+        coords /= scale[:, None]
         source_v, target_v = coords[: n * tau], coords[n:]
         first_v = dot(scale * x[:, : tau + 1].ravel(order="F"), u) / sing
     else:
         # one W x W Gram, S.T S + T.T T = sum of m_i B_i.T B_i: twice the
         # window sum over the tau + 1 blocks less the two end blocks' Grams,
         # taken off in place panel by panel (see _window_gram)
-        gram = _window_gram(x, tau + 1, w, 0)
+        gram = _window_gram(x, tau + 1, w)
         xt = np.ascontiguousarray(x.T)
         gram.update(xt[:w], -1.0, 2.0)
         gram.update(xt[tau:], -1.0, 1.0)

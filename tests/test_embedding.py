@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import blas
 
 from circdmd import (
+    ConfigError,
     DataError,
     KindError,
     RangeError,
@@ -274,6 +275,13 @@ def _dense_stack(stack):
     ])
 
 
+def _gram_stack(x, tau, offset, wrap):
+    """The offset-0 stack whose blocks are those of the stack at
+    ``offset``: x rolled by -offset columns (a Hankel stack never reads
+    the column that wraps), as Grams are formed at offset 0 alone."""
+    return DelayStack(np.roll(x, -offset, axis=1), tau, 0, wrap)
+
+
 def _dense_pair(n, t, tau, seed, wrap):
     """Oracle source (offset 0) and target (offset 1) from the dense embeddings."""
     m = _matrix(n, t, seed=seed)
@@ -305,10 +313,12 @@ def test_circular_stack_matches_dense_stack(n, t, tau, wrap, offset):
 @pytest.mark.parametrize("offset", [0, 1])
 def test_circular_stack_gram_on_the_smaller_side(n, t, tau, wrap, offset):
     # gram() is the time-side Gram; where the stack side is smaller,
-    # snapshot_svd takes stack_gram() instead, so its factors are checked
+    # snapshot_svd takes stack_gram() instead, so its factors are checked.
+    # The target's (offset 1) are its rolled offset-0 stack's
     x, dense = _dense_pair(n, t, tau, seed=2 * n + t, wrap=wrap)
     dense = dense[offset]
-    stack = DelayStack(x, tau, offset, wrap)
+    stack = _gram_stack(x, tau, offset, wrap)
+    assert np.array_equal(_dense_stack(stack), _dense_stack(DelayStack(x, tau, offset, wrap)))
     assert _relative(_upper(stack.gram()), np.triu(dense.T @ dense)) <= 1e-10
     rows, cols = dense.shape
     if cols > rows:
@@ -338,16 +348,15 @@ def _panel_k(x):
     return k + np.triu(k, 1).T
 
 
-def _kernel_k(x, width, low):
+def _kernel_k(x, width):
     """K's upper triangle as the window kernel forms it: the panels' K
     for a circular stack; for a Hankel one, the panels' K of its block
-    of ``width`` columns from column ``low`` on, and K's rows against
-    the later columns from one product."""
+    of its first ``width`` columns, and K's rows against the later
+    columns from one product."""
     k = _panel_k(x)
     if width < x.shape[1]:
-        block = slice(low, low + width)
-        k[block, block] = _panel_k(x[:, block])
-        k[low:, low + width :] = dot(x[:, low:].T, x[:, low + width :])
+        k[:width, :width] = _panel_k(x[:, :width])
+        k[:, width:] = dot(x.T, x[:, width:])
     return k
 
 
@@ -358,17 +367,16 @@ def _d_of(k):
 
 
 def _formed_d(stack):
-    """D's rows m .. 2m - 1 of a circular stack, m = lead + tau - 1, as
-    the window kernel forms them again for its windows 0 .. m - 1: K's
-    rows from x, one product a block of at most _FORMED_ROWS rows, with
-    the bits of those products (x's columns are one copy at these
-    sizes)."""
+    """D's rows m .. 2m - 1 of a circular stack, m = tau - 1, as the
+    window kernel forms them again for its windows 0 .. m - 1: K's rows
+    from x, one product x.T x[:, block] a block of at most _FORMED_ROWS
+    columns, with the bits of those products."""
     x, t = stack.x, stack.x.shape[1]
-    m = int(stack.starts[0]) + stack.tau - 1
+    m = stack.tau - 1
     rows = {}
     for first in range(m, 2 * m, embedding._FORMED_ROWS):
         block = range(first, min(first + embedding._FORMED_ROWS, 2 * m))
-        k = blas.dgemm(1.0, x.take(block, axis=1, mode="wrap").T, x.T, trans_b=1)
+        k = blas.dgemm(1.0, x.T, x.take(block, axis=1, mode="wrap").T, trans_b=1).T
         rows.update({i: np.roll(row, -(i % t)) for i, row in zip(block, k)})
     return rows.__getitem__
 
@@ -380,23 +388,22 @@ def _two_buffer_gram(stack, row):
     m .. T - 1 go first, then windows 0 .. m - 1, whose last rows are
     formed again (:func:`_formed_d`), each run summed afresh every tau
     windows."""
-    w, tau, lead = stack.width, stack.tau, int(stack.starts[0])
+    w, tau = stack.width, stack.tau
     g = np.zeros((w, w))
     if w < stack.x.shape[1]:
         runs = [(range(w), row)]
     else:
-        m = lead + tau - 1
+        m = tau - 1
         runs = [(range(m, w), row), (range(m), _formed_d(stack))]
     for js, last in runs:
         for j in js:
-            first = j + lead
             size = w - j
             if (j - js.start) % tau == 0:
-                rows = [row(i) for i in range(first, first + tau - 1)] + [last(first + tau - 1)]
+                rows = [row(i) for i in range(j, j + tau - 1)] + [last(j + tau - 1)]
                 window = np.array([r[:size] for r in rows]).sum(axis=0)
             else:
-                window = window[:size] + last(first + tau - 1)[:size]
-                window -= row(first - 1)[:size]
+                window = window[:size] + last(j + tau - 1)[:size]
+                window -= row(j - 1)[:size]
             g[j, j:] = window
     return g
 
@@ -419,13 +426,14 @@ def test_gram_over_its_own_buffer_matches_the_two_buffer_gram(n, t, tau, wrap, o
     # form: the same bits from the same K, and from the rows of K that a
     # circular stack forms again, which is within 1e-15 of dsyrk's. A
     # Hankel stack's W x W Gram has a mapping of its own, no T x T one:
-    # its panels, in rows of at most _PANEL_ROWS
-    stack = DelayStack(_matrix(n, t, seed=t + tau).values, tau, offset, wrap)
+    # its panels, in rows of at most _PANEL_ROWS. Offset 1 is its rolled
+    # offset-0 stack's Gram
+    stack = _gram_stack(_matrix(n, t, seed=t + tau).values, tau, offset, wrap)
     g = stack.gram()
     w = stack.width
     assert g.shape == (w, w) and list(g.starts) == list(range(0, w, embedding._PANEL_ROWS))
     assert _panel_bytes(g) == 8 * sum(min(embedding._PANEL_ROWS, w - s) * (w - s) for s in g.starts)
-    k = _kernel_k(stack.x, stack.width, int(stack.starts[0]))
+    k = _kernel_k(stack.x, stack.width)
     assert np.array_equal(_upper(g), _two_buffer_gram(stack, _d_of(k)))
     assert _relative(_upper(g), _two_buffer_gram(stack, _d_of(_syrk(stack.x)))) <= 1e-15
 
@@ -444,7 +452,7 @@ def test_gram_over_its_own_buffer_matches_the_two_buffer_gram(n, t, tau, wrap, o
 ])
 def test_pair_gram_is_the_sum_of_the_two_grams(n, t, tau, monkeypatch):
     # tls-hankel's S.T S + T.T T, twice the window sum over the tau + 1
-    # blocks less the two end blocks' Grams, is the source's and the
+    # blocks less the two end blocks' Grams, is the dense source's and
     # target's Grams added, within 1e-14 of its largest entry, in row
     # panels on a mapping of its own that is the panels' bytes and no
     # more, of which no more is resident
@@ -461,8 +469,9 @@ def test_pair_gram_is_the_sum_of_the_two_grams(n, t, tau, monkeypatch):
     variants.fit(SpeedMatrix(values=x, delta_t=1.0), variants.VariantConfig("tls-hankel", tau))
     [(g, size, (mapped, rss))] = seen
     assert mapped == _pages(size) and rss <= mapped, (size, mapped, rss)
-    want = _upper(DelayStack(x, tau, 0, False).gram()) + _upper(DelayStack(x, tau, 1, False).gram())
-    assert _relative(g, want) <= 1e-14
+    h = hankel(SpeedMatrix(values=x, delta_t=1.0), tau).values
+    source, target = h[:, :-1], h[:, 1:]
+    assert _relative(g, np.triu(source.T @ source + target.T @ target)) <= 1e-14
 
 
 @pytest.mark.parametrize("n,t,tau,wrap", [
@@ -485,7 +494,7 @@ def test_panel_grams_and_products_match_a_dense_oracle(n, t, tau, wrap, offset):
     # takes on them, within 1e-14 of the dense stack's largest entry
     x, dense = _dense_pair(n, t, tau, seed=t + tau, wrap=wrap)
     dense = dense[offset]
-    stack = DelayStack(x, tau, offset, wrap)
+    stack = _gram_stack(x, tau, offset, wrap)
     w, b = stack.width, embedding._PANEL_ROWS
     rng = np.random.default_rng(t)
     for g, want, heights in (
@@ -506,7 +515,7 @@ def test_stack_gram_and_left_product_match_dense_stack(n, t, tau, wrap, offset):
     dense = dense[offset]
     stack = DelayStack(x, tau, offset, wrap)
     u = np.random.default_rng(tau).normal(size=(dense.shape[0], 3))
-    g = stack.stack_gram()
+    g = _gram_stack(x, tau, offset, wrap).stack_gram()
     # one panel per block row, which holds only the upper block triangle
     assert [panel.shape for panel in g.panels] == [(n, (tau - a) * n) for a in range(tau)]
     assert _panel_bytes(g) == 8 * n * n * tau * (tau + 1) // 2
@@ -621,33 +630,78 @@ print(status("VmHWM:") - base)
     assert grown <= _upper_triangle_pages(2048) + 2 * 2**20, grown
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's status")
-def test_a_circular_window_gram_grows_by_its_panels_alone():
-    # a circular stack's windows read K's first lead + tau - 1 rows where
-    # the panels hold them, and form the rows they read again from x a
-    # block at a time, so at N = 8, T = 2048 and tau = 1024 the Gram grows
-    # the peak RSS by its panels' 17 MB and at most 1 MB more; a copy of
-    # those rows of K beside the panels would add 16 MB. The child forms a
-    # smaller Gram first, which puts BLAS's buffers in place, and reads its
-    # own VmHWM, counted from the RSS just before the Gram
-    child = """
+def _window_gram_growth(n, t, tau, warm_ups):
+    """(growth, panels) in bytes: a child process forms the Grams of
+    ``warm_ups``, (columns, tau) pairs of circular stacks of the first
+    columns of a random n x t x, which put BLAS's buffers in place, then
+    that of the whole x with tau blocks, and reads the growth of its own
+    VmHWM from the RSS just before that Gram, and its panels' bytes."""
+    child = f"""
 import numpy as np
 from circdmd.embedding import DelayStack
 def status(field):
     with open("/proc/self/status") as status:
         return next(int(line.split()[1]) * 1024 for line in status if line.startswith(field))
-x = np.random.default_rng(0).normal(size=(8, 2048))
-DelayStack(x[:, :1900], 950, 0, True).gram()
+x = np.random.default_rng(0).normal(size=({n}, {t}))
+for columns, tau in {warm_ups!r}:
+    DelayStack(x[:, :columns], tau, 0, True).gram()
 base, before = status("VmRSS:"), status("VmHWM:")
-g = DelayStack(x, 1024, 0, True).gram()
+g = DelayStack(x, {tau}, 0, True).gram()
 assert status("VmHWM:") > before, "the Gram did not raise the peak RSS"
 print(status("VmHWM:") - base, sum(panel.nbytes for panel in g.panels))
 """
     source = os.path.dirname(os.path.dirname(embedding.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
-    grown, panels = map(int, subprocess.run([sys.executable, "-c", child], check=True,
-                                            capture_output=True, text=True, env=env).stdout.split())
+    return map(int, subprocess.run([sys.executable, "-c", child], check=True,
+                                   capture_output=True, text=True, env=env).stdout.split())
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's status")
+def test_a_circular_window_gram_grows_by_its_panels_alone():
+    # a circular stack's windows read K's first tau - 1 rows where the
+    # panels hold them, and form the rows they read again from x a block
+    # at a time, so at N = 8, T = 2048 and tau = 1024 the Gram grows the
+    # peak RSS by its panels' 17 MB and at most 1 MB more; a copy of
+    # those rows of K beside the panels would add 16 MB
+    grown, panels = _window_gram_growth(8, 2048, 1024, [(1900, 950)])
     assert grown <= panels + 2**20, (grown, panels)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's status")
+def test_formed_rows_read_a_wide_x_in_place():
+    # at N = 157, T = 2048 and tau = 256 x is 2.5 MB, and each block of
+    # formed rows is one product with x.T as its first operand, which
+    # OpenBLAS packs a few columns at a time: the Gram grows the peak RSS
+    # by its panels and at most 1 MB more. With x.T as the second operand
+    # OpenBLAS packs the whole of it, and the growth is about 2.4 MB past
+    # the panels. The warm-ups form only rows of fewer than T cells: a
+    # one-block Gram of T - 148 columns and a circular Gram of 300
+    grown, panels = _window_gram_growth(157, 2048, 256, [(2048 - 148, 1), (300, 256)])
+    assert grown <= panels + 2**20, (grown, panels)
+
+
+def test_only_an_offset_0_stack_forms_its_grams():
+    # a fit forms the source's Grams alone: the offset-1 stack's Grams are
+    # those of the offset-0 stack of x rolled by one column
+    x = _matrix(3, 20, seed=4).values
+    for wrap in (True, False):
+        for form in (DelayStack.gram, DelayStack.stack_gram):
+            with pytest.raises(ConfigError, match="offset 1"):
+                form(DelayStack(x, 4, 1, wrap))
+
+
+def test_a_circular_stack_gram_has_constant_block_diagonals():
+    # every block of a circular stack's stack-side Gram on block diagonal
+    # m is B_0 B_m.T, bit for bit, even where x's rows differ in scale by
+    # 1e6 and a running sum's rounding would show
+    x = _matrix(5, 200, seed=8).values * np.logspace(-3, 3, 5)[:, None]
+    tau, n = 30, 5
+    g = DelayStack(x, tau, 0, True).stack_gram()
+    top = g.panels[0]
+    for a, panel in enumerate(g.panels[1:], 1):
+        assert np.array_equal(panel[:, n:], top[:, n : (tau - a) * n])
+        upper = np.triu_indices(n)
+        assert np.array_equal(panel[:, :n][upper], top[:, :n][upper])
 
 
 def test_stack_products_of_f_and_c_ordered_operands_are_equal():
